@@ -16,20 +16,26 @@ with positive slope (semi-wave); for g >= c0 it decays into the node
 (classical heteroclinic).  Finite-length waves shoot forward from a
 Stefan-compatible slope; the tadpole shoots leftward from the front.
 
-The spreading speed c_tilde is the fixed point c = mu * q'(0; c - beta)
-of the semi-wave slope map, unique in (0, c0 + beta) because the slope is
-strictly decreasing in c.  The critical advection beta_star > c0 is the
-root of c_tilde(beta) - beta + c0.
+Speeds rest on one curve: the semi-wave slope s(g) = q'(0) at drift g,
+strictly decreasing on g < c0.  A shot with the variational equations
+for (dq/dg, dq'/dg) returns s and ds/dg together (_slope).
+
+    c_tilde    the fixed point c = mu * s(c - beta), unique in
+               (0, c0 + beta); found by safeguarded Newton on
+               F(c) = mu*s(c - beta) - c, whose slope mu*s' - 1 is
+               negative, with bisection inside the sign bracket.
+    beta_star  at c_tilde(beta_star) = beta_star - c0 the drift is
+               c - beta = -c0, so beta_star = c0 + mu * s(-c0): one shot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import (
     NoFiniteWave,
@@ -67,7 +73,8 @@ class WaveProfile:
     kind is one of 'semi', 'finite', 'traveling-left', 'traveling-right',
     'tadpole', 'stationary'.  z, q, qp hold ordered samples of (z, q, q');
     speed is the wave speed (None for stationary profiles); slope0 is
-    q'(0); endpoint is z_c for finite waves, else None.
+    q'(0); endpoint is z_c for finite waves, else None; dslope0 is
+    d(slope0)/dg for semi-waves shot with variational=True, else None.
     """
 
     kind: str
@@ -77,6 +84,7 @@ class WaveProfile:
     speed: float | None
     slope0: float
     endpoint: float | None = None
+    dslope0: float | None = None
 
 
 @dataclass(frozen=True)
@@ -119,16 +127,24 @@ def _sample_backward(sol, tau_star, n_samples):
     return z[::-1].copy(), y[0, ::-1].copy(), y[1, ::-1].copy()
 
 
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def shoot_semi_wave(c: float, beta: float, n: Nonlinearity, *,
                     samples: bool = True, n_samples: int | None = None,
                     z_budget: float | None = None,
-                    max_step: float = _MAX_STEP) -> WaveProfile:
+                    max_step: float = _MAX_STEP,
+                    variational: bool = False) -> WaveProfile:
     """Half-line profile with q(0) = 0, q(+inf) = 1 for speed c.
 
     Integrates backward in z from the saddle along its stable
     eigendirection until q crosses 0; the translate with the crossing at
     z = 0 is the semi-wave and slope0 = q'(0) > 0.  Exists only for
-    c - beta < c0.
+    c - beta < c0.  With variational=True the shot also carries
+    (dq/dg, dq'/dg) for the drift g = c - beta and sets dslope0 = ds/dg.
     """
     g = c - beta
     if g >= n.c0:
@@ -136,12 +152,23 @@ def shoot_semi_wave(c: float, beta: float, n: Nonlinearity, *,
     if z_budget is None:
         z_budget = _default_budget(n)
 
-    lam = _lambda_minus(g, float(n.fprime(1.0)))
+    fp1 = float(n.fprime(1.0))
+    lam = _lambda_minus(g, fp1)
     y0 = [1.0 - EPS_LAUNCH, -lam * EPS_LAUNCH]
 
-    def rhs(_t, y):
-        # backward in z: dq/dtau = -q', dq'/dtau = -(g*q' - f(q))
-        return [-y[1], n.f(y[0]) - g * y[1]]
+    if variational:
+        # the launch direction moves with g through lam(g)
+        dlam = 0.5 * (1.0 - g / np.sqrt(g * g - 4.0 * fp1))
+        y0 += [0.0, -dlam * EPS_LAUNCH]
+
+        def rhs(_t, y):
+            q, p, q_g, p_g = y
+            return [-p, n.f(q) - g * p,
+                    -p_g, n.fprime(q) * q_g - p - g * p_g]
+    else:
+        def rhs(_t, y):
+            # backward in z: dq/dtau = -q', dq'/dtau = -(g*q' - f(q))
+            return [-y[1], n.f(y[0]) - g * y[1]]
 
     def cross(_t, y):
         return y[0]
@@ -162,14 +189,18 @@ def shoot_semi_wave(c: float, beta: float, n: Nonlinearity, *,
     sol = _solve(rhs, y0, z_budget, [cross, collapsed], max_step, dense=samples)
     if sol.t_events[1].size > 0:
         raise NumericalError(
-            f"semi-wave shot (c={c:g}, beta={beta:g}) collapsed into the "
+            f"semi-wave shot at drift c - beta = {g:g} collapsed into the "
             f"origin before crossing q=0: c - beta is too close to c0")
     if sol.t_events[0].size == 0:
         raise NumericalError(
-            f"semi-wave shot (c={c:g}, beta={beta:g}) did not reach q=0 "
+            f"semi-wave shot at drift c - beta = {g:g} did not reach q=0 "
             f"within z-budget {z_budget:g}")
     tau_star = float(sol.t_events[0][0])
-    slope0 = float(sol.y_events[0][0][1])
+    y_cross = sol.y_events[0][0]
+    slope0 = float(y_cross[1])
+    # s = p(tau*(g), g) with q(tau*, g) = 0, dq/dtau = -p, dp/dtau = -g*p
+    # there, so ds/dg = p_g + (-g*p) * (q_g/p) = p_g - g*q_g
+    dslope0 = float(y_cross[3] - g * y_cross[2]) if variational else None
 
     if samples:
         z, q, qp = _sample_backward(sol, tau_star, n_samples)
@@ -178,20 +209,33 @@ def shoot_semi_wave(c: float, beta: float, n: Nonlinearity, *,
         z = np.array([0.0, tau_star])
         q = np.array([0.0, 1.0 - EPS_LAUNCH])
         qp = np.array([slope0, -lam * EPS_LAUNCH])
-    return WaveProfile(kind="semi", z=z, q=q, qp=qp, speed=c, slope0=slope0)
+    return WaveProfile(kind="semi", z=z, q=q, qp=qp, speed=c, slope0=slope0,
+                       dslope0=dslope0)
 
 
-def _slope_map(beta, n, z_budget, max_step):
-    def slope0(c):
-        return shoot_semi_wave(c, beta, n, samples=False,
-                               z_budget=z_budget, max_step=max_step).slope0
+class _Slope(NamedTuple):
+    s: float
+    ds: float
 
-    return slope0
+
+def _slope(g, n, z_budget, max_step) -> _Slope:
+    """s(g) = q'(0) of the semi-wave with drift g, and ds/dg, in one shot."""
+    w = shoot_semi_wave(g, 0.0, n, samples=False, z_budget=z_budget,
+                        max_step=max_step, variational=True)
+    return _Slope(w.slope0, w.dslope0)
 
 
 def spreading_speed(beta: float, mu: float, n: Nonlinearity, *,
                     max_step: float = _MAX_STEP) -> SpeedResult:
-    """Fixed point c_tilde of c = mu * q'(0; c - beta) in (0, c0 + beta)."""
+    """Fixed point c_tilde of c = mu * q'(0; c - beta) in (0, c0 + beta).
+
+    Newton on F(c) = mu*s(c - beta) - c from c = 0, where F > 0; F is
+    strictly decreasing, so every shot narrows the sign bracket
+    [lo, c0 + beta - delta] and a step leaving it is replaced by
+    bisection.  The residual and profile come from a separate plain shot
+    at the root.
+    """
+    _require_finite(beta=beta, mu=mu)
     if mu <= 0.0:
         raise ValueError("mu must be positive")
     if beta <= -n.c0:
@@ -201,51 +245,66 @@ def spreading_speed(beta: float, mu: float, n: Nonlinearity, *,
     delta = min(2e-3 * n.c0, 0.25 * cmax)
     budget = _default_budget(n)
 
-    for _ in range(4):
-        c_hi = cmax - delta
+    def shot_budget(delta):
         # Near the existence boundary the origin spiral slows down as
         # omega = sqrt((c0-g)(c0+g))/2; give the shot room for a full turn.
         omega = 0.5 * np.sqrt(delta * (2.0 * n.c0 - delta))
-        z_budget = max(budget, 8.0 / omega + 0.5 * budget)
-        slope0 = _slope_map(beta, n, z_budget, max_step)
+        return max(budget, 8.0 / omega + 0.5 * budget)
 
-        def gap(c):
-            return mu * slope0(c) - c
+    def newton_pair(c):
+        s, ds = _slope(c - beta, n, z_budget, max_step)
+        return mu * s - c, mu * ds - 1.0
 
-        if gap(0.0) <= 0.0:
-            raise NumericalError("slope map not positive at c = 0")
-        if gap(c_hi) < 0.0:
-            c_t = brentq(gap, 0.0, c_hi, xtol=1e-12, maxiter=200)
-            if c_t <= 1e-9 * cmax:
-                # root below the bisection resolution (extreme beta or mu);
-                # one fixed-point sweep lands on it and keeps c_tilde > 0
-                c_t = mu * slope0(c_t)
-            residual = abs(mu * slope0(c_t) - c_t)
-            profile = shoot_semi_wave(c_t, beta, n, z_budget=z_budget,
+    z_budget = shot_budget(delta)
+    c = lo = 0.0
+    f, df = newton_pair(c)
+    if f <= 0.0:
+        raise NumericalError("slope map not positive at c = 0")
+    for _ in range(4):
+        hi = cmax - delta
+        bracketed = False          # F(hi) <= 0 seen
+        root = None
+        for _ in range(200):
+            c_new = c - f / df if df < 0.0 else np.nan
+            if abs(c_new - c) <= 1e-13 * c:
+                root = c_new
+                break
+            if not lo < c_new < hi:
+                c_new = 0.5 * (lo + hi) if bracketed else hi
+            c = c_new
+            f, df = newton_pair(c)
+            if f > 0.0:
+                lo = c
+                if c == hi:        # F > 0 all the way to c0 + beta - delta
+                    break
+            else:
+                hi, bracketed = c, True
+        else:
+            raise NumericalError("Newton on the slope map did not converge")
+        if root is not None:
+            if root <= 1e-9 * cmax:
+                # root far below cmax (extreme beta or mu); one fixed-point
+                # sweep keeps c_tilde > 0
+                root = mu * _slope(root - beta, n, z_budget, max_step).s
+            profile = shoot_semi_wave(root, beta, n, z_budget=z_budget,
                                       max_step=max_step)
-            return SpeedResult(c_tilde=c_t, residual=residual, profile=profile)
+            residual = abs(mu * profile.slope0 - root)
+            return SpeedResult(c_tilde=root, residual=residual, profile=profile)
         delta *= 0.25
+        z_budget = shot_budget(delta)
     raise NumericalError("fixed point pinned against c0 + beta; bracket failed")
 
 
-def critical_advection(mu: float, n: Nonlinearity, *,
-                       b_max_factor: float = 10.0,
-                       xtol: float = 1e-10) -> float:
+def critical_advection(mu: float, n: Nonlinearity) -> float:
     """Unique beta_star > c0 with c_tilde(beta_star) = beta_star - c0.
 
-    Found by sign bisection of c_tilde(beta) - beta + c0, which is
-    positive at beta = c0 and strictly decreasing.
+    At that fixed point the semi-wave drift is c - beta = -c0, so
+    beta_star = c0 + mu * s(-c0), read off one shot of the slope curve.
     """
+    _require_finite(mu=mu)
     if mu <= 0.0:
         raise ValueError("mu must be positive")
-
-    def excess(beta):
-        return spreading_speed(beta, mu, n).c_tilde - beta + n.c0
-
-    b_hi = b_max_factor * n.c0
-    if excess(b_hi) > 0.0:
-        raise NumericalError(f"no sign change of c_tilde - beta + c0 below {b_hi:g}")
-    return brentq(excess, n.c0, b_hi, xtol=xtol, maxiter=200)
+    return n.c0 + mu * _slope(-n.c0, n, _default_budget(n), _MAX_STEP).s
 
 
 def finite_wave(c: float, beta: float, mu: float, n: Nonlinearity, *,

@@ -3,10 +3,17 @@
 Everything here deliberately avoids the library's own solvers: fixed-step
 RK4 with bisection event location for the shooting problems, closed forms
 for the logistic comparison ODE and the b = 0 eigenvalues, and the
-phase-plane first integral for the zero-speed slope.
+phase-plane first integral for the zero-speed slope.  The exception is the
+slow reference path for c_tilde and beta_star at the end: bracketing
+root-finds over the library's plain semi-wave shot, without the Newton
+solve and the s(g) identity that replaced them.
 """
 
 import numpy as np
+from scipy.optimize import brentq
+
+import freebound as fb
+from freebound.errors import NoSemiWave, NumericalError
 
 
 def rk4_step(rhs, y, h):
@@ -79,3 +86,47 @@ def zeta1_closed_form(ell, beta, m):
 
 def lstar_closed_form(beta, c0):
     return 2.0 * np.pi / np.sqrt(c0 * c0 - beta * beta)
+
+
+def spreading_speed_brentq(beta, mu, n, max_step=0.1):
+    """c_tilde by brentq on mu*q'(0; c - beta) - c over (0, c0 + beta - delta).
+
+    The bracket's upper end backs off from the existence boundary until
+    the sign changes; roots below the bisection resolution get one
+    fixed-point sweep.
+    """
+    if beta <= -n.c0:
+        raise NoSemiWave(f"beta = {beta:g} <= -c0")
+    cmax = n.c0 + beta
+    delta = min(2e-3 * n.c0, 0.25 * cmax)
+    budget = 100.0 / np.sqrt(n.fp0)
+    for _ in range(4):
+        omega = 0.5 * np.sqrt(delta * (2.0 * n.c0 - delta))
+        z_budget = max(budget, 8.0 / omega + 0.5 * budget)
+
+        def slope0(c):
+            return fb.shoot_semi_wave(c, beta, n, samples=False,
+                                      z_budget=z_budget,
+                                      max_step=max_step).slope0
+
+        def gap(c):
+            return mu * slope0(c) - c
+
+        if gap(0.0) <= 0.0:
+            raise NumericalError("slope map not positive at c = 0")
+        c_hi = cmax - delta
+        if gap(c_hi) < 0.0:
+            c_t = brentq(gap, 0.0, c_hi, xtol=1e-12, maxiter=200)
+            if c_t <= 1e-9 * cmax:
+                c_t = mu * slope0(c_t)
+            return c_t
+        delta *= 0.25
+    raise NumericalError("fixed point pinned against c0 + beta")
+
+
+def critical_advection_nested(mu, n, b_max_factor=10.0, xtol=1e-10):
+    """beta_star as the root of c_tilde(beta) - beta + c0, brentq over brentq."""
+    def excess(beta):
+        return spreading_speed_brentq(beta, mu, n) - beta + n.c0
+
+    return brentq(excess, n.c0, b_max_factor * n.c0, xtol=xtol, maxiter=200)

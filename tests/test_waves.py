@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 import freebound as fb
+from freebound import waves
 
-from oracles import halved_step_slope
+from oracles import (
+    critical_advection_nested,
+    halved_step_slope,
+    spreading_speed_brentq,
+)
 
 # Frozen from the step-halved fixed-step RK4 oracle in oracles.py
 # (tolerance 1e-10 on the halving sequence):
@@ -84,6 +89,21 @@ def test_step_halving_convergence(n):
     assert abs(v1 - v2) < 1e-9
 
 
+def test_slope_derivative_matches_centred_difference(n):
+    # the variational shot's ds/dg against a centred difference of plain
+    # shots (h = 1e-5); both agree to ~1e-10 on (-c0, c0)
+    budget = waves._default_budget(n)
+    h = 1e-5
+    for g in (-1.9, -1.5, -0.5, 0.5, 1.5, 1.9):
+        k = waves._slope(g, n, budget, 0.1)
+        s_plus = fb.shoot_semi_wave(g + h, 0.0, n, samples=False).slope0
+        s_minus = fb.shoot_semi_wave(g - h, 0.0, n, samples=False).slope0
+        assert k.ds == pytest.approx((s_plus - s_minus) / (2.0 * h), abs=1e-8)
+        assert k.ds < 0.0
+        assert k.s == pytest.approx(
+            fb.shoot_semi_wave(g, 0.0, n, samples=False).slope0, abs=1e-12)
+
+
 # ---------------------------------------------------------- spreading speed
 
 def test_spreading_speed_beta0(n):
@@ -117,7 +137,47 @@ def test_spreading_speed_domain(n):
         fb.spreading_speed(0.0, -1.0, n)
 
 
+@pytest.fixture
+def no_shots(monkeypatch):
+    def shot(*args, **kwargs):
+        raise AssertionError("a shot was made on non-finite input")
+
+    monkeypatch.setattr(waves, "shoot_semi_wave", shot)
+
+
+@pytest.mark.parametrize("beta, mu", [(np.nan, 1.0), (np.inf, 1.0),
+                                      (-np.inf, 1.0), (0.0, np.nan),
+                                      (0.0, np.inf)])
+def test_spreading_speed_refuses_non_finite(n, no_shots, beta, mu):
+    with pytest.raises(ValueError, match="must be finite"):
+        fb.spreading_speed(beta, mu, n)
+
+
+@pytest.mark.parametrize("mu", [np.nan, np.inf])
+def test_critical_advection_refuses_non_finite(n, no_shots, mu):
+    with pytest.raises(ValueError, match="must be finite"):
+        fb.critical_advection(mu, n)
+
+
+def test_newton_matches_brentq_oracle(n):
+    # criterion 3's ladder plus the extremes of criterion 4 and beyond
+    cases = [(b, m) for b in (-1.5, -1.0, 0.0, 1.0, 1.5, 2.5)
+             for m in (0.5, 1.0, 2.0)]
+    cases += [(-1.99, 1.0), (n.c0, 1.0), (5.0, 1.0), (0.0, 1e-4)]
+    for beta, mu in cases:
+        res = fb.spreading_speed(beta, mu, n)
+        assert res.c_tilde == pytest.approx(spreading_speed_brentq(beta, mu, n),
+                                            abs=1e-10)
+        assert res.residual < 1e-8
+
+
 # --------------------------------------------------------- critical advection
+
+@pytest.mark.parametrize("mu", [0.3, 1.0, 3.0])
+def test_beta_star_identity_matches_nested_oracle(n, mu):
+    assert fb.critical_advection(mu, n) == pytest.approx(
+        critical_advection_nested(mu, n), abs=1e-9)
+
 
 def test_excess_speed_positive_at_c0(n):
     ct = fb.spreading_speed(n.c0, 1.0, n).c_tilde
