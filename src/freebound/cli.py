@@ -23,7 +23,7 @@ from .classify import classify
 from .config import ConfigError, load_config, nonlinearity_from_config, spec_from_config
 from .eigen import EigenProblem, critical_length, critical_length_no_advection, principal_eigenvalue
 from .errors import DomainError, FreeboundError, NumericalError
-from .stefan import simulate
+from .stefan import Trajectory, simulate
 from .thresholds import lambda_threshold, mu_threshold
 from .waves import (
     finite_wave,
@@ -155,32 +155,33 @@ def _cmd_simulate(args):
     return 0
 
 
-def _load_trajectory(path):
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    summary_path = Path(path).parent / "summary.json"
+def _load_run(trajectory_path, snapshot_dir):
+    """(Trajectory, summary) of a simulate output directory.
+
+    summary.json sits next to trajectory.csv; the snapshot CSVs it lists
+    are read from snapshot_dir.
+    """
+    data = np.loadtxt(trajectory_path, delimiter=",", skiprows=1)
+    summary_path = Path(trajectory_path).parent / "summary.json"
     try:
         with open(summary_path, "r", encoding="utf-8") as fh:
             summary = json.load(fh)
     except OSError as exc:
         raise ConfigError(
             f"missing {summary_path} next to the trajectory (rerun simulate)") from exc
-    return data, summary
-
-
-def _cmd_classify(args):
-    from .stefan import Trajectory  # local import to keep startup light
-
-    data, summary = _load_trajectory(args.trajectory)
-    cfg = summary["config"] if args.config is None else load_config(args.config)
-    spec = spec_from_config(cfg)
-    base = Path(args.trajectory).parent
     snapshots = []
     for entry in summary.get("snapshots", []):
-        snap = np.loadtxt(base / entry["file"], delimiter=",", skiprows=1)
+        snap = np.loadtxt(Path(snapshot_dir) / entry["file"], delimiter=",", skiprows=1)
         snapshots.append((entry["t"], snap[:, 0], snap[:, 1]))
     traj = Trajectory(times=data[:, 0], h=data[:, 1], hprime=data[:, 2],
                       supu=data[:, 3], eta=data[:, 4], snapshots=snapshots,
-                      spec=spec)
+                      spec=spec_from_config(summary["config"]))
+    return traj, summary
+
+
+def _cmd_classify(args):
+    traj, summary = _load_run(args.trajectory, Path(args.trajectory).parent)
+    spec = traj.spec if args.config is None else spec_from_config(load_config(args.config))
     verdict = classify(traj, spec, lstar=summary.get("l_star"),
                        ctilde=summary.get("c_tilde"))
     _emit(args, {"verdict": verdict.verdict, "evidence": verdict.evidence},
@@ -211,26 +212,17 @@ def _cmd_threshold(args):
 
 
 def _cmd_asymptotics(args):
-    from .stefan import Trajectory
-
-    data, summary = _load_trajectory(args.trajectory)
-    spec = spec_from_config(summary["config"])
-    traj = Trajectory(times=data[:, 0], h=data[:, 1], hprime=data[:, 2],
-                      supu=data[:, 3], eta=data[:, 4], snapshots=[], spec=spec)
+    traj, _ = _load_run(args.trajectory, args.snapshots)
+    spec = traj.spec
     n = spec.nonlinearity
     sr = spreading_speed(spec.beta, spec.mu, n)
     fit = fit_speed(traj, sr.c_tilde)
     vt = stationary_increasing(spec.beta, spec.a, spec.b, n) if spec.a > 0 else None
-
-    snapdir = Path(args.snapshots)
     errors = []
-    for entry in summary.get("snapshots", []):
-        snap = np.loadtxt(snapdir / entry["file"], delimiter=",", skiprows=1)
-        if entry["t"] < fit.window[0]:
-            continue
-        err = profile_error((entry["t"], snap[:, 0], snap[:, 1]),
-                            spec, sr.c_tilde, fit.H, vt, sr.profile)
-        errors.append({"t": entry["t"], "sup_error": err})
+    for snap in traj.snapshots:
+        if snap[0] >= fit.window[0]:
+            err = profile_error(snap, spec, sr.c_tilde, fit.H, vt, sr.profile)
+            errors.append({"t": snap[0], "sup_error": err})
     report = {
         "c_measured": fit.c_measured,
         "c_tilde": sr.c_tilde,

@@ -16,7 +16,8 @@ Example::
 
 Recognized nonlinearity kinds: ``logistic``, ``cubic`` (reads ``gamma``),
 ``custom`` (reads ``coefficients`` as ascending polynomial coefficients,
-e.g. ``coefficients = 0, 1, 0, -1`` for u - u^3).  Unknown keys are
+e.g. ``coefficients = 0, 1, 0, -1`` for u - u^3), checked against the
+admissibility clauses of nonlinearity.validate on load.  Unknown keys are
 rejected with a line diagnostic.
 """
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .nonlinearity import Nonlinearity, cubic_monostable, from_coefficients, logistic
+from .nonlinearity import Nonlinearity, cubic_monostable, from_coefficients, logistic, validate
 from .stefan import ProblemSpec, default_initial_profile
 
 __all__ = ["parse_config", "load_config", "nonlinearity_from_config", "spec_from_config"]
@@ -87,7 +88,15 @@ def nonlinearity_from_config(cfg: dict) -> Nonlinearity:
     if kind == "custom":
         if "coefficients" not in cfg:
             raise ConfigError("nonlinearity = custom requires coefficients")
-        return from_coefficients(cfg["coefficients"])
+        n = from_coefficients(cfg["coefficients"])
+        try:
+            failing = validate(n).failing()
+        except ValueError as exc:  # f(0) or f(1) off zero
+            failing = [f"roots_at_0_and_1 ({exc})"]
+        if failing:
+            raise ConfigError("custom reaction term is not admissible, fails: "
+                              + ", ".join(failing))
+        return n
     raise ConfigError(f"unknown nonlinearity kind {kind!r}")
 
 

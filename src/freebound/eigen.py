@@ -34,7 +34,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .errors import NoCriticalLength, NumericalError
+from .errors import NoCriticalLength, NumericalError, _require_finite
 
 __all__ = [
     "EigenProblem",
@@ -57,6 +57,7 @@ class EigenProblem:
     m: float
 
     def __post_init__(self):
+        _require_finite(ell=self.ell, beta=self.beta, a=self.a, b=self.b, m=self.m)
         if self.ell <= 0.0:
             raise ValueError("ell must be positive")
         if self.a < 0.0 or self.b < 0.0 or self.a + self.b <= 0.0:
@@ -241,6 +242,7 @@ def _bracketed_length_root(g, what: str) -> float:
 
 def critical_length(beta: float, a: float, b: float, m: float) -> float:
     """Length l_star with zeta1(l_star) = 0.  Needs |beta| < 2*sqrt(m)."""
+    _require_finite(beta=beta, a=a, b=b, m=m)
     c0 = 2.0 * np.sqrt(m)
     if abs(beta) >= c0:
         raise NoCriticalLength(
@@ -254,6 +256,7 @@ def critical_length_no_advection(beta: float, a: float, b: float, m: float) -> f
     gamma1 is the principal eigenvalue of the advection-free problem;
     the offset -beta^2/4 restores the drift contribution.
     """
+    _require_finite(beta=beta, a=a, b=b, m=m)
     c0 = 2.0 * np.sqrt(m)
     if abs(beta) >= c0:
         raise NoCriticalLength(

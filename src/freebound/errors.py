@@ -3,8 +3,17 @@
 DomainError subclasses signal that the requested object does not exist for
 the given parameters (outside an existence range); they map to CLI exit
 code 1.  NumericalError and ConfigError signal that the computation itself
-failed; they map to exit code 2.
+failed; they map to exit code 2, as does ValueError for parameters refused
+at the boundary (_require_finite).
 """
+
+import math
+
+
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class FreeboundError(Exception):

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
 
-from .errors import InvariantViolation, NumericalError
+from .errors import InvariantViolation, NumericalError, _require_finite
 from .nonlinearity import Nonlinearity
 
 __all__ = [
@@ -95,6 +95,8 @@ class ProblemSpec:
             raise ValueError("nx too small")
         if self.dt is None:
             object.__setattr__(self, "dt", 2e-4 * self.h0 * self.h0)
+        _require_finite(beta=self.beta, mu=self.mu, a=self.a, b=self.b,
+                        h0=self.h0, dt=self.dt, tmax=self.tmax)
         if self.dt <= 0.0 or self.tmax <= 0.0:
             raise ValueError("dt and tmax must be positive")
         # u0 = None stays None so dataclasses.replace(spec, h0=...) re-resolves

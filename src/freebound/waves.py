@@ -8,17 +8,21 @@ All profiles solve q'' - g*q' + f(q) = 0 for some effective drift g in the
     g >= c0       unstable node
     g <= -c0      stable node
 
-Semi-waves, right traveling waves, and the increasing stationary profile
-all live on the stable manifold of the saddle, traced backward in z from
-(1 - eps, |lam_minus| eps) where lam_minus is the negative saddle
-eigenvalue.  For g < c0 the backward trajectory crosses q = 0 at finite z
-with positive slope (semi-wave); for g >= c0 it decays into the node
-(classical heteroclinic).  Finite-length waves shoot forward from a
-Stefan-compatible slope; the tadpole shoots leftward from the front.
+One kernel (_shoot) makes every shot: DOP853 in tau >= 0 on the field
+[-q', f(q) - g*q'] backward (z = -tau) or [q', g*q' - f(q)] forward
+(z = tau).  A profile picks the drift, launch, direction and events:
+
+    semi-wave   g = c - beta < c0; backward from the saddle launch
+                (1 - eps, |lam_minus| eps) on the stable manifold to q = 0
+    traveling   g = c; from the saddle launch to q = TAIL_CUT, backward
+                for c >= c0 (right), forward along lam_plus for c <= -c0
+    finite      g = c - beta; forward from (0, c_tilde/mu) to q' = 0
+    tadpole     g = c0; backward from (0, -(beta - c0)/mu) to the tail cut
+    stationary  g = beta < c0; backward from the saddle launch to a*q = b*q'
 
 Speeds rest on one curve: the semi-wave slope s(g) = q'(0) at drift g,
-strictly decreasing on g < c0.  A shot with the variational equations
-for (dq/dg, dq'/dg) returns s and ds/dg together (_slope).
+strictly decreasing on g < c0.  A semi-wave shot that also carries the
+variational pair (dq/dg, dq'/dg) returns s and ds/dg together (_slope).
 
     c_tilde    the fixed point c = mu * s(c - beta), unique in
                (0, c0 + beta); found by safeguarded Newton on
@@ -43,6 +47,7 @@ from .errors import (
     NoStationary,
     NoWave,
     NumericalError,
+    _require_finite,
 )
 from .nonlinearity import Nonlinearity
 
@@ -94,43 +99,67 @@ class SpeedResult:
     profile: WaveProfile
 
 
-def _lambda_minus(g: float, fp1: float) -> float:
-    # Negative eigenvalue of the saddle (1, 0); fp1 = f'(1) < 0.
-    return 0.5 * (g - np.sqrt(g * g - 4.0 * fp1))
-
-
-def _lambda_plus(g: float, fp1: float) -> float:
-    return 0.5 * (g + np.sqrt(g * g - 4.0 * fp1))
+def _saddle_launch(g: float, fp1: float, sign: float = -1.0) -> list:
+    # EPS_LAUNCH below the saddle (1, 0) along its eigendirection (1, lam):
+    # sign = -1 the stable one (lam < 0), +1 the unstable; fp1 = f'(1) < 0
+    lam = 0.5 * (g + sign * np.sqrt(g * g - 4.0 * fp1))
+    return [1.0 - EPS_LAUNCH, -lam * EPS_LAUNCH]
 
 
 def _default_budget(n: Nonlinearity) -> float:
     return 100.0 / np.sqrt(n.fp0)
 
 
-def _solve(rhs, y0, budget, events, max_step, dense):
-    sol = solve_ivp(rhs, (0.0, budget), y0, method="DOP853",
-                    rtol=_RTOL, atol=_ATOL, max_step=max_step,
-                    events=events, dense_output=dense)
+def _event(fn, direction, terminal=True):
+    """Mark fn(tau, y) as a solve_ivp stopping event."""
+    fn.terminal = terminal
+    fn.direction = direction
+    return fn
+
+
+def _shoot(g, n, y0, events, budget, max_step, *, backward, dense):
+    """One DOP853 shot of q'' - g*q' + f(q) = 0 from y0 = (q, q') over
+    tau in [0, budget], z = -tau (backward) or z = tau (forward).
+
+    A four-component y0 adds the variational pair (dq/dg, dq'/dg) of the
+    backward field.  An invalid value inside the integrator (its error norm
+    breaks down when a shot stalls in the origin) raises NumericalError.
+    """
+    if len(y0) == 4:
+        def rhs(_t, y):
+            q, p, q_g, p_g = y
+            return [-p, n.f(q) - g * p, -p_g, n.fprime(q) * q_g - p - g * p_g]
+    elif backward:
+        def rhs(_t, y):
+            return [-y[1], n.f(y[0]) - g * y[1]]
+    else:
+        def rhs(_t, y):
+            return [y[1], g * y[1] - n.f(y[0])]
+
+    try:
+        with np.errstate(invalid="raise"):
+            sol = solve_ivp(rhs, (0.0, budget), y0, method="DOP853",
+                            rtol=_RTOL, atol=_ATOL, max_step=max_step,
+                            events=events, dense_output=dense)
+    except FloatingPointError as exc:
+        raise NumericalError(
+            f"shot at drift g = {g:g} broke down in the integrator: {exc}") from exc
     if not sol.success:
         raise NumericalError(f"integrator failed: {sol.message}")
     return sol
 
 
-def _sample_backward(sol, tau_star, n_samples):
-    """Uniform samples in z = tau_star - tau, ascending z."""
+def _sample(sol, tau_end, n_samples, reverse):
+    """(tau, q, q') at n_samples uniform points (default: about 2e-4 apart,
+    2001 to 500001) of a dense shot on [0, tau_end]; reverse returns them in
+    descending tau, which is ascending z for a backward shot."""
     if n_samples is None:
-        dz = 2e-4
-        n_samples = int(np.clip(np.ceil(tau_star / dz) + 1, 2001, 500001))
-    tau = np.linspace(0.0, tau_star, n_samples)
+        n_samples = int(np.clip(np.ceil(tau_end / 2e-4) + 1, 2001, 500001))
+    tau = np.linspace(0.0, tau_end, n_samples)
     y = sol.sol(tau)
-    z = tau_star - tau
-    return z[::-1].copy(), y[0, ::-1].copy(), y[1, ::-1].copy()
-
-
-def _require_finite(**values) -> None:
-    for name, value in values.items():
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    if reverse:
+        return tau[::-1], y[0, ::-1].copy(), y[1, ::-1].copy()
+    return tau, y[0].copy(), y[1].copy()
 
 
 def shoot_semi_wave(c: float, beta: float, n: Nonlinearity, *,
@@ -153,40 +182,22 @@ def shoot_semi_wave(c: float, beta: float, n: Nonlinearity, *,
         z_budget = _default_budget(n)
 
     fp1 = float(n.fprime(1.0))
-    lam = _lambda_minus(g, fp1)
-    y0 = [1.0 - EPS_LAUNCH, -lam * EPS_LAUNCH]
-
+    y0 = _saddle_launch(g, fp1)
     if variational:
         # the launch direction moves with g through lam(g)
         dlam = 0.5 * (1.0 - g / np.sqrt(g * g - 4.0 * fp1))
         y0 += [0.0, -dlam * EPS_LAUNCH]
 
-        def rhs(_t, y):
-            q, p, q_g, p_g = y
-            return [-p, n.f(q) - g * p,
-                    -p_g, n.fprime(q) * q_g - p - g * p_g]
-    else:
-        def rhs(_t, y):
-            # backward in z: dq/dtau = -q', dq'/dtau = -(g*q' - f(q))
-            return [-y[1], n.f(y[0]) - g * y[1]]
-
-    def cross(_t, y):
-        return y[0]
-
-    cross.terminal = True
-    cross.direction = -1.0
-
-    def collapsed(_t, y):
+    events = [
+        _event(lambda _t, y: y[0], -1.0),
         # spiral decayed into the origin without crossing: c is numerically
         # indistinguishable from the existence boundary (legitimate crossing
         # amplitudes reach ~1e-40 near the boundary, so the floor sits far
         # below them, above the denormal range where stepping breaks down)
-        return abs(y[0]) + abs(y[1]) - 1e-220
-
-    collapsed.terminal = True
-    collapsed.direction = -1.0
-
-    sol = _solve(rhs, y0, z_budget, [cross, collapsed], max_step, dense=samples)
+        _event(lambda _t, y: abs(y[0]) + abs(y[1]) - 1e-220, -1.0),
+    ]
+    sol = _shoot(g, n, y0, events, z_budget, max_step, backward=True,
+                 dense=samples)
     if sol.t_events[1].size > 0:
         raise NumericalError(
             f"semi-wave shot at drift c - beta = {g:g} collapsed into the "
@@ -203,12 +214,13 @@ def shoot_semi_wave(c: float, beta: float, n: Nonlinearity, *,
     dslope0 = float(y_cross[3] - g * y_cross[2]) if variational else None
 
     if samples:
-        z, q, qp = _sample_backward(sol, tau_star, n_samples)
+        tau, q, qp = _sample(sol, tau_star, n_samples, reverse=True)
+        z = tau_star - tau
         q[0] = 0.0
     else:
         z = np.array([0.0, tau_star])
-        q = np.array([0.0, 1.0 - EPS_LAUNCH])
-        qp = np.array([slope0, -lam * EPS_LAUNCH])
+        q = np.array([0.0, y0[0]])
+        qp = np.array([slope0, y0[1]])
     return WaveProfile(kind="semi", z=z, q=q, qp=qp, speed=c, slope0=slope0,
                        dslope0=dslope0)
 
@@ -321,26 +333,12 @@ def finite_wave(c: float, beta: float, mu: float, n: Nonlinearity, *,
         ctilde = spreading_speed(beta, mu, n).c_tilde
     if not 0.0 < c < ctilde:
         raise NoFiniteWave(f"need 0 < c < c_tilde = {ctilde:g}, got c = {c:g}")
-    g = c - beta
 
-    def rhs(_t, y):
-        return [y[1], g * y[1] - n.f(y[0])]
-
-    def turning(_t, y):
-        return y[1]
-
-    turning.terminal = True
-    turning.direction = -1.0
-
-    def overshoot(_t, y):
-        return y[0] - 1.5
-
-    overshoot.terminal = True
-    overshoot.direction = 1.0
-
+    events = [_event(lambda _t, y: y[1], -1.0),          # turning point
+              _event(lambda _t, y: y[0] - 1.5, 1.0)]     # overshoot
     budget = _default_budget(n)
-    sol = _solve(rhs, [0.0, ctilde / mu], budget, [turning, overshoot],
-                 max_step, dense=True)
+    sol = _shoot(c - beta, n, [0.0, ctilde / mu], events, budget, max_step,
+                 backward=False, dense=True)
     if sol.t_events[1].size > 0:
         raise NumericalError(
             f"finite-wave shot (c={c:g}) escaped past q=1: launch slope lies "
@@ -349,11 +347,7 @@ def finite_wave(c: float, beta: float, mu: float, n: Nonlinearity, *,
         raise NumericalError(f"finite-wave shot (c={c:g}) found no turning point "
                              f"within z-budget {budget:g}")
     z_c = float(sol.t_events[0][0])
-    if n_samples is None:
-        n_samples = int(np.clip(np.ceil(z_c / 2e-4) + 1, 2001, 500001))
-    z = np.linspace(0.0, z_c, n_samples)
-    y = sol.sol(z)
-    q, qp = y[0].copy(), y[1].copy()
+    z, q, qp = _sample(sol, z_c, n_samples, reverse=False)
     q[0] = 0.0
     qp[-1] = 0.0
     return WaveProfile(kind="finite", z=z, q=q, qp=qp, speed=c,
@@ -378,52 +372,25 @@ def traveling_wave(c: float, direction: str, n: Nonlinearity, *,
         raise NoWave(f"left wave needs c <= -c0 = {-n.c0:g}, got {c:g}")
     if z_budget is None:
         z_budget = 2.0 * _default_budget(n)
-    fp1 = float(n.fprime(1.0))
 
-    def tail(_t, y):
-        return y[0] - TAIL_CUT
-
-    tail.terminal = True
-    tail.direction = -1.0
-
-    def halfway(_t, y):
+    right = direction == "right"
+    y0 = _saddle_launch(c, float(n.fprime(1.0)), -1.0 if right else 1.0)
+    events = [
+        _event(lambda _t, y: y[0] - TAIL_CUT, -1.0),
         # non-terminal: anchors the translation q(0) = 1/2 with event
         # precision (the tail cut itself is exponentially ill-conditioned)
-        return y[0] - 0.5
-
-    halfway.terminal = False
-    halfway.direction = -1.0
-
-    if direction == "right":
-        lam = _lambda_minus(c, fp1)
-        y0 = [1.0 - EPS_LAUNCH, -lam * EPS_LAUNCH]
-
-        def rhs(_t, y):  # backward in z
-            return [-y[1], n.f(y[0]) - c * y[1]]
-    else:
-        lam = _lambda_plus(c, fp1)
-        y0 = [1.0 - EPS_LAUNCH, -lam * EPS_LAUNCH]
-
-        def rhs(_t, y):  # forward in z
-            return [y[1], c * y[1] - n.f(y[0])]
-
-    sol = _solve(rhs, y0, z_budget, [tail, halfway], max_step, dense=True)
+        _event(lambda _t, y: y[0] - 0.5, -1.0, terminal=False),
+    ]
+    sol = _shoot(c, n, y0, events, z_budget, max_step, backward=right,
+                 dense=True)
     if sol.t_events[0].size == 0:
         raise NumericalError(f"wave tail not reached within z-budget {z_budget:g}")
     tau_star = float(sol.t_events[0][0])
     tau_half = float(sol.t_events[1][0])
     slope_half = float(sol.y_events[1][0][1])
 
-    if n_samples is None:
-        n_samples = int(np.clip(np.ceil(tau_star / 2e-4) + 1, 2001, 500001))
-    tau = np.linspace(0.0, tau_star, n_samples)
-    y = sol.sol(tau)
-    if direction == "right":
-        z = tau_half - tau[::-1]
-        q, qp = y[0, ::-1].copy(), y[1, ::-1].copy()
-    else:
-        z = tau - tau_half
-        q, qp = y[0].copy(), y[1].copy()
+    tau, q, qp = _sample(sol, tau_star, n_samples, reverse=right)
+    z = tau_half - tau if right else tau - tau_half
     return WaveProfile(kind=f"traveling-{direction}", z=z, q=q, qp=qp,
                        speed=c, slope0=slope_half)
 
@@ -444,27 +411,11 @@ def tadpole_wave(beta: float, mu: float, n: Nonlinearity, *,
         raise NoWave(f"tadpole needs c0 < beta < beta_star = {beta_star:g}, "
                      f"got beta = {beta:g}")
 
-    def rhs(_t, y):
-        # backward in z: dV/dtau = -V', dV'/dtau = f(V) - c0*V'
-        return [-y[1], n.f(y[0]) - n.c0 * y[1]]
-
-    decay_cut = 5e-7
-
-    def decayed(_t, y):
-        return y[0] - decay_cut
-
-    decayed.terminal = True
-    decayed.direction = -1.0
-
-    def escaped(_t, y):
-        return y[0] - 3.0
-
-    escaped.terminal = True
-    escaped.direction = 1.0
-
+    events = [_event(lambda _t, y: y[0] - 5e-7, -1.0),       # tail cut
+              _event(lambda _t, y: y[0] - 3.0, 1.0)]     # escaped the hump
     budget = _default_budget(n)
-    y0 = [0.0, -(beta - n.c0) / mu]
-    sol = _solve(rhs, y0, budget, [decayed, escaped], max_step, dense=True)
+    sol = _shoot(n.c0, n, [0.0, -(beta - n.c0) / mu], events, budget,
+                 max_step, backward=True, dense=True)
     if sol.t_events[1].size > 0:
         raise NumericalError("tadpole shot escaped the hump region")
     if sol.t_events[0].size > 0:
@@ -475,13 +426,8 @@ def tadpole_wave(beta: float, mu: float, n: Nonlinearity, *,
         raise NumericalError(
             f"tadpole tail not below 1e-4 within z-budget {budget:g}")
 
-    if n_samples is None:
-        n_samples = int(np.clip(np.ceil(tau_end / 2e-4) + 1, 2001, 500001))
-    tau = np.linspace(0.0, tau_end, n_samples)
-    y = sol.sol(tau)
-    z = -tau[::-1].copy()
-    q = y[0, ::-1].copy()
-    qp = y[1, ::-1].copy()
+    tau, q, qp = _sample(sol, tau_end, n_samples, reverse=True)
+    z = -tau
     q[-1] = 0.0
     return WaveProfile(kind="tadpole", z=z, q=q, qp=qp,
                        speed=beta - n.c0, slope0=-(beta - n.c0) / mu)
@@ -501,27 +447,19 @@ def stationary_increasing(beta: float, a: float, b: float, n: Nonlinearity, *,
     if beta >= n.c0:
         raise NoStationary(f"beta = {beta:g} >= c0 = {n.c0:g}")
 
-    lam = _lambda_minus(beta, float(n.fprime(1.0)))
-    y0 = [1.0 - EPS_LAUNCH, -lam * EPS_LAUNCH]
-
-    def rhs(_t, y):
-        return [-y[1], n.f(y[0]) - beta * y[1]]
-
-    def boundary(_t, y):
-        return a * y[0] - b * y[1]
-
-    boundary.terminal = True
-    boundary.direction = -1.0
-
+    y0 = _saddle_launch(beta, float(n.fprime(1.0)))
+    events = [_event(lambda _t, y: a * y[0] - b * y[1], -1.0)]
     budget = _default_budget(n)
-    sol = _solve(rhs, y0, budget, [boundary], max_step, dense=True)
+    sol = _shoot(beta, n, y0, events, budget, max_step, backward=True,
+                 dense=True)
     if sol.t_events[0].size == 0:
         raise NoStationary(
             f"trajectory never met a*v = b*v' within z-budget {budget:g} "
             f"(a={a:g}, b={b:g}, beta={beta:g})")
     tau_star = float(sol.t_events[0][0])
     slope0 = float(sol.y_events[0][0][1])
-    z, q, qp = _sample_backward(sol, tau_star, n_samples)
+    tau, q, qp = _sample(sol, tau_star, n_samples, reverse=True)
+    z = tau_star - tau
     if b == 0.0:
         q[0] = 0.0
     return WaveProfile(kind="stationary", z=z, q=q, qp=qp,

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import freebound as fb
-from freebound.cli import main
+from freebound.cli import _classification_hint, main
 from freebound.config import parse_config, nonlinearity_from_config, spec_from_config
 from freebound.errors import ConfigError
 
@@ -220,3 +221,69 @@ beta = 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     verdicts = [r[3] for r in rows]
     assert verdicts == ["Spreading", "VirtualSpreading", "Vanishing"]
+
+
+@pytest.mark.parametrize("argv, cfg_line", [
+    (["eigen", "--ell", "nan", "--beta", "0"], None),
+    (["eigen", "--beta", "inf", "--find-lstar"], None),
+    (["simulate"], "beta = nan"),
+])
+def test_non_finite_input_exits_2(tmp_path, capsys, argv, cfg_line):
+    if cfg_line is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG.replace("beta = 0.5", cfg_line))
+        argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coefficients, code, message", [
+    ("0, 1, 1", 2, "roots_at_0_and_1"),   # f(1) = 2
+    ("0, 1, 0, -1", 0, ""),               # u - u^3 is admissible
+])
+def test_custom_reaction_term_validated_on_load(tmp_path, capsys, coefficients,
+                                                code, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG.replace("nonlinearity = logistic",
+                                    "nonlinearity = custom\n"
+                                    f"coefficients = {coefficients}"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    assert message in capsys.readouterr().err
+
+
+def test_run_directory_reload_matches_in_memory_run(tmp_path, capsys):
+    # classify and asymptotics read back exactly what simulate computed:
+    # 17-digit CSVs and the JSON summary round-trip every double
+    text = BASE_CFG.replace("tmax = 5", "tmax = 12")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--snapshots", "10,12",
+                 "--out", str(out)]) == 0
+    snapdir = tmp_path / "snaps"   # --snapshots may point anywhere
+    snapdir.mkdir()
+    for path in out.glob("snapshot_t*.csv"):
+        shutil.copy(path, snapdir)
+    capsys.readouterr()
+    assert main(["classify", "--trajectory", str(out / "trajectory.csv"),
+                 "--json"]) == 0
+    classified = json.loads(capsys.readouterr().out)
+    assert main(["asymptotics", "--trajectory", str(out / "trajectory.csv"),
+                 "--snapshots", str(snapdir)]) == 0
+    report = json.loads(capsys.readouterr().out)
+
+    spec = spec_from_config(parse_config(text))
+    traj = fb.simulate(spec, snapshot_times=[10.0, 12.0])
+    verdict, _, _ = _classification_hint(traj, spec)
+    assert classified == json.loads(json.dumps(
+        {"verdict": verdict.verdict, "evidence": verdict.evidence}))
+    sr = fb.spreading_speed(spec.beta, spec.mu, spec.nonlinearity)
+    fit = fb.fit_speed(traj, sr.c_tilde)
+    vt = fb.stationary_increasing(spec.beta, spec.a, spec.b, spec.nonlinearity)
+    errors = [{"t": snap[0], "sup_error": fb.profile_error(
+        snap, spec, sr.c_tilde, fit.H, vt, sr.profile)}
+        for snap in traj.snapshots if snap[0] >= fit.window[0]]
+    assert errors
+    assert report == json.loads(json.dumps(
+        {"c_measured": fit.c_measured, "c_tilde": sr.c_tilde, "H": fit.H,
+         "drift": fit.drift, "profile_errors": errors}))

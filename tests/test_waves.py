@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,16 @@ def test_spreading_speed_domain(n):
         fb.spreading_speed(-2.5, 1.0, n)
     with pytest.raises(ValueError):
         fb.spreading_speed(0.0, -1.0, n)
+
+
+def test_spreading_speed_at_existence_boundary_raises_cleanly(n):
+    # the first shot, at drift c0 - 1e-6, stalls in the origin spiral where
+    # DOP853's error norm divides 0 by 0; that must surface as
+    # NumericalError, not as a RuntimeWarning from inside scipy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fb.errors.NumericalError, match="drift"):
+            fb.spreading_speed(-n.c0 + 1e-6, 1.0, n)
 
 
 @pytest.fixture
