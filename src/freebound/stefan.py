@@ -7,16 +7,17 @@ xi = x / h(t), turning u(t, x) into w(t, xi) with
     a*w(t,0) - (b/h)*w_xi(t,0) = 0,     w(t,1) = 0,
     h'(t) = -mu * w_xi(t,1) / h.
 
-One time step: (1) boundary flux by the one-sided second-order formula
-(-4*w[n-1] + w[n-2]) / (2*dxi*h); (2) explicit front update; (3) implicit
-diffusion (tridiagonal solve) with explicit advection, mesh drift and
-reaction; (4) mixed boundary folded into the matrix through one-sided
-second-order differencing.  The advective step limit
-dt <= 0.4*dxi*h/(|beta|+|h'|) is enforced by internal sub-stepping.
+Each substep is one loop body in step: (1) boundary flux by the one-sided
+second-order formula (-4*w[n-1] + w[n-2]) / (2*dxi*h), and h'; (2) the
+advective limit dt <= 0.4*dxi*h/(|beta| + h') and the front update; (3)
+explicit advection, mesh drift and reaction with implicit diffusion, the
+mixed boundary folded into the first row, solved by LAPACK gtsv; a failed
+or non-finite solve raises NumericalError.
 
 Runtime certificates maintained every step: h' > 0, w >= 0 (round-off
 below -1e-10 aborts), and sup w <= eta(t) + 1e-6 where eta solves the
-space-free comparison ODE eta' = f(eta), eta(0) = sup u0 + 1.
+space-free comparison ODE eta' = f(eta), eta(0) = sup u0 + 1, by the RK4
+step that ode_upper_bound also uses.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import InvariantViolation, NumericalError, _require_finite
 from .nonlinearity import Nonlinearity
@@ -108,6 +108,8 @@ class ProblemSpec:
     def _sample_initial(self, u0) -> np.ndarray:
         x = np.linspace(0.0, self.h0, self.nx + 1)
         w = np.asarray(u0(x), dtype=float).copy()
+        if not np.all(np.isfinite(w)):
+            raise ValueError("u0 must be finite on [0, h0]")
         sup = float(np.max(np.abs(w)))
         if sup == 0.0:
             raise ValueError("u0 is identically zero: not an admissible profile")
@@ -156,72 +158,56 @@ def _boundary_flux(w: np.ndarray, dxi: float, h: float) -> float:
     return (-4.0 * w[-2] + w[-3]) / (2.0 * dxi * h)
 
 
-def _left_coeffs(a: float, b: float, dxi: float, h: float):
-    # w0 = a1*w1 + a2*w2 from a*w0 - (b/h)*(-3w0+4w1-w2)/(2 dxi) = 0
-    if b == 0.0:
-        return 0.0, 0.0
-    den = 2.0 * a * dxi * h + 3.0 * b
-    return 4.0 * b / den, -b / den
-
-
-def _substep(state: FrontState, spec: ProblemSpec, dt: float) -> FrontState:
-    n = spec.nx
-    dxi = 1.0 / n
-    w, h = state.w, state.h
-
-    flux = _boundary_flux(w, dxi, h)
-    hp = -spec.mu * flux
-    if hp <= 0.0:
-        raise InvariantViolation(
-            f"front speed h' = {hp:.3e} <= 0 at t = {state.t:.6g}")
-    h_new = h + dt * hp
-
-    xi = np.linspace(0.0, 1.0, n + 1)
-    vel = (xi * hp - spec.beta) / h
-    grad = np.empty(n + 1)
-    grad[1:-1] = (w[2:] - w[:-2]) / (2.0 * dxi)
-    grad[0] = grad[-1] = 0.0  # boundary rows are not advanced explicitly
-
-    rhs = w[1:-1] + dt * (vel[1:-1] * grad[1:-1]
-                          + np.asarray(spec.nonlinearity.f(w[1:-1])))
-
-    r = dt / (h_new * h_new * dxi * dxi)
-    a1, a2 = _left_coeffs(spec.a, spec.b, dxi, h_new)
-    m = n - 1  # unknowns w[1..n-1]
-    ab = np.zeros((3, m))
-    ab[0, 1:] = -r                    # superdiagonal
-    ab[1, :] = 1.0 + 2.0 * r          # diagonal
-    ab[2, :-1] = -r                   # subdiagonal
-    ab[1, 0] -= r * a1                # fold w0 = a1*w1 + a2*w2
-    if m > 1:
-        ab[0, 1] -= r * a2
-    w_new = np.empty(n + 1)
-    w_new[1:-1] = solve_banded((1, 1), ab, rhs)
-    w_new[-1] = 0.0
-    w_new[0] = a1 * w_new[1] + a2 * w_new[2] if spec.b > 0.0 else 0.0
-
-    bad = w_new < CLAMP_FLOOR
-    if np.any(bad):
-        raise NumericalError(
-            f"density {w_new[bad].min():.3e} below clamp floor at "
-            f"t = {state.t:.6g}: reduce dt")
-    np.maximum(w_new, 0.0, out=w_new)
-
-    return FrontState(t=state.t + dt, h=h_new, w=w_new, hprime=hp)
-
-
 def step(state: FrontState, spec: ProblemSpec) -> FrontState:
     """Advance one nominal time step spec.dt, sub-stepping under the
-    advective limit dt <= 0.4*dxi*h/(|beta| + |h'|)."""
-    dxi = 1.0 / spec.nx
-    target = state.t + spec.dt
-    while state.t < target - 1e-15 * max(1.0, target):
-        flux = _boundary_flux(state.w, dxi, state.h)
-        hp = max(-spec.mu * flux, 0.0)
-        bound = CFL_SAFETY * dxi * state.h / (abs(spec.beta) + hp + 1e-30)
-        dt_s = min(target - state.t, bound)
-        state = _substep(state, spec, dt_s)
-    return state
+    advective limit dt <= 0.4*dxi*h/(|beta| + h')."""
+    n = spec.nx
+    dxi = 1.0 / n
+    xi = np.linspace(0.0, 1.0, n + 1)[1:-1]
+    t, h, w, hp = state.t, state.h, state.w, state.hprime
+    target = t + spec.dt
+    while t < target - 1e-15 * max(1.0, target):
+        hp = -spec.mu * _boundary_flux(w, dxi, h)
+        if hp <= 0.0:
+            raise InvariantViolation(
+                f"front speed h' = {hp:.3e} <= 0 at t = {t:.6g}")
+        dt = min(target - t,
+                 CFL_SAFETY * dxi * h / (abs(spec.beta) + hp + 1e-30))
+        h_new = h + dt * hp
+
+        vel = (xi * hp - spec.beta) / h
+        grad = (w[2:] - w[:-2]) / (2.0 * dxi)
+        rhs = w[1:-1] + dt * (vel * grad
+                              + np.asarray(spec.nonlinearity.f(w[1:-1])))
+
+        # implicit diffusion on w[1..n-1]; w0 = a1*w1 + a2*w2 from
+        # a*w0 - (b/h)*(-3w0+4w1-w2)/(2 dxi) = 0 is folded into the first row
+        r = dt / (h_new * h_new * dxi * dxi)
+        a1 = a2 = 0.0
+        if spec.b > 0.0:
+            den = 2.0 * spec.a * dxi * h_new + 3.0 * spec.b
+            a1, a2 = 4.0 * spec.b / den, -spec.b / den
+        sub = np.full(n - 2, -r)
+        sup = np.full(n - 2, -r)
+        diag = np.full(n - 1, 1.0 + 2.0 * r)
+        diag[0] -= r * a1
+        sup[0] -= r * a2
+        *_, x, info = dgtsv(sub, diag, sup, rhs)
+        if info != 0 or not np.all(np.isfinite(x)):
+            raise NumericalError(
+                f"tridiagonal solve gave a non-finite density at t = {t:.6g} "
+                f"(LAPACK info = {info})")
+
+        w = np.concatenate(([0.0], x, [0.0]))
+        w[0] = a1 * w[1] + a2 * w[2] if spec.b > 0.0 else 0.0
+        bad = w < CLAMP_FLOOR
+        if np.any(bad):
+            raise NumericalError(
+                f"density {w[bad].min():.3e} below clamp floor at "
+                f"t = {t:.6g}: reduce dt")
+        np.maximum(w, 0.0, out=w)
+        t, h = t + dt, h_new
+    return FrontState(t=t, h=h, w=w, hprime=hp)
 
 
 def initial_state(spec: ProblemSpec) -> FrontState:
@@ -257,6 +243,7 @@ def simulate(spec: ProblemSpec, snapshot_times: Sequence[float] = ()) -> Traject
     etas = np.empty(n_steps + 1)
     snapshots = []
     pending = sorted(float(t) for t in snapshot_times)
+    xi = np.linspace(0.0, 1.0, spec.nx + 1)
 
     def record(i, st, eta_now):
         times[i] = st.t
@@ -278,11 +265,9 @@ def simulate(spec: ProblemSpec, snapshot_times: Sequence[float] = ()) -> Traject
         eta = _eta_step(spec.nonlinearity, eta, spec.dt)
         record(i, state, eta)
         while pending and state.t >= pending[0] - 1e-12:
-            xi = np.linspace(0.0, 1.0, spec.nx + 1)
             snapshots.append((state.t, xi * state.h, state.w.copy()))
             pending.pop(0)
 
-    xi = np.linspace(0.0, 1.0, spec.nx + 1)
     if not snapshots or snapshots[-1][0] < state.t:
         snapshots.append((state.t, xi * state.h, state.w.copy()))
 
@@ -294,15 +279,18 @@ def ode_upper_bound(n: Nonlinearity, eta0: float, t: float) -> float:
     """Solution eta(t) of eta' = f(eta), eta(0) = eta0 > 1.
 
     Decreases monotonically to 1: the space-free ceiling for sup u.
+    Integrated by the RK4 step simulate uses, with equal steps <= 1e-3.
     """
+    _require_finite(eta0=eta0, t=t)
     if eta0 <= 1.0:
         raise ValueError("eta0 must exceed 1")
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return eta0
-    sol = solve_ivp(lambda _s, y: [float(n.f(y[0]))], (0.0, t), [eta0],
-                    method="DOP853", rtol=1e-12, atol=1e-14)
-    if not sol.success:
-        raise NumericalError(f"eta integration failed: {sol.message}")
-    return float(sol.y[0, -1])
+    steps = int(np.ceil(t / 1e-3))
+    eta = eta0
+    for _ in range(steps):
+        nxt = _eta_step(n, eta, t / steps)
+        if nxt == eta:  # a fixed point of the step: every later step agrees
+            break
+        eta = nxt
+    return eta

@@ -10,6 +10,7 @@ unobservable at finite precision; results are brackets, never points.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -50,7 +51,7 @@ def _check_hypotheses(spec: ProblemSpec, lstar: float) -> None:
     if not (cond_i or cond_ii):
         warnings.warn(
             "threshold hypotheses not satisfied (h0 vs l_star / boundary "
-            "weights); a monotone flip is not guaranteed", stacklevel=3)
+            "weights); a monotone flip is not guaranteed", stacklevel=4)
 
 
 def _classified_run(make_spec: Callable[[float], ProblemSpec], value: float,
@@ -115,20 +116,30 @@ def _bisect(make_spec, lo, hi, tol, lstar, tmax, parameter) -> ThresholdResult:
                            history=tuple(history), note="bracketed")
 
 
-def mu_threshold(spec: ProblemSpec, mu_range: tuple, tol: float) -> ThresholdResult:
-    """Bracket the Stefan-coefficient threshold mu_star to width <= tol."""
-    c0 = spec.nonlinearity.c0
-    if abs(spec.beta) >= c0:
-        raise ValueError("mu threshold requires |beta| < c0")
+def _setup(spec: ProblemSpec, parameter: str, value_range: tuple, tol: float):
+    """Input checks, l_star and tmax shared by both thresholds, before any
+    simulation; tmax is None when h0 >= l_star already decides the answer."""
+    lo, hi = value_range
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"{parameter}_range must be finite with 0 < lo < hi")
+    if abs(spec.beta) >= spec.nonlinearity.c0:
+        raise ValueError(f"{parameter} threshold requires |beta| < c0")
     lstar = critical_length(spec.beta, spec.a, spec.b, spec.nonlinearity.fp0)
     if spec.h0 >= lstar:
+        return lstar, None
+    _check_hypotheses(spec, lstar)
+    return lstar, _default_tmax(spec, lstar)
+
+
+def mu_threshold(spec: ProblemSpec, mu_range: tuple, tol: float) -> ThresholdResult:
+    """Bracket the Stefan-coefficient threshold mu_star to width <= tol."""
+    lstar, tmax = _setup(spec, "mu", mu_range, tol)
+    if tmax is None:
         return ThresholdResult(parameter="mu", bracket=None, width=0.0,
                                runs=0, history=(), note="spreading-for-all-mu")
-    _check_hypotheses(spec, lstar)
-    tmax = _default_tmax(spec, lstar)
     lo, hi = mu_range
-    if not 0.0 < lo < hi:
-        raise ValueError("mu_range must satisfy 0 < lo < hi")
     return _bisect(lambda m: replace(spec, mu=m), lo, hi, tol, lstar, tmax, "mu")
 
 
@@ -139,18 +150,11 @@ def lambda_threshold(spec: ProblemSpec, psi: Callable,
     Returns the zero-threshold marker when h0 >= l_star, and the
     possibly-infinite marker when even lambda_max fails to spread.
     """
-    c0 = spec.nonlinearity.c0
-    if abs(spec.beta) >= c0:
-        raise ValueError("lambda threshold requires |beta| < c0")
-    lstar = critical_length(spec.beta, spec.a, spec.b, spec.nonlinearity.fp0)
-    if spec.h0 >= lstar:
+    lstar, tmax = _setup(spec, "lambda", lambda_range, tol)
+    if tmax is None:
         return ThresholdResult(parameter="lambda", bracket=None, width=0.0,
                                runs=0, history=(), note="lambda-star-zero")
-    _check_hypotheses(spec, lstar)
-    tmax = _default_tmax(spec, lstar)
     lo, hi = lambda_range
-    if not 0.0 < lo < hi:
-        raise ValueError("lambda_range must satisfy 0 < lo < hi")
 
     def make_spec(lam):
         return replace(spec, u0=lambda x, _l=lam: _l * np.asarray(psi(x)))

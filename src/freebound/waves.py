@@ -175,6 +175,7 @@ def shoot_semi_wave(c: float, beta: float, n: Nonlinearity, *,
     c - beta < c0.  With variational=True the shot also carries
     (dq/dg, dq'/dg) for the drift g = c - beta and sets dslope0 = ds/dg.
     """
+    _require_finite(c=c, beta=beta)
     g = c - beta
     if g >= n.c0:
         raise NoSemiWave(f"c - beta = {g:g} >= c0 = {n.c0:g}")
@@ -329,6 +330,7 @@ def finite_wave(c: float, beta: float, mu: float, n: Nonlinearity, *,
     the stable manifold of the saddle, so q' reaches 0 at a finite z_c
     with q(z_c) < 1.  Exists for 0 < c < c_tilde.
     """
+    _require_finite(c=c, beta=beta, mu=mu)
     if ctilde is None:
         ctilde = spreading_speed(beta, mu, n).c_tilde
     if not 0.0 < c < ctilde:
@@ -363,6 +365,7 @@ def traveling_wave(c: float, direction: str, n: Nonlinearity, *,
     direction='right': q(-inf) = 0, q(+inf) = 1, needs c >= c0.
     direction='left':  q(-inf) = 1, q(+inf) = 0, needs c <= -c0.
     """
+    _require_finite(c=c)
     if direction not in ("left", "right"):
         raise ValueError("direction must be 'left' or 'right'")
     tol = 1e-12 * n.c0
@@ -405,6 +408,7 @@ def tadpole_wave(beta: float, mu: float, n: Nonlinearity, *,
     -mu*V'(0) = beta - c0, V(-inf) = 0.  Exists iff c0 < beta < beta_star.
     The left tail decays slowly, so acceptance uses the looser 1e-4 cut.
     """
+    _require_finite(beta=beta, mu=mu)
     if beta_star is None:
         beta_star = critical_advection(mu, n)
     if not n.c0 < beta < beta_star:
@@ -442,6 +446,7 @@ def stationary_increasing(beta: float, a: float, b: float, n: Nonlinearity, *,
     Traced backward from the saddle until the phase point satisfies the
     boundary relation; exists for beta < c0 and a > 0.
     """
+    _require_finite(beta=beta, a=a, b=b)
     if a <= 0.0:
         raise NoStationary("increasing stationary profile needs a > 0")
     if beta >= n.c0:

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -226,13 +227,19 @@ beta = 0
 @pytest.mark.parametrize("argv, cfg_line", [
     (["eigen", "--ell", "nan", "--beta", "0"], None),
     (["eigen", "--beta", "inf", "--find-lstar"], None),
-    (["simulate"], "beta = nan"),
+    (["simulate", "--config", "run.cfg", "--out", "o"], "beta = nan"),
+    (["simulate", "--config", "run.cfg", "--out", "o"], "lambda = nan"),
+    (["wave", "--kind", "right", "--c", "nan"], None),
+    (["wave", "--kind", "stationary", "--beta", "nan"], None),
+    (["threshold", "--param", "mu", "--config", "run.cfg", "--tol", "nan"], None),
 ])
-def test_non_finite_input_exits_2(tmp_path, capsys, argv, cfg_line):
+def test_non_finite_input_exits_2(tmp_path, monkeypatch, capsys, argv, cfg_line):
+    monkeypatch.chdir(tmp_path)
+    text = BASE_CFG
     if cfg_line is not None:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(BASE_CFG.replace("beta = 0.5", cfg_line))
-        argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]
+        key = cfg_line.split(" = ")[0]
+        text = re.sub(rf"(?m)^{key} = .*$", cfg_line, text)
+    (tmp_path / "run.cfg").write_text(text)
     assert main(argv) == 2
     assert "must be finite" in capsys.readouterr().err
 

@@ -178,6 +178,18 @@ def test_ceiling_follows_comparison_ode(n):
     traj = fb.simulate(spec)
     assert np.all(traj.supu <= traj.eta + 1e-6)
     assert traj.supu[-1] <= 1.0 + 1e-3
+    # the ceiling column is the comparison ODE itself
+    assert np.max(np.abs(traj.eta - logistic_eta(traj.eta[0], traj.times))) < 1e-9
+
+
+def test_non_finite_density_raises_numerical_error(n):
+    # built directly, bypassing validate(): f is NaN above u = 0.5
+    bad = fb.Nonlinearity(f=lambda u: np.where(u > 0.5, np.nan, u * (1.0 - u)),
+                          fprime=n.fprime, fp0=1.0)
+    spec = fb.ProblemSpec(beta=0.0, mu=1.0, a=1.0, b=0.0, h0=2.0,
+                          nonlinearity=bad, nx=100, tmax=1.0)
+    with pytest.raises(fb.errors.NumericalError, match="non-finite density at t = "):
+        fb.simulate(spec)
 
 
 # -------------------------------------------------------------- convergence
@@ -204,6 +216,8 @@ def test_ode_upper_bound_examples(n):
     assert fb.ode_upper_bound(n, 1.5, 1.0) == pytest.approx(
         logistic_eta(1.5, 1.0), abs=1e-10)
     assert abs(fb.ode_upper_bound(n, 1.5, 30.0) - 1.0) < 1e-6
+    # a long horizon ends at the step's fixed point, not after 1e9 steps
+    assert abs(fb.ode_upper_bound(n, 1.5, 1e6) - 1.0) < 1e-12
 
 
 def test_ode_upper_bound_monotone_decreasing(n):
@@ -218,3 +232,7 @@ def test_ode_upper_bound_preconditions(n):
         fb.ode_upper_bound(n, 0.9, 1.0)
     with pytest.raises(ValueError):
         fb.ode_upper_bound(n, 1.5, -1.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        fb.ode_upper_bound(n, np.nan, 1.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        fb.ode_upper_bound(n, 1.5, np.inf)

@@ -91,3 +91,23 @@ def test_lambda_threshold_possibly_infinite_marker(template, n):
     res = fb.lambda_threshold(spec, psi, (0.05, 0.2), 0.1)
     assert res.note == "possibly-lambda-star-infinite"
     assert res.width == float("inf")
+
+
+@pytest.mark.parametrize("value_range, tol", [((0.5, 4.0), np.nan),
+                                              ((0.5, 4.0), 0.0),
+                                              ((0.5, 4.0), -0.1),
+                                              ((np.nan, 4.0), 0.5)])
+def test_threshold_inputs_refused_before_any_solve(template, monkeypatch,
+                                                   value_range, tol):
+    from freebound import thresholds
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve was started on refused input")
+
+    monkeypatch.setattr(thresholds, "simulate", no_solve)
+    monkeypatch.setattr(thresholds, "spreading_speed", no_solve)
+    psi = fb.default_initial_profile(template.h0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        fb.mu_threshold(template, value_range, tol)
+    with pytest.raises(ValueError):
+        fb.lambda_threshold(template, psi, value_range, tol)

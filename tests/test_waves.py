@@ -171,6 +171,24 @@ def test_critical_advection_refuses_non_finite(n, no_shots, mu):
         fb.critical_advection(mu, n)
 
 
+@pytest.mark.parametrize("call", [
+    lambda n: fb.shoot_semi_wave(np.nan, 0.0, n),
+    lambda n: fb.shoot_semi_wave(0.5, np.inf, n),
+    lambda n: fb.traveling_wave(np.nan, "right", n),
+    lambda n: fb.finite_wave(0.5, 0.0, np.nan, n, ctilde=1.0),
+    lambda n: fb.tadpole_wave(np.nan, 1.0, n, beta_star=3.0),
+    lambda n: fb.stationary_increasing(0.0, 1.0, np.inf, n),
+], ids=["semi-c", "semi-beta", "traveling-c", "finite-mu", "tadpole-beta",
+        "stationary-b"])
+def test_wave_profiles_refuse_non_finite(n, monkeypatch, call):
+    def shot(*args, **kwargs):
+        raise AssertionError("a shot was made on non-finite input")
+
+    monkeypatch.setattr(waves, "_shoot", shot)
+    with pytest.raises(ValueError, match="must be finite"):
+        call(n)
+
+
 def test_newton_matches_brentq_oracle(n):
     # criterion 3's ladder plus the extremes of criterion 4 and beyond
     cases = [(b, m) for b in (-1.5, -1.0, 0.0, 1.0, 1.5, 2.5)
