@@ -225,13 +225,22 @@ def _eta_step(n: Nonlinearity, eta: float, dt: float) -> float:
     return eta + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
-def simulate(spec: ProblemSpec, snapshot_times: Sequence[float] = ()) -> Trajectory:
+def simulate(spec: ProblemSpec, snapshot_times: Sequence[float] = (),
+             until_h: float | None = None) -> Trajectory:
     """Run to tmax, recording (t, h, h', sup u, eta) every nominal step.
 
     Profiles are snapshotted at the first step reaching each requested
     time; the final profile is always included.  The ceiling
     sup u <= eta + 1e-6 is enforced throughout.
+
+    With until_h set (it must be finite), the run stops after the first
+    nominal step that ends with h >= until_h; at least one step is taken.
+    The recorded arrays then hold only the steps taken, a bitwise prefix
+    of the full-horizon run, and every per-step check has run on each of
+    them.
     """
+    if until_h is not None:
+        _require_finite(until_h=until_h)
     state = initial_state(spec)
     n_steps = int(np.ceil(spec.tmax / spec.dt))
     eta = float(np.max(spec.w0)) + 1.0
@@ -267,11 +276,15 @@ def simulate(spec: ProblemSpec, snapshot_times: Sequence[float] = ()) -> Traject
         while pending and state.t >= pending[0] - 1e-12:
             snapshots.append((state.t, xi * state.h, state.w.copy()))
             pending.pop(0)
+        if until_h is not None and state.h >= until_h:
+            break
 
     if not snapshots or snapshots[-1][0] < state.t:
         snapshots.append((state.t, xi * state.h, state.w.copy()))
 
-    return Trajectory(times=times, h=hs, hprime=hps, supu=sups, eta=etas,
+    k = i + 1  # records taken; n_steps >= 1, so the loop ran
+    return Trajectory(times=times[:k], h=hs[:k], hprime=hps[:k],
+                      supu=sups[:k], eta=etas[:k],
                       snapshots=snapshots, spec=spec)
 
 

@@ -6,6 +6,19 @@ with u0 = lambda*psi, in the amplitude lambda): comparison of solutions
 makes the verdict map monotone, so the threshold is bracketed by
 bisection on repeated simulate + classify.  The threshold point itself is
 unobservable at finite precision; results are brackets, never points.
+
+Each run stops once h >= l_star + classify.MARGIN.  That is classify's
+rule 1, the one rigorous certificate: a front beyond the critical length
+never stops (Du & Lin 2010), and the rule looks for any recorded time, so
+it holds on the full horizon exactly when it holds on the bitwise prefix
+the stopped run records.  The verdict is therefore the one the full run
+would give; the only difference is that the per-step invariant checks
+(h' > 0, clamp floor, ceiling) the full run would have met after the stop
+are skipped.  Vanishing runs still go to tmax: no certificate ends them.
+
+simulate is deterministic, so a value is classified once: the final
+endpoints are not re-run, and lambda_threshold hands the verdict of its
+probe of the upper endpoint to the bisection instead of running it again.
 """
 
 from __future__ import annotations
@@ -17,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .classify import classify
+from .classify import MARGIN, classify
 from .eigen import critical_length
 from .errors import NoBracket, NumericalError
 from .stefan import ProblemSpec, simulate
@@ -32,7 +45,8 @@ class ThresholdResult:
     bracket: tuple | None        # (lo, hi): classify(lo)=Vanishing, classify(hi)=Spreading
     width: float
     runs: int
-    history: tuple               # ((value, verdict), ...) in evaluation order
+    history: tuple               # ((value, verdict), ...): lo, hi, then the
+                                 # midpoints in evaluation order
     note: str                    # 'bracketed' | 'spreading-for-all-mu'
                                  # | 'lambda-star-zero' | 'possibly-lambda-star-infinite'
 
@@ -58,7 +72,7 @@ def _classified_run(make_spec: Callable[[float], ProblemSpec], value: float,
                     lstar: float, tmax: float, counter: list) -> str:
     for t_horizon in (tmax, 2.0 * tmax):
         spec = replace(make_spec(value), tmax=t_horizon)
-        traj = simulate(spec)
+        traj = simulate(spec, until_h=lstar + MARGIN)
         counter[0] += 1
         verdict = classify(traj, spec, lstar=lstar).verdict
         if verdict != "Undetermined":
@@ -85,16 +99,19 @@ def _check_history_monotone(history, make_spec, lstar, tmax, counter):
     return out
 
 
-def _bisect(make_spec, lo, hi, tol, lstar, tmax, parameter) -> ThresholdResult:
-    counter = [0]
+def _bisect(make_spec, lo, hi, tol, lstar, tmax, parameter, counter,
+            v_hi=None) -> ThresholdResult:
+    """Bisect [lo, hi] to width <= tol.  counter already holds the caller's
+    runs; v_hi, when the caller has classified hi, is not run again."""
     history = []
 
-    def run(value):
-        verdict = _classified_run(make_spec, value, lstar, tmax, counter)
+    def run(value, verdict=None):
+        if verdict is None:
+            verdict = _classified_run(make_spec, value, lstar, tmax, counter)
         history.append((value, verdict))
         return verdict
 
-    v_lo, v_hi = run(lo), run(hi)
+    v_lo, v_hi = run(lo), run(hi, v_hi)
     if v_lo != "Vanishing" or v_hi != "Spreading":
         raise NoBracket(
             f"endpoints classify as ({v_lo}, {v_hi}); need (Vanishing, Spreading)")
@@ -105,10 +122,6 @@ def _bisect(make_spec, lo, hi, tol, lstar, tmax, parameter) -> ThresholdResult:
             hi = mid
         else:
             lo = mid
-
-    # Re-verify the final endpoints with fresh runs.
-    if run(lo) != "Vanishing" or run(hi) != "Spreading":
-        raise NumericalError("final bracket endpoints failed re-verification")
 
     history = _check_history_monotone(history, make_spec, lstar, tmax, counter)
     return ThresholdResult(parameter=parameter, bracket=(lo, hi),
@@ -140,7 +153,8 @@ def mu_threshold(spec: ProblemSpec, mu_range: tuple, tol: float) -> ThresholdRes
         return ThresholdResult(parameter="mu", bracket=None, width=0.0,
                                runs=0, history=(), note="spreading-for-all-mu")
     lo, hi = mu_range
-    return _bisect(lambda m: replace(spec, mu=m), lo, hi, tol, lstar, tmax, "mu")
+    return _bisect(lambda m: replace(spec, mu=m), lo, hi, tol, lstar, tmax,
+                   "mu", [0])
 
 
 def lambda_threshold(spec: ProblemSpec, psi: Callable,
@@ -166,4 +180,5 @@ def lambda_threshold(spec: ProblemSpec, psi: Callable,
                                width=float("inf"), runs=counter[0],
                                history=((hi, v_hi),),
                                note="possibly-lambda-star-infinite")
-    return _bisect(make_spec, lo, hi, tol, lstar, tmax, "lambda")
+    return _bisect(make_spec, lo, hi, tol, lstar, tmax, "lambda", counter,
+                   v_hi)

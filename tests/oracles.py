@@ -3,11 +3,14 @@
 Everything here deliberately avoids the library's own solvers: fixed-step
 RK4 with bisection event location for the shooting problems, closed forms
 for the logistic comparison ODE and the b = 0 eigenvalues, and the
-phase-plane first integral for the zero-speed slope.  The exception is the
-slow reference path for c_tilde and beta_star at the end: bracketing
-root-finds over the library's plain semi-wave shot, without the Newton
-solve and the s(g) identity that replaced them.
+phase-plane first integral for the zero-speed slope.  The exceptions are
+the slow reference paths at the end: bracketing root-finds for c_tilde and
+beta_star over the library's plain semi-wave shot, without the Newton
+solve and the s(g) identity that replaced them, and a mu_star bisection
+on full-horizon runs, without the early stop at the spreading certificate.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -130,3 +133,32 @@ def critical_advection_nested(mu, n, b_max_factor=10.0, xtol=1e-10):
         return spreading_speed_brentq(beta, mu, n) - beta + n.c0
 
     return brentq(excess, n.c0, b_max_factor * n.c0, xtol=xtol, maxiter=200)
+
+
+def mu_threshold_full_horizon(spec, mu_range, tol):
+    """(lo, hi) bracket of mu_star by plain bisection on full-horizon runs.
+
+    Every run goes to the library's default horizon max(50, 10*l_star/c_tilde)
+    and is classified on its whole trajectory.
+    """
+    lstar = fb.critical_length(spec.beta, spec.a, spec.b, spec.nonlinearity.fp0)
+    ctilde = fb.spreading_speed(spec.beta, spec.mu, spec.nonlinearity).c_tilde
+    tmax = max(50.0, 10.0 * lstar / ctilde)
+
+    def spreads(mu):
+        run = replace(spec, mu=mu, tmax=tmax)
+        verdict = fb.classify(fb.simulate(run), run, lstar=lstar).verdict
+        if verdict not in ("Spreading", "Vanishing"):
+            raise RuntimeError(f"{verdict} at mu = {mu!r}")
+        return verdict == "Spreading"
+
+    lo, hi = mu_range
+    if spreads(lo) or not spreads(hi):
+        raise RuntimeError("the range does not bracket the flip")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if spreads(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi

@@ -125,7 +125,7 @@ def test_criterion_7_threshold_brackets(n, lstar_05):
     assert res.note == "bracketed"
     lo, hi = res.bracket
     assert hi - lo < 1e-2
-    # endpoint re-verification happened inside; confirm from the history
+    # both verdicts were seen along the way; confirm from the history
     assert [v for v, verdict in res.history if verdict == "Spreading"]
     assert [v for v, verdict in res.history if verdict == "Vanishing"]
 

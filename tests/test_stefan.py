@@ -192,6 +192,18 @@ def test_non_finite_density_raises_numerical_error(n):
         fb.simulate(spec)
 
 
+@pytest.mark.parametrize("until_h", [np.nan, np.inf])
+def test_simulate_refuses_non_finite_until_h(n, monkeypatch, until_h):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step was taken on refused input")
+
+    monkeypatch.setattr(fb.stefan, "step", no_step)
+    spec = fb.ProblemSpec(beta=0.0, mu=1.0, a=1.0, b=0.0, h0=2.0,
+                          nonlinearity=n, nx=100, tmax=1.0)
+    with pytest.raises(ValueError, match="until_h must be finite"):
+        fb.simulate(spec, until_h=until_h)
+
+
 # -------------------------------------------------------------- convergence
 
 def test_second_order_spatial_convergence_of_front(n):

@@ -1,7 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import freebound as fb
+from freebound import thresholds
+from freebound.classify import MARGIN
+
+from oracles import mu_threshold_full_horizon
 
 
 @pytest.fixture(scope="module")
@@ -17,8 +23,21 @@ def template(n, lstar_05):
                           nonlinearity=n, nx=300, dt=1.5e-3, tmax=50.0)
 
 
-def test_mu_threshold_brackets_the_flip(template):
-    res = fb.mu_threshold(template, (0.5, 4.0), 0.5)
+@pytest.fixture(scope="module")
+def mu_res(template):
+    return fb.mu_threshold(template, (0.5, 4.0), 0.5)
+
+
+@pytest.fixture(scope="module")
+def lambda_config(n):
+    lstar = fb.critical_length(0.0, 1.0, 0.0, 1.0)
+    spec = fb.ProblemSpec(beta=0.0, mu=1.0, a=1.0, b=0.0, h0=0.6 * lstar,
+                          nonlinearity=n, nx=250, dt=2e-3, tmax=50.0)
+    return spec, fb.default_initial_profile(spec.h0, 1.0, 0.0), lstar
+
+
+def test_mu_threshold_brackets_the_flip(mu_res):
+    res = mu_res
     assert res.note == "bracketed"
     lo, hi = res.bracket
     assert hi - lo <= 0.5
@@ -32,8 +51,52 @@ def test_mu_threshold_brackets_the_flip(template):
     spread_vals = [v for v, verdict in res.history if verdict == "Spreading"]
     vanish_vals = [v for v, verdict in res.history if verdict == "Vanishing"]
     assert max(vanish_vals) < min(spread_vals)
-    # bisection budget: endpoints + ceil(log2(range/tol)) + 2 re-verifications
-    assert res.runs <= 2 + int(np.ceil(np.log2(3.5 / 0.5))) + 2
+    # bisection budget: endpoints + ceil(log2(range/tol)) midpoints
+    assert res.runs <= 2 + int(np.ceil(np.log2(3.5 / 0.5)))
+
+
+def test_mu_threshold_matches_full_horizon_bisection(template, mu_res):
+    lo, hi = mu_threshold_full_horizon(template, (0.5, 4.0), 0.5)
+    assert mu_res.bracket == (lo, hi)
+    assert mu_res.width == hi - lo
+
+
+def _threshold_case(kind, value, template, lambda_config, lstar_05):
+    if kind == "mu":
+        return replace(template, mu=value), lstar_05
+    if kind == "lambda":
+        spec, psi, lstar = lambda_config
+        return replace(spec, u0=lambda x: value * np.asarray(psi(x))), lstar
+    # Robin boundary, b > 0
+    lstar = fb.critical_length(0.5, 1.0, 1.0, template.nonlinearity.fp0)
+    return fb.ProblemSpec(beta=0.5, mu=value, a=1.0, b=1.0, h0=0.5 * lstar,
+                          nonlinearity=template.nonlinearity, nx=200,
+                          dt=2e-3, tmax=30.0), lstar
+
+
+@pytest.mark.parametrize("kind, value, stops", [
+    ("mu", 0.5, False), ("mu", 1.375, True), ("mu", 4.0, True),
+    ("lambda", 0.05, False), ("lambda", 4.0, True), ("robin", 2.0, True)])
+def test_until_h_run_is_a_prefix_of_the_full_run(template, lambda_config,
+                                                 lstar_05, kind, value, stops):
+    spec, lstar = _threshold_case(kind, value, template, lambda_config,
+                                  lstar_05)
+    until_h = lstar + MARGIN
+    full = fb.simulate(spec)
+    fast = fb.simulate(spec, until_h=until_h)
+    k = len(fast.times)
+    for name in ("times", "h", "hprime", "supu", "eta"):
+        prefix = getattr(full, name)[:k]
+        assert getattr(fast, name).tobytes() == prefix.tobytes(), name
+    if stops:
+        assert k < len(full.times)
+        assert fast.h[-2] < until_h <= fast.h[-1]
+    else:
+        assert k == len(full.times) and full.h.max() < until_h
+    assert [t for t, _, _ in fast.snapshots] == [fast.times[-1]]
+    verdicts = {fb.classify(traj, spec, lstar=lstar).verdict
+                for traj in (fast, full)}
+    assert len(verdicts) == 1
 
 
 def test_mu_threshold_short_circuit_beyond_critical_length(template, lstar_05):
@@ -68,16 +131,25 @@ def test_lambda_threshold_zero_when_front_already_critical(template, lstar_05, n
     assert res.bracket is None
 
 
-def test_lambda_threshold_brackets_the_flip(n):
-    lstar = fb.critical_length(0.0, 1.0, 0.0, 1.0)
-    spec = fb.ProblemSpec(beta=0.0, mu=1.0, a=1.0, b=0.0, h0=0.6 * lstar,
-                          nonlinearity=n, nx=250, dt=2e-3, tmax=50.0)
-    psi = fb.default_initial_profile(spec.h0, 1.0, 0.0)
+def test_lambda_threshold_brackets_the_flip(lambda_config, monkeypatch):
+    spec, psi, _ = lambda_config
+    calls = []
+    simulate = thresholds.simulate
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(thresholds, "simulate", counted)
     res = fb.lambda_threshold(spec, psi, (0.05, 4.0), 0.5)
     assert res.note == "bracketed"
     lo, hi = res.bracket
     assert hi - lo <= 0.5
-    # below the bracket: vanishing re-verified
+    # every value is simulated once, and every simulation is counted
+    assert len(calls) == res.runs
+    values = [v for v, _ in res.history]
+    assert len(set(values)) == len(values)
+    # no vanishing verdict above the bracket
     vals = [v for v, verdict in res.history if verdict == "Vanishing"]
     assert vals and max(vals) <= lo + 1e-12
 
