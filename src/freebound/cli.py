@@ -206,6 +206,7 @@ def _cmd_threshold(args):
         "runs": res.runs,
         "note": res.note,
         "history": [[v, verdict] for v, verdict in res.history],
+        "stops": [list(stop) for stop in res.stops],
     }
     print(json.dumps(payload, sort_keys=True))
     return 0

@@ -226,21 +226,28 @@ def _eta_step(n: Nonlinearity, eta: float, dt: float) -> float:
 
 
 def simulate(spec: ProblemSpec, snapshot_times: Sequence[float] = (),
-             until_h: float | None = None) -> Trajectory:
+             until_h: float | None = None,
+             stop: Callable[[FrontState], bool] | None = None) -> Trajectory:
     """Run to tmax, recording (t, h, h', sup u, eta) every nominal step.
 
     Profiles are snapshotted at the first step reaching each requested
     time; the final profile is always included.  The ceiling
     sup u <= eta + 1e-6 is enforced throughout.
 
-    With until_h set (it must be finite), the run stops after the first
-    nominal step that ends with h >= until_h; at least one step is taken.
-    The recorded arrays then hold only the steps taken, a bitwise prefix
-    of the full-horizon run, and every per-step check has run on each of
-    them.
+    With stop set, the run ends after the first nominal step (recorded and
+    snapshotted) whose state makes stop(state) true; at least one step is
+    taken.  The recorded arrays then hold only the steps taken, a bitwise
+    prefix of the full-horizon run, and every per-step check has run on
+    each of them.  until_h (finite) is the hook state.h >= until_h; give
+    one of the two, not both.
     """
     if until_h is not None:
+        if stop is not None:
+            raise ValueError("give until_h or stop, not both")
         _require_finite(until_h=until_h)
+
+        def stop(st):
+            return st.h >= until_h
     state = initial_state(spec)
     n_steps = int(np.ceil(spec.tmax / spec.dt))
     eta = float(np.max(spec.w0)) + 1.0
@@ -276,7 +283,7 @@ def simulate(spec: ProblemSpec, snapshot_times: Sequence[float] = (),
         while pending and state.t >= pending[0] - 1e-12:
             snapshots.append((state.t, xi * state.h, state.w.copy()))
             pending.pop(0)
-        if until_h is not None and state.h >= until_h:
+        if stop is not None and stop(state):
             break
 
     if not snapshots or snapshots[-1][0] < state.t:

@@ -7,18 +7,37 @@ makes the verdict map monotone, so the threshold is bracketed by
 bisection on repeated simulate + classify.  The threshold point itself is
 unobservable at finite precision; results are brackets, never points.
 
-Each run stops once h >= l_star + classify.MARGIN.  That is classify's
-rule 1, the one rigorous certificate: a front beyond the critical length
-never stops (Du & Lin 2010), and the rule looks for any recorded time, so
-it holds on the full horizon exactly when it holds on the bitwise prefix
-the stopped run records.  The verdict is therefore the one the full run
-would give; the only difference is that the per-step invariant checks
-(h' > 0, clamp floor, ceiling) the full run would have met after the stop
-are skipped.  Vanishing runs still go to tmax: no certificate ends them.
+Each run stops at the first of two certificates, checked by one stop
+hook in simulate:
+
+- Spreading, after the first step with h >= l_star + classify.MARGIN.
+  That is classify's rule 1: a front beyond the critical length never
+  stops (Du & Lin 2010), and the rule looks for any recorded time, so it
+  holds on the full horizon exactly when it holds on the bitwise prefix
+  the stopped run records.
+- Vanishing, at a check (every CHECK_EVERY time units) where
+  classify.vanishing_certificate has slack L - H >= classify.MARGIN:
+  then h(t) <= H < L < l_star for all later t, so rule 1 can never fire
+  and the solution decays (Du & Lin 2010): the run vanishes, and no later
+  step can change that verdict.  The bound is proved for the PDE and read
+  off the discrete state, as rule 1 is; the margin asks the discrete front
+  to stay MARGIN below L, more than its grid error.  The tests check that
+  the full-horizon runs end Vanishing below H, that halving nx moves the
+  final front by less than MARGIN, and that brackets equal those of
+  full-horizon bisection.
+
+A run neither certificate ends goes to tmax and classify decides.  The
+eigen data of the certificate depend on neither mu nor lambda, so each
+threshold call computes them once, for a fixed grid of lengths in
+(h0, l_star).  A stopped run skips the per-step invariant checks
+(h' > 0, clamp floor, ceiling) the full run would have met after the stop.
 
 simulate is deterministic, so a value is classified once: the final
 endpoints are not re-run, and lambda_threshold hands the verdict of its
 probe of the upper endpoint to the bisection instead of running it again.
+Every midpoint lies strictly inside (lo, hi), each Vanishing value becomes
+lo and each Spreading value hi, so the history is monotone by
+construction.
 """
 
 from __future__ import annotations
@@ -30,13 +49,16 @@ from typing import Callable
 
 import numpy as np
 
-from .classify import MARGIN, classify
+from .classify import (MARGIN, classify, vanishing_candidates,
+                       vanishing_certificate)
 from .eigen import critical_length
 from .errors import NoBracket, NumericalError
 from .stefan import ProblemSpec, simulate
 from .waves import spreading_speed
 
 __all__ = ["ThresholdResult", "mu_threshold", "lambda_threshold"]
+
+CHECK_EVERY = 0.5  # model time between Vanishing certificate checks
 
 
 @dataclass(frozen=True)
@@ -49,6 +71,10 @@ class ThresholdResult:
                                  # midpoints in evaluation order
     note: str                    # 'bracketed' | 'spreading-for-all-mu'
                                  # | 'lambda-star-zero' | 'possibly-lambda-star-infinite'
+    stops: tuple = ()            # ((value, rule, t_stop, slack), ...), one per
+                                 # run: rule is 'front-beyond-critical-length',
+                                 # 'vanishing-certificate' (slack = L - H) or
+                                 # 'horizon' (slack None)
 
 
 def _default_tmax(spec: ProblemSpec, lstar: float) -> float:
@@ -68,12 +94,46 @@ def _check_hypotheses(spec: ProblemSpec, lstar: float) -> None:
             "weights); a monotone flip is not guaranteed", stacklevel=4)
 
 
+def _certificates(spec: ProblemSpec, lstar: float, candidates: tuple,
+                  fired: dict) -> Callable:
+    """Stop hook for simulate: true once either certificate fires, which
+    it records in fired as (rule, t, slack)."""
+    xi = np.linspace(0.0, 1.0, spec.nx + 1)
+    next_check = CHECK_EVERY
+
+    def stop(st):
+        nonlocal next_check
+        if st.h >= lstar + MARGIN:
+            fired["stop"] = ("front-beyond-critical-length", float(st.t),
+                             None)
+            return True
+        if st.t < next_check - 1e-9:
+            return False
+        next_check += CHECK_EVERY
+        slack, _ = vanishing_certificate(st.h, xi * st.h, st.w, spec, lstar,
+                                         candidates)
+        if slack >= MARGIN:
+            fired["stop"] = ("vanishing-certificate", float(st.t), slack)
+            return True
+        return False
+
+    return stop
+
+
 def _classified_run(make_spec: Callable[[float], ProblemSpec], value: float,
-                    lstar: float, tmax: float, counter: list) -> str:
+                    lstar: float, tmax: float, candidates: tuple,
+                    stops: list) -> str:
+    """Verdict at one parameter value; appends one stops entry per run."""
     for t_horizon in (tmax, 2.0 * tmax):
         spec = replace(make_spec(value), tmax=t_horizon)
-        traj = simulate(spec, until_h=lstar + MARGIN)
-        counter[0] += 1
+        fired = {}
+        traj = simulate(spec, stop=_certificates(spec, lstar, candidates,
+                                                 fired))
+        rule, t_stop, slack = fired.get(
+            "stop", ("horizon", float(traj.times[-1]), None))
+        stops.append((value, rule, t_stop, slack))
+        if rule == "vanishing-certificate":
+            return "Vanishing"
         verdict = classify(traj, spec, lstar=lstar).verdict
         if verdict != "Undetermined":
             return verdict
@@ -82,32 +142,17 @@ def _classified_run(make_spec: Callable[[float], ProblemSpec], value: float,
         f"after doubling tmax to {2*tmax:g}")
 
 
-def _check_history_monotone(history, make_spec, lstar, tmax, counter):
-    spreading = [v for v, verdict in history if verdict == "Spreading"]
-    if not spreading:
-        return history
-    v_min = min(spreading)
-    out = list(history)
-    for i, (v, verdict) in enumerate(out):
-        if verdict == "Vanishing" and v > v_min:
-            redo = _classified_run(make_spec, v, lstar, 2.0 * tmax, counter)
-            out[i] = (v, redo)
-            if redo == "Vanishing":
-                raise NumericalError(
-                    f"non-monotone verdicts persist: Vanishing at {v:g} above "
-                    f"Spreading at {v_min:g}")
-    return out
-
-
-def _bisect(make_spec, lo, hi, tol, lstar, tmax, parameter, counter,
-            v_hi=None) -> ThresholdResult:
-    """Bisect [lo, hi] to width <= tol.  counter already holds the caller's
-    runs; v_hi, when the caller has classified hi, is not run again."""
+def _bisect(make_spec, lo, hi, tol, lstar, tmax, candidates, parameter,
+            stops, v_hi=None) -> ThresholdResult:
+    """Bisect [lo, hi] to width <= tol, or until no double lies strictly
+    between them.  stops already holds the caller's runs; v_hi, when the
+    caller has classified hi, is not run again."""
     history = []
 
     def run(value, verdict=None):
         if verdict is None:
-            verdict = _classified_run(make_spec, value, lstar, tmax, counter)
+            verdict = _classified_run(make_spec, value, lstar, tmax,
+                                      candidates, stops)
         history.append((value, verdict))
         return verdict
 
@@ -118,20 +163,23 @@ def _bisect(make_spec, lo, hi, tol, lstar, tmax, parameter, counter,
 
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:  # tol below the spacing of doubles here
+            break
         if run(mid) == "Spreading":
             hi = mid
         else:
             lo = mid
 
-    history = _check_history_monotone(history, make_spec, lstar, tmax, counter)
     return ThresholdResult(parameter=parameter, bracket=(lo, hi),
-                           width=hi - lo, runs=counter[0],
-                           history=tuple(history), note="bracketed")
+                           width=hi - lo, runs=len(stops),
+                           history=tuple(history), note="bracketed",
+                           stops=tuple(stops))
 
 
 def _setup(spec: ProblemSpec, parameter: str, value_range: tuple, tol: float):
-    """Input checks, l_star and tmax shared by both thresholds, before any
-    simulation; tmax is None when h0 >= l_star already decides the answer."""
+    """Input checks, l_star, tmax and the Vanishing certificate's eigen data
+    shared by both thresholds, before any simulation; tmax is None when
+    h0 >= l_star already decides the answer."""
     lo, hi = value_range
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
@@ -141,20 +189,21 @@ def _setup(spec: ProblemSpec, parameter: str, value_range: tuple, tol: float):
         raise ValueError(f"{parameter} threshold requires |beta| < c0")
     lstar = critical_length(spec.beta, spec.a, spec.b, spec.nonlinearity.fp0)
     if spec.h0 >= lstar:
-        return lstar, None
+        return lstar, None, ()
     _check_hypotheses(spec, lstar)
-    return lstar, _default_tmax(spec, lstar)
+    return (lstar, _default_tmax(spec, lstar),
+            vanishing_candidates(spec, spec.h0, lstar))
 
 
 def mu_threshold(spec: ProblemSpec, mu_range: tuple, tol: float) -> ThresholdResult:
     """Bracket the Stefan-coefficient threshold mu_star to width <= tol."""
-    lstar, tmax = _setup(spec, "mu", mu_range, tol)
+    lstar, tmax, candidates = _setup(spec, "mu", mu_range, tol)
     if tmax is None:
         return ThresholdResult(parameter="mu", bracket=None, width=0.0,
                                runs=0, history=(), note="spreading-for-all-mu")
     lo, hi = mu_range
     return _bisect(lambda m: replace(spec, mu=m), lo, hi, tol, lstar, tmax,
-                   "mu", [0])
+                   candidates, "mu", [])
 
 
 def lambda_threshold(spec: ProblemSpec, psi: Callable,
@@ -164,7 +213,7 @@ def lambda_threshold(spec: ProblemSpec, psi: Callable,
     Returns the zero-threshold marker when h0 >= l_star, and the
     possibly-infinite marker when even lambda_max fails to spread.
     """
-    lstar, tmax = _setup(spec, "lambda", lambda_range, tol)
+    lstar, tmax, candidates = _setup(spec, "lambda", lambda_range, tol)
     if tmax is None:
         return ThresholdResult(parameter="lambda", bracket=None, width=0.0,
                                runs=0, history=(), note="lambda-star-zero")
@@ -173,12 +222,13 @@ def lambda_threshold(spec: ProblemSpec, psi: Callable,
     def make_spec(lam):
         return replace(spec, u0=lambda x, _l=lam: _l * np.asarray(psi(x)))
 
-    counter = [0]
-    v_hi = _classified_run(make_spec, hi, lstar, tmax, counter)
+    stops = []
+    v_hi = _classified_run(make_spec, hi, lstar, tmax, candidates, stops)
     if v_hi != "Spreading":
         return ThresholdResult(parameter="lambda", bracket=None,
-                               width=float("inf"), runs=counter[0],
+                               width=float("inf"), runs=len(stops),
                                history=((hi, v_hi),),
-                               note="possibly-lambda-star-infinite")
-    return _bisect(make_spec, lo, hi, tol, lstar, tmax, "lambda", counter,
-                   v_hi)
+                               note="possibly-lambda-star-infinite",
+                               stops=tuple(stops))
+    return _bisect(make_spec, lo, hi, tol, lstar, tmax, candidates, "lambda",
+                   stops, v_hi)

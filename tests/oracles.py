@@ -6,8 +6,9 @@ for the logistic comparison ODE and the b = 0 eigenvalues, and the
 phase-plane first integral for the zero-speed slope.  The exceptions are
 the slow reference paths at the end: bracketing root-finds for c_tilde and
 beta_star over the library's plain semi-wave shot, without the Newton
-solve and the s(g) identity that replaced them, and a mu_star bisection
-on full-horizon runs, without the early stop at the spreading certificate.
+solve and the s(g) identity that replaced them, and a mu_star/lambda_star
+bisection on full-horizon runs, without the early stops at the spreading
+and Vanishing certificates.
 """
 
 from dataclasses import replace
@@ -135,24 +136,37 @@ def critical_advection_nested(mu, n, b_max_factor=10.0, xtol=1e-10):
     return brentq(excess, n.c0, b_max_factor * n.c0, xtol=xtol, maxiter=200)
 
 
-def mu_threshold_full_horizon(spec, mu_range, tol):
-    """(lo, hi) bracket of mu_star by plain bisection on full-horizon runs.
+def full_horizon_tmax(spec, lstar):
+    """The threshold drivers' default horizon max(50, 10*l_star/c_tilde)."""
+    ctilde = fb.spreading_speed(spec.beta, spec.mu, spec.nonlinearity).c_tilde
+    return max(50.0, 10.0 * lstar / ctilde)
 
-    Every run goes to the library's default horizon max(50, 10*l_star/c_tilde)
-    and is classified on its whole trajectory.
+
+def threshold_full_horizon(spec, parameter, value_range, tol, psi=None):
+    """(lo, hi) bracket of mu_star (parameter 'mu') or of lambda_star for
+    u0 = lambda*psi (parameter 'lambda') by plain bisection on full-horizon
+    runs.
+
+    Every run goes to the library's default horizon and is classified on
+    its whole trajectory.
     """
     lstar = fb.critical_length(spec.beta, spec.a, spec.b, spec.nonlinearity.fp0)
-    ctilde = fb.spreading_speed(spec.beta, spec.mu, spec.nonlinearity).c_tilde
-    tmax = max(50.0, 10.0 * lstar / ctilde)
+    tmax = full_horizon_tmax(spec, lstar)
 
-    def spreads(mu):
-        run = replace(spec, mu=mu, tmax=tmax)
+    def make_spec(value):
+        if parameter == "mu":
+            return replace(spec, mu=value, tmax=tmax)
+        return replace(spec, u0=lambda x: value * np.asarray(psi(x)),
+                       tmax=tmax)
+
+    def spreads(value):
+        run = make_spec(value)
         verdict = fb.classify(fb.simulate(run), run, lstar=lstar).verdict
         if verdict not in ("Spreading", "Vanishing"):
-            raise RuntimeError(f"{verdict} at mu = {mu!r}")
+            raise RuntimeError(f"{verdict} at {parameter} = {value!r}")
         return verdict == "Spreading"
 
-    lo, hi = mu_range
+    lo, hi = value_range
     if spreads(lo) or not spreads(hi):
         raise RuntimeError("the range does not bracket the flip")
     while hi - lo > tol:

@@ -148,3 +148,26 @@ def test_dichotomy_exhaustive_for_subcritical_advection(n):
             traj = fb.simulate(spec)
             v = fb.classify(traj, spec, lstar=lstar).verdict
             assert v in ("Spreading", "Vanishing", "Undetermined")
+
+
+def test_vanishing_certificate_on_synthetic_states(n):
+    from freebound.classify import vanishing_certificate
+
+    spec = make_spec(n, 0.5, h0=1.0)
+    lstar = fb.critical_length(0.5, 1.0, 0.0, n.fp0)
+    x = np.linspace(0.0, 1.0, 101)
+    # u = 0 gives H = h, so the largest candidate below l_star wins
+    slack0, L0 = vanishing_certificate(1.0, x, np.zeros_like(x), spec, lstar)
+    assert 1.0 < L0 < lstar and slack0 == L0 - 1.0
+    # a larger density raises H and lowers the slack, for every mu
+    u = 0.2 * np.sin(np.pi * x)
+    slacks = [vanishing_certificate(1.0, x, amp * u, spec, lstar)[0]
+              for amp in (0.5, 1.0, 2.0)]
+    assert slack0 > slacks[0] > slacks[1] > slacks[2]
+    big_mu = make_spec(n, 0.5, h0=1.0, mu=10.0)
+    assert vanishing_certificate(1.0, x, u, big_mu, lstar)[0] < slacks[1]
+    # no candidate length above a front at l_star
+    xs = np.linspace(0.0, lstar, 101)
+    slack, L = vanishing_certificate(lstar, xs, np.sin(np.pi * xs / lstar),
+                                     spec, lstar)
+    assert slack == -np.inf and np.isnan(L)

@@ -294,3 +294,25 @@ def test_run_directory_reload_matches_in_memory_run(tmp_path, capsys):
     assert report == json.loads(json.dumps(
         {"c_measured": fit.c_measured, "c_tilde": sr.c_tilde, "H": fit.H,
          "drift": fit.drift, "profile_errors": errors}))
+
+
+def test_threshold_json_says_why_each_run_stopped(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG.replace("mu = 2.0", "mu = 1.0")
+                   .replace("h0 = 4.2", "h0 = 1.6223")
+                   .replace("tmax = 5", "tmax = 50\ndt = 0.002"))
+    argv = ["threshold", "--param", "mu", "--config", str(cfg),
+            "--tol", "0.5", "--lo", "0.5", "--hi", "4"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert sorted(out) == ["bracket", "history", "note", "parameter", "runs",
+                           "stops", "width"]
+    assert len(out["stops"]) == out["runs"]
+    assert [s[0] for s in out["stops"]] == [v for v, _ in out["history"]]
+    for (value, verdict), (_, rule, t_stop, slack) in zip(out["history"],
+                                                          out["stops"]):
+        if verdict == "Spreading":
+            assert rule == "front-beyond-critical-length" and slack is None
+        else:
+            assert rule == "vanishing-certificate" and slack >= 0.05
+        assert 0.0 < t_stop < 50.0

@@ -204,6 +204,31 @@ def test_simulate_refuses_non_finite_until_h(n, monkeypatch, until_h):
         fb.simulate(spec, until_h=until_h)
 
 
+
+def test_stop_hook_ends_the_run_on_a_prefix(n, monkeypatch):
+    spec = fb.ProblemSpec(beta=0.0, mu=1.0, a=1.0, b=0.0, h0=2.0,
+                          nonlinearity=n, nx=100, tmax=1.0)
+    full = fb.simulate(spec)
+    seen = []
+
+    def stop(st):
+        seen.append(st.t)
+        return st.t >= 0.5
+
+    fast = fb.simulate(spec, stop=stop)
+    k = len(fast.times)
+    assert fast.times[-2] < 0.5 <= fast.times[-1] and seen == list(fast.times[1:])
+    for name in ("times", "h", "hprime", "supu", "eta"):
+        assert getattr(fast, name).tobytes() == getattr(full, name)[:k].tobytes()
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step was taken on refused input")
+
+    monkeypatch.setattr(fb.stefan, "step", no_step)
+    with pytest.raises(ValueError, match="until_h or stop"):
+        fb.simulate(spec, until_h=3.0, stop=stop)
+
+
 # -------------------------------------------------------------- convergence
 
 def test_second_order_spatial_convergence_of_front(n):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 
 import freebound as fb
 from freebound import thresholds
-from freebound.classify import MARGIN
+from freebound.classify import (MARGIN, vanishing_candidates,
+                                vanishing_certificate)
 
-from oracles import mu_threshold_full_horizon
+from oracles import full_horizon_tmax, threshold_full_horizon
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +38,23 @@ def lambda_config(n):
     return spec, fb.default_initial_profile(spec.h0, 1.0, 0.0), lstar
 
 
+@pytest.fixture(scope="module")
+def lambda_res(lambda_config):
+    """lambda_threshold on lambda_config, and its number of simulate calls."""
+    spec, psi, _ = lambda_config
+    calls = []
+    simulate = thresholds.simulate
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return simulate(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thresholds, "simulate", counted)
+        res = fb.lambda_threshold(spec, psi, (0.05, 4.0), 0.5)
+    return res, len(calls)
+
+
 def test_mu_threshold_brackets_the_flip(mu_res):
     res = mu_res
     assert res.note == "bracketed"
@@ -56,9 +75,39 @@ def test_mu_threshold_brackets_the_flip(mu_res):
 
 
 def test_mu_threshold_matches_full_horizon_bisection(template, mu_res):
-    lo, hi = mu_threshold_full_horizon(template, (0.5, 4.0), 0.5)
+    lo, hi = threshold_full_horizon(template, "mu", (0.5, 4.0), 0.5)
     assert mu_res.bracket == (lo, hi)
     assert mu_res.width == hi - lo
+
+
+def test_lambda_threshold_matches_full_horizon_bisection(lambda_config,
+                                                         lambda_res):
+    spec, psi, _ = lambda_config
+    res, _ = lambda_res
+    lo, hi = threshold_full_horizon(spec, "lambda", (0.05, 4.0), 0.5, psi)
+    assert res.bracket == (lo, hi)
+    assert res.width == hi - lo
+
+
+@pytest.mark.parametrize("which", ["mu", "lambda"])
+def test_stops_say_why_each_run_ended(mu_res, lambda_res, which):
+    res = mu_res if which == "mu" else lambda_res[0]
+    assert len(res.stops) == res.runs
+    # one run per value here: no run ended Undetermined
+    assert sorted(s[0] for s in res.stops) == sorted(v for v, _ in res.history)
+    verdicts = dict(res.history)
+    for value, rule, t_stop, slack in res.stops:
+        assert 0.0 < t_stop
+        if verdicts[value] == "Spreading":
+            assert rule == "front-beyond-critical-length" and slack is None
+        elif rule == "vanishing-certificate":
+            assert slack >= MARGIN
+        else:
+            assert rule == "horizon" and slack is None
+    if which == "mu":
+        # every Vanishing run of the template is certified early
+        assert {rule for v, rule, _, _ in res.stops
+                if verdicts[v] == "Vanishing"} == {"vanishing-certificate"}
 
 
 def _threshold_case(kind, value, template, lambda_config, lstar_05):
@@ -99,6 +148,65 @@ def test_until_h_run_is_a_prefix_of_the_full_run(template, lambda_config,
     assert len(verdicts) == 1
 
 
+@pytest.mark.parametrize("kind, value", [
+    ("mu", 0.5), ("mu", 0.9375), ("lambda", 0.05)])
+def test_vanishing_certificate_holds_on_the_full_run(
+        template, lambda_config, lstar_05, mu_res, lambda_res, kind, value):
+    res = mu_res if kind == "mu" else lambda_res[0]
+    (t_cert, slack), = [(t, sl) for v, rule, t, sl in res.stops
+                        if v == value and rule == "vanishing-certificate"]
+    spec, lstar = _threshold_case(kind, value, template, lambda_config,
+                                  lstar_05)
+    base = template if kind == "mu" else lambda_config[0]
+    spec = replace(spec, tmax=full_horizon_tmax(base, lstar))
+    full = fb.simulate(spec, snapshot_times=(t_cert,))
+    t, x, u = full.snapshots[0]
+    assert t == t_cert
+    # the certificate read off the full run at the firing time
+    again, L = vanishing_certificate(x[-1], x, u, spec, lstar,
+                                     vanishing_candidates(spec, spec.h0, lstar))
+    assert again == slack >= MARGIN
+    assert full.h.max() <= L - slack
+    assert fb.classify(full, spec, lstar=lstar).verdict == "Vanishing"
+    # the grid error in the final front is below the margin the slack needs
+    coarse = fb.simulate(replace(spec, nx=spec.nx // 2))
+    assert abs(full.h[-1] - coarse.h[-1]) < MARGIN
+
+
+@pytest.mark.parametrize("kind, value", [
+    ("mu", 1.375), ("mu", 4.0), ("lambda", 4.0), ("robin", 2.0)])
+def test_vanishing_certificate_never_fires_on_spreading_runs(
+        template, lambda_config, lstar_05, kind, value):
+    spec, lstar = _threshold_case(kind, value, template, lambda_config,
+                                  lstar_05)
+    until_h = lstar + MARGIN
+    checks = np.arange(thresholds.CHECK_EVERY, spec.tmax,
+                       thresholds.CHECK_EVERY)
+    traj = fb.simulate(spec, snapshot_times=checks, until_h=until_h)
+    candidates = vanishing_candidates(spec, spec.h0, lstar)
+    slacks = [vanishing_certificate(x[-1], x, u, spec, lstar, candidates)[0]
+              for _, x, u in traj.snapshots if x[-1] < until_h]
+    assert traj.h[-1] >= until_h and slacks
+    assert max(slacks) < MARGIN
+
+
+def test_bisect_ends_below_the_spacing_of_doubles(template, monkeypatch):
+    calls = []
+
+    def counted(make_spec, value, lstar, tmax, candidates, stops):
+        calls.append(value)
+        stops.append((value, "horizon", tmax, None))
+        return "Spreading" if value >= 1.3 else "Vanishing"
+
+    monkeypatch.setattr(thresholds, "_classified_run", counted)
+    res = fb.mu_threshold(template, (0.5, 4.0), 1e-300)
+    assert len(calls) == res.runs <= 2 + 64
+    lo, hi = res.bracket
+    verdicts = dict(res.history)
+    assert verdicts[lo] == "Vanishing" and verdicts[hi] == "Spreading"
+    assert math.nextafter(lo, hi) == hi
+
+
 def test_mu_threshold_short_circuit_beyond_critical_length(template, lstar_05):
     from dataclasses import replace
 
@@ -131,22 +239,13 @@ def test_lambda_threshold_zero_when_front_already_critical(template, lstar_05, n
     assert res.bracket is None
 
 
-def test_lambda_threshold_brackets_the_flip(lambda_config, monkeypatch):
-    spec, psi, _ = lambda_config
-    calls = []
-    simulate = thresholds.simulate
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return simulate(*args, **kwargs)
-
-    monkeypatch.setattr(thresholds, "simulate", counted)
-    res = fb.lambda_threshold(spec, psi, (0.05, 4.0), 0.5)
+def test_lambda_threshold_brackets_the_flip(lambda_res):
+    res, calls = lambda_res
     assert res.note == "bracketed"
     lo, hi = res.bracket
     assert hi - lo <= 0.5
     # every value is simulated once, and every simulation is counted
-    assert len(calls) == res.runs
+    assert calls == res.runs
     values = [v for v, _ in res.history]
     assert len(set(values)) == len(values)
     # no vanishing verdict above the bracket
