@@ -45,7 +45,6 @@ print("large-ell Dirichlet limit beta^2/4 - m:")
 p = fb.EigenProblem(ell=40.0, beta=1.8, a=0.2, b=1.0, m=m)
 z = fb.principal_eigenvalue(p).zeta1
 print(f"  zeta1(40) = {z:.6f}  vs  beta^2/4 - m = {1.8**2/4 - m:.6f}")
-print(f"  shooting cross-check: {fb.principal_eigenvalue_shooting(p):.6f}")
 
 try:
     import matplotlib

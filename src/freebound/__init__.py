@@ -22,7 +22,6 @@ from .eigen import (
     critical_length,
     critical_length_no_advection,
     principal_eigenvalue,
-    principal_eigenvalue_shooting,
 )
 from .waves import (
     SpeedResult,
@@ -57,8 +56,7 @@ __all__ = [
     "Nonlinearity", "ValidationReport", "logistic", "cubic_monostable",
     "from_coefficients", "validate",
     "EigenProblem", "EigenResult", "principal_eigenvalue",
-    "principal_eigenvalue_shooting", "critical_length",
-    "critical_length_no_advection",
+    "critical_length", "critical_length_no_advection",
     "WaveProfile", "SpeedResult", "shoot_semi_wave", "spreading_speed",
     "critical_advection", "finite_wave", "traveling_wave", "tadpole_wave",
     "stationary_increasing", "profile_interpolator",

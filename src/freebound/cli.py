@@ -5,6 +5,12 @@ asymptotics, sweep.  All numerics are deterministic; CSV files carry full
 double precision (17 significant digits) so downstream refinement checks
 lose nothing.  Exit status: 0 success, 1 domain error (the requested
 object does not exist), 2 numerical failure or malformed input.
+
+The classification hints l_star and c_tilde: simulate solves both eagerly,
+because summary.json reports them; sweep solves c_tilde lazily, only for a
+cell that reaches classify's rule 3 (beta >= c0 and rules 1-2 silent), the
+one rule that reads it.  A sweep row that fails reads Error; its reason
+goes to the sidecar <out>.errors.json.
 """
 
 from __future__ import annotations
@@ -244,15 +250,38 @@ def _parse_grid(text):
     return [float(v) for v in text.split(",") if v.strip()]
 
 
+def _sweep_verdict(traj, spec):
+    """The verdict _classification_hint gives, with c_tilde solved only
+    when rule 3 is reached: rules 1-2 never read it."""
+    n = spec.nonlinearity
+    lstar = None
+    if abs(spec.beta) < n.c0:
+        try:
+            lstar = critical_length(spec.beta, spec.a, spec.b, n.fp0)
+        except FreeboundError:
+            pass
+    verdict = classify(traj, spec, lstar=lstar)
+    if spec.beta >= n.c0 and verdict.evidence["rule"] == "no-rule-fired":
+        try:
+            ctilde = spreading_speed(spec.beta, spec.mu, n).c_tilde
+        except FreeboundError:
+            return verdict
+        verdict = classify(traj, spec, lstar=lstar, ctilde=ctilde)
+    return verdict
+
+
 def _sweep_cell(payload):
+    """(index, CSV row, None) for one cell, or (index, Error row, reason)."""
     index, cfg = payload
     try:
         spec = spec_from_config(cfg)
         traj = simulate(spec)
-        verdict, _, _ = _classification_hint(traj, spec)
-        return index, (verdict.verdict, float(traj.h[-1]), float(traj.supu[-1]))
-    except FreeboundError:
-        return index, ("Error", float("nan"), float("nan"))
+        verdict = _sweep_verdict(traj, spec)
+        return index, (verdict.verdict, float(traj.h[-1]), float(traj.supu[-1])), None
+    except FreeboundError as exc:
+        reason = {"index": index, "config": cfg, "type": type(exc).__name__,
+                  "message": str(exc)}
+        return index, ("Error", float("nan"), float("nan")), reason
 
 
 def _cmd_sweep(args):
@@ -276,10 +305,13 @@ def _cmd_sweep(args):
         raise ConfigError(f"sweep grid holds {len(cells)} cells, limit is 10000")
 
     results = {}
+    failures = []
     if cells:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            for index, row in pool.map(_sweep_cell, list(enumerate(cells))):
+            for index, row, reason in pool.map(_sweep_cell, list(enumerate(cells))):
                 results[index] = row
+                if reason is not None:
+                    failures.append(reason)
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("beta,mu,lambda,verdict,h_final,supu_final\n")
@@ -292,6 +324,13 @@ def _cmd_sweep(args):
                 verdict, FMT % h_final, FMT % supu,
             ]) + "\n")
     print(f"wrote {args.out} ({len(cells)} cells)")
+    # a sidecar left by an earlier sweep would describe rows no longer there
+    errors_path = Path(f"{args.out}.errors.json")
+    errors_path.unlink(missing_ok=True)
+    if failures:
+        with open(errors_path, "w", encoding="utf-8") as fh:
+            json.dump(failures, fh, indent=2, sort_keys=True)
+        print(f"wrote {errors_path} ({len(failures)} failed cells)")
     return 0
 
 

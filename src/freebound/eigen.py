@@ -14,8 +14,7 @@ so zeta1 = s1 + beta^2/4 - m where s1 is the principal value of the
 transformed Robin-Dirichlet problem.  s1 solves a transcendental equation
 with a trigonometric branch (s1 > 0) and, when the effective Robin weight
 A = a - b*beta/2 is negative, a hyperbolic branch (s1 < 0) carrying a
-boundary-trapped mode.  Both branches are handled; a direct shooting
-solver on the untransformed problem is kept as an independent cross-check.
+boundary-trapped mode.  Both branches are handled.
 
 The critical lengths are the zero crossings
 
@@ -31,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import NoCriticalLength, NumericalError, _require_finite
@@ -40,7 +38,6 @@ __all__ = [
     "EigenProblem",
     "EigenResult",
     "principal_eigenvalue",
-    "principal_eigenvalue_shooting",
     "critical_length",
     "critical_length_no_advection",
 ]
@@ -181,46 +178,6 @@ def principal_eigenvalue(p: EigenProblem) -> EigenResult:
     zeta1 = s1 + p.beta * p.beta / 4.0 - p.m
     x, phi = _eigenfunction(p.ell, p.beta, p.a, p.b, s1)
     return EigenResult(zeta1=zeta1, x=x, eigenfunction=phi)
-
-
-def principal_eigenvalue_shooting(p: EigenProblem, *, rtol=1e-12, atol=1e-14) -> float:
-    """Independent cross-check: shoot the untransformed problem.
-
-    Integrates phi'' = beta*phi' - (m + zeta)*phi from the left boundary
-    data (phi, phi')(0) = (b, a) (or (0, 1) when b = 0) and root-finds
-    the smallest zeta with phi(ell) = 0; the principal eigenvalue is the
-    first sign change of phi(ell; zeta) when marching zeta upward from a
-    certified lower bound.
-    """
-    ell, beta, a, b, m = p.ell, p.beta, p.a, p.b, p.m
-    y0 = (0.0, 1.0) if b == 0.0 else (b, a)
-
-    def end_value(zeta):
-        def rhs(x, y):
-            return [y[1], beta * y[1] - (m + zeta) * y[0]]
-
-        sol = solve_ivp(rhs, (0.0, ell), y0, method="DOP853",
-                        rtol=rtol, atol=atol, dense_output=False)
-        if not sol.success:
-            raise NumericalError(f"shooting failed at zeta={zeta}")
-        return sol.y[0, -1]
-
-    A = a - b * beta / 2.0
-    sigma2 = (A / b) ** 2 if (b > 0.0 and A < 0.0) else 0.0
-    lo = beta * beta / 4.0 - m - sigma2 - 1.0
-    step = max(0.25, np.pi**2 / (4.0 * ell * ell))
-
-    v_lo = end_value(lo)
-    if v_lo <= 0.0:
-        raise NumericalError("lower bound for eigenvalue march is not certified")
-    hi = lo
-    for _ in range(100000):
-        hi += step
-        if end_value(hi) < 0.0:
-            break
-    else:
-        raise NumericalError("no sign change found while marching zeta")
-    return brentq(end_value, hi - step, hi, xtol=1e-12, maxiter=200)
 
 
 def _bracketed_length_root(g, what: str) -> float:

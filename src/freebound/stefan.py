@@ -14,6 +14,18 @@ explicit advection, mesh drift and reaction with implicit diffusion, the
 mixed boundary folded into the first row, solved by LAPACK gtsv; a failed
 or non-finite solve raises NumericalError.
 
+A substep is some twenty numpy and LAPACK calls on a few hundred entries,
+so call overhead, not arithmetic, sets its cost.  step therefore hoists
+what does not change within a call: the grid xi (built once per spec, in
+ProblemSpec.xi), beta, mu, a, b, |beta| and f.  It keeps its scalars in
+Python floats, builds the right-hand side in one buffer with in-place
+operations, fills np.empty arrays (half the cost of np.full at this size),
+lets gtsv overwrite the arrays made for that substep, and writes the new w
+into np.empty.  The order of every floating-point operation is
+load-bearing: trajectories are bit-identical to the plain loop kept as
+reference_step in tests/oracles.py, so dt/(h*h*dxi*dxi) may not become
+dt/(h*h*dxi2), and no sum or product may be regrouped.
+
 Runtime certificates maintained every step: h' > 0, w >= 0 (round-off
 below -1e-10 aborts), and sup w <= eta(t) + 1e-6 where eta solves the
 space-free comparison ODE eta' = f(eta), eta(0) = sup u0 + 1, by the RK4
@@ -71,7 +83,9 @@ class ProblemSpec:
 
     u0 is a callable initial profile on [0, h0]; it must vanish at h0,
     be positive inside, satisfy the mixed boundary relation at 0 within
-    discretization tolerance, and have negative slope at h0.
+    discretization tolerance, and have negative slope at h0.  w0 (u0 on
+    the grid) and xi (the read-only grid of nx + 1 points on [0, 1]) are
+    derived from the other fields.
     """
 
     beta: float
@@ -85,6 +99,7 @@ class ProblemSpec:
     dt: float | None = None
     tmax: float = 50.0
     w0: np.ndarray = field(init=False, repr=False, compare=False)
+    xi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.h0 <= 0.0 or self.mu <= 0.0:
@@ -104,6 +119,9 @@ class ProblemSpec:
         u0 = self.u0 if self.u0 is not None else default_initial_profile(
             self.h0, self.a, self.b)
         object.__setattr__(self, "w0", self._sample_initial(u0))
+        xi = np.linspace(0.0, 1.0, self.nx + 1)
+        xi.flags.writeable = False
+        object.__setattr__(self, "xi", xi)
 
     def _sample_initial(self, u0) -> np.ndarray:
         x = np.linspace(0.0, self.h0, self.nx + 1)
@@ -154,8 +172,9 @@ class Trajectory:
 
 
 def _boundary_flux(w: np.ndarray, dxi: float, h: float) -> float:
-    # u_x(t, h) with w[n] = 0 folded in
-    return (-4.0 * w[-2] + w[-3]) / (2.0 * dxi * h)
+    # u_x(t, h) with w[n] = 0 folded in; item() keeps the scalar work in
+    # Python floats, which round exactly as numpy's float64 scalars do
+    return (-4.0 * w.item(-2) + w.item(-3)) / (2.0 * dxi * h)
 
 
 def step(state: FrontState, spec: ProblemSpec) -> FrontState:
@@ -163,47 +182,59 @@ def step(state: FrontState, spec: ProblemSpec) -> FrontState:
     advective limit dt <= 0.4*dxi*h/(|beta| + h')."""
     n = spec.nx
     dxi = 1.0 / n
-    xi = np.linspace(0.0, 1.0, n + 1)[1:-1]
+    xi = spec.xi[1:-1]
+    beta, mu, a, b = spec.beta, spec.mu, spec.a, spec.b
+    abs_beta = abs(beta)
+    f = spec.nonlinearity.f
     t, h, w, hp = state.t, state.h, state.w, state.hprime
     target = t + spec.dt
     while t < target - 1e-15 * max(1.0, target):
-        hp = -spec.mu * _boundary_flux(w, dxi, h)
+        hp = -mu * _boundary_flux(w, dxi, h)
         if hp <= 0.0:
             raise InvariantViolation(
                 f"front speed h' = {hp:.3e} <= 0 at t = {t:.6g}")
-        dt = min(target - t,
-                 CFL_SAFETY * dxi * h / (abs(spec.beta) + hp + 1e-30))
+        dt = min(target - t, CFL_SAFETY * dxi * h / (abs_beta + hp + 1e-30))
         h_new = h + dt * hp
 
-        vel = (xi * hp - spec.beta) / h
-        grad = (w[2:] - w[:-2]) / (2.0 * dxi)
-        rhs = w[1:-1] + dt * (vel * grad
-                              + np.asarray(spec.nonlinearity.f(w[1:-1])))
+        # rhs = w + dt*(vel*grad + f(w)) on w[1..n-1], built in one buffer
+        vel = xi * hp
+        vel -= beta
+        vel /= h
+        rhs = w[2:] - w[:-2]
+        rhs /= 2.0 * dxi
+        rhs *= vel
+        rhs += f(w[1:-1])
+        rhs *= dt
+        rhs += w[1:-1]
 
         # implicit diffusion on w[1..n-1]; w0 = a1*w1 + a2*w2 from
         # a*w0 - (b/h)*(-3w0+4w1-w2)/(2 dxi) = 0 is folded into the first row
         r = dt / (h_new * h_new * dxi * dxi)
-        a1 = a2 = 0.0
-        if spec.b > 0.0:
-            den = 2.0 * spec.a * dxi * h_new + 3.0 * spec.b
-            a1, a2 = 4.0 * spec.b / den, -spec.b / den
-        sub = np.full(n - 2, -r)
-        sup = np.full(n - 2, -r)
-        diag = np.full(n - 1, 1.0 + 2.0 * r)
-        diag[0] -= r * a1
-        sup[0] -= r * a2
-        *_, x, info = dgtsv(sub, diag, sup, rhs)
-        if info != 0 or not np.all(np.isfinite(x)):
+        sub = np.empty(n - 2)
+        sub.fill(-r)
+        sup = np.empty(n - 2)
+        sup.fill(-r)
+        diag = np.empty(n - 1)
+        diag.fill(1.0 + 2.0 * r)
+        if b > 0.0:  # for b = 0 the fold would subtract exact zeros
+            den = 2.0 * a * dxi * h_new + 3.0 * b
+            a1, a2 = 4.0 * b / den, -b / den
+            diag[0] -= r * a1
+            sup[0] -= r * a2
+        *_, x, info = dgtsv(sub, diag, sup, rhs, overwrite_dl=1, overwrite_d=1,
+                            overwrite_du=1, overwrite_b=1)
+        if info != 0 or not np.isfinite(x).all():
             raise NumericalError(
                 f"tridiagonal solve gave a non-finite density at t = {t:.6g} "
                 f"(LAPACK info = {info})")
 
-        w = np.concatenate(([0.0], x, [0.0]))
-        w[0] = a1 * w[1] + a2 * w[2] if spec.b > 0.0 else 0.0
-        bad = w < CLAMP_FLOOR
-        if np.any(bad):
+        w = np.empty(n + 1)
+        w[1:-1] = x
+        w[-1] = 0.0
+        w[0] = a1 * x.item(0) + a2 * x.item(1) if b > 0.0 else 0.0
+        if w.min() < CLAMP_FLOOR:
             raise NumericalError(
-                f"density {w[bad].min():.3e} below clamp floor at "
+                f"density {w.min():.3e} below clamp floor at "
                 f"t = {t:.6g}: reduce dt")
         np.maximum(w, 0.0, out=w)
         t, h = t + dt, h_new
@@ -259,7 +290,7 @@ def simulate(spec: ProblemSpec, snapshot_times: Sequence[float] = (),
     etas = np.empty(n_steps + 1)
     snapshots = []
     pending = sorted(float(t) for t in snapshot_times)
-    xi = np.linspace(0.0, 1.0, spec.nx + 1)
+    xi = spec.xi
 
     def record(i, st, eta_now):
         times[i] = st.t

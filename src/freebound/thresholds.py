@@ -98,7 +98,6 @@ def _certificates(spec: ProblemSpec, lstar: float, candidates: tuple,
                   fired: dict) -> Callable:
     """Stop hook for simulate: true once either certificate fires, which
     it records in fired as (rule, t, slack)."""
-    xi = np.linspace(0.0, 1.0, spec.nx + 1)
     next_check = CHECK_EVERY
 
     def stop(st):
@@ -110,8 +109,8 @@ def _certificates(spec: ProblemSpec, lstar: float, candidates: tuple,
         if st.t < next_check - 1e-9:
             return False
         next_check += CHECK_EVERY
-        slack, _ = vanishing_certificate(st.h, xi * st.h, st.w, spec, lstar,
-                                         candidates)
+        slack, _ = vanishing_certificate(st.h, spec.xi * st.h, st.w, spec,
+                                         lstar, candidates)
         if slack >= MARGIN:
             fired["stop"] = ("vanishing-certificate", float(st.t), slack)
             return True

@@ -2,22 +2,27 @@
 
 Everything here deliberately avoids the library's own solvers: fixed-step
 RK4 with bisection event location for the shooting problems, closed forms
-for the logistic comparison ODE and the b = 0 eigenvalues, and the
-phase-plane first integral for the zero-speed slope.  The exceptions are
-the slow reference paths at the end: bracketing root-finds for c_tilde and
-beta_star over the library's plain semi-wave shot, without the Newton
-solve and the s(g) identity that replaced them, and a mu_star/lambda_star
-bisection on full-horizon runs, without the early stops at the spreading
-and Vanishing certificates.
+for the logistic comparison ODE and the b = 0 eigenvalues, a DOP853 shot
+on the untransformed eigenproblem, and the phase-plane first integral for
+the zero-speed slope.  The exceptions are the slow reference paths at the
+end: bracketing root-finds for c_tilde and beta_star over the library's
+plain semi-wave shot, without the Newton solve and the s(g) identity that
+replaced them, a mu_star/lambda_star bisection on full-horizon runs,
+without the early stops at the spreading and Vanishing certificates, and
+the Stefan substep loop as it stood before its per-call hoisting and
+in-place buffers.
 """
 
 from dataclasses import replace
 
 import numpy as np
+from scipy.integrate import solve_ivp
+from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq
 
 import freebound as fb
-from freebound.errors import NoSemiWave, NumericalError
+from freebound.errors import InvariantViolation, NoSemiWave, NumericalError
+from freebound.stefan import CFL_SAFETY, CLAMP_FLOOR, FrontState
 
 
 def rk4_step(rhs, y, h):
@@ -90,6 +95,46 @@ def zeta1_closed_form(ell, beta, m):
 
 def lstar_closed_form(beta, c0):
     return 2.0 * np.pi / np.sqrt(c0 * c0 - beta * beta)
+
+
+def principal_eigenvalue_shooting(p, *, rtol=1e-12, atol=1e-14):
+    """Independent cross-check: shoot the untransformed problem.
+
+    Integrates phi'' = beta*phi' - (m + zeta)*phi from the left boundary
+    data (phi, phi')(0) = (b, a) (or (0, 1) when b = 0) and root-finds
+    the smallest zeta with phi(ell) = 0; the principal eigenvalue is the
+    first sign change of phi(ell; zeta) when marching zeta upward from a
+    certified lower bound.
+    """
+    ell, beta, a, b, m = p.ell, p.beta, p.a, p.b, p.m
+    y0 = (0.0, 1.0) if b == 0.0 else (b, a)
+
+    def end_value(zeta):
+        def rhs(x, y):
+            return [y[1], beta * y[1] - (m + zeta) * y[0]]
+
+        sol = solve_ivp(rhs, (0.0, ell), y0, method="DOP853",
+                        rtol=rtol, atol=atol, dense_output=False)
+        if not sol.success:
+            raise NumericalError(f"shooting failed at zeta={zeta}")
+        return sol.y[0, -1]
+
+    A = a - b * beta / 2.0
+    sigma2 = (A / b) ** 2 if (b > 0.0 and A < 0.0) else 0.0
+    lo = beta * beta / 4.0 - m - sigma2 - 1.0
+    step = max(0.25, np.pi**2 / (4.0 * ell * ell))
+
+    v_lo = end_value(lo)
+    if v_lo <= 0.0:
+        raise NumericalError("lower bound for eigenvalue march is not certified")
+    hi = lo
+    for _ in range(100000):
+        hi += step
+        if end_value(hi) < 0.0:
+            break
+    else:
+        raise NumericalError("no sign change found while marching zeta")
+    return brentq(end_value, hi - step, hi, xtol=1e-12, maxiter=200)
 
 
 def spreading_speed_brentq(beta, mu, n, max_step=0.1):
@@ -176,3 +221,61 @@ def threshold_full_horizon(spec, parameter, value_range, tol, psi=None):
         else:
             lo = mid
     return lo, hi
+
+
+def _boundary_flux(w, dxi, h):
+    # u_x(t, h) with w[n] = 0 folded in
+    return (-4.0 * w[-2] + w[-3]) / (2.0 * dxi * h)
+
+
+def reference_step(state, spec):
+    """One nominal step of the Stefan stepper as written before its
+    per-call hoisting: a fresh grid, fresh arrays and copying gtsv calls on
+    every substep.  stefan.step must agree with it bit for bit."""
+    n = spec.nx
+    dxi = 1.0 / n
+    xi = np.linspace(0.0, 1.0, n + 1)[1:-1]
+    t, h, w, hp = state.t, state.h, state.w, state.hprime
+    target = t + spec.dt
+    while t < target - 1e-15 * max(1.0, target):
+        hp = -spec.mu * _boundary_flux(w, dxi, h)
+        if hp <= 0.0:
+            raise InvariantViolation(
+                f"front speed h' = {hp:.3e} <= 0 at t = {t:.6g}")
+        dt = min(target - t,
+                 CFL_SAFETY * dxi * h / (abs(spec.beta) + hp + 1e-30))
+        h_new = h + dt * hp
+
+        vel = (xi * hp - spec.beta) / h
+        grad = (w[2:] - w[:-2]) / (2.0 * dxi)
+        rhs = w[1:-1] + dt * (vel * grad
+                              + np.asarray(spec.nonlinearity.f(w[1:-1])))
+
+        # implicit diffusion on w[1..n-1]; w0 = a1*w1 + a2*w2 from
+        # a*w0 - (b/h)*(-3w0+4w1-w2)/(2 dxi) = 0 is folded into the first row
+        r = dt / (h_new * h_new * dxi * dxi)
+        a1 = a2 = 0.0
+        if spec.b > 0.0:
+            den = 2.0 * spec.a * dxi * h_new + 3.0 * spec.b
+            a1, a2 = 4.0 * spec.b / den, -spec.b / den
+        sub = np.full(n - 2, -r)
+        sup = np.full(n - 2, -r)
+        diag = np.full(n - 1, 1.0 + 2.0 * r)
+        diag[0] -= r * a1
+        sup[0] -= r * a2
+        *_, x, info = dgtsv(sub, diag, sup, rhs)
+        if info != 0 or not np.all(np.isfinite(x)):
+            raise NumericalError(
+                f"tridiagonal solve gave a non-finite density at t = {t:.6g} "
+                f"(LAPACK info = {info})")
+
+        w = np.concatenate(([0.0], x, [0.0]))
+        w[0] = a1 * w[1] + a2 * w[2] if spec.b > 0.0 else 0.0
+        bad = w < CLAMP_FLOOR
+        if np.any(bad):
+            raise NumericalError(
+                f"density {w[bad].min():.3e} below clamp floor at "
+                f"t = {t:.6g}: reduce dt")
+        np.maximum(w, 0.0, out=w)
+        t, h = t + dt, h_new
+    return FrontState(t=t, h=h, w=w, hprime=hp)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import freebound as fb
-from freebound.cli import _classification_hint, main
+from freebound import cli
+from freebound.cli import _classification_hint, _sweep_cell, main
 from freebound.config import parse_config, nonlinearity_from_config, spec_from_config
 from freebound.errors import ConfigError
 
@@ -222,6 +223,58 @@ beta = 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     verdicts = [r[3] for r in rows]
     assert verdicts == ["Spreading", "VirtualSpreading", "Vanishing"]
+
+
+def test_sweep_solves_c_tilde_only_when_rule_3_reads_it(monkeypatch):
+    calls = []
+    real = cli.spreading_speed
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "spreading_speed", counting)
+    base = parse_config("mu = 1.0\na = 1\nb = 0\nnx = 200\ndt = 2e-3\n"
+                        "nonlinearity = logistic\n")
+    cells = [  # (beta, lambda, h0, tmax), eager rule, lazy c_tilde solves
+        ((0.5, 3.0, 3.0, 5.0), "front-beyond-critical-length", 0),
+        ((4.5, 0.5, 2.0, 10.0), "decayed-and-stalled", 0),
+        ((-2.5, 0.5, 2.0, 10.0), "decayed-and-stalled", 0),
+        ((1.5, 0.5, 2.0, 2.0), "no-rule-fired", 0),  # beta < c0: no rule 3
+        ((2.5, 3.0, 3.0, 5.0), "moving-window-outside-domain", 1),
+    ]
+    for (beta, lam, h0, tmax), rule, solves in cells:
+        cfg = dict(base, beta=beta, h0=h0, tmax=tmax)
+        cfg["lambda"] = lam
+        calls.clear()
+        index, row, reason = _sweep_cell((7, cfg))
+        assert (index, reason) == (7, None)
+        assert len(calls) == solves
+        spec = spec_from_config(cfg)
+        eager, _, _ = _classification_hint(fb.simulate(spec), spec)
+        assert eager.evidence["rule"] == rule
+        assert row[0] == eager.verdict
+
+
+def test_sweep_records_why_rows_failed(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(BASE_CFG.replace("tmax = 5", "tmax = 0.5"))
+    out = tmp_path / "sweep.csv"
+    sidecar = tmp_path / "sweep.csv.errors.json"
+    assert main(["sweep", "--config", str(cfg), "--mus", "1.0,-1.0",
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert rows[0][3] != "Error"
+    assert rows[1][3:] == ["Error", "nan", "nan"]
+    failures = json.loads(sidecar.read_text())
+    assert len(failures) == 1
+    assert failures[0]["index"] == 1 and failures[0]["config"]["mu"] == -1.0
+    assert failures[0]["type"] == "ConfigError"
+    assert failures[0]["message"] == "h0 and mu must be positive"
+    # a clean sweep leaves no sidecar, not even a stale one
+    assert main(["sweep", "--config", str(cfg), "--mus", "1.0",
+                 "--out", str(out)]) == 0
+    assert not sidecar.exists()
 
 
 @pytest.mark.parametrize("argv, cfg_line", [

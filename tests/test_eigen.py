@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import freebound as fb
 from freebound.eigen import _zeta1
 
-from oracles import lstar_closed_form
+from oracles import lstar_closed_form, principal_eigenvalue_shooting
 
 
 def test_dirichlet_closed_form_examples():
@@ -65,7 +65,7 @@ def test_gamma1_equals_zeta1_minus_quarter_beta_squared_when_b0():
 def test_shooting_agreement_dirichlet(ell, beta):
     p = fb.EigenProblem(ell=ell, beta=beta, a=1.0, b=0.0, m=1.0)
     z_analytic = fb.principal_eigenvalue(p).zeta1
-    z_shoot = fb.principal_eigenvalue_shooting(p)
+    z_shoot = principal_eigenvalue_shooting(p)
     assert z_shoot == pytest.approx(z_analytic, abs=1e-8)
 
 
@@ -75,7 +75,7 @@ def test_shooting_agreement_robin_hyperbolic_branch():
     p = fb.EigenProblem(ell=3.0, beta=1.8, a=0.2, b=1.0, m=1.0)
     z_analytic = fb.principal_eigenvalue(p).zeta1
     assert z_analytic < 1.8**2 / 4.0 - 1.0  # below the b=0 large-ell limit
-    z_shoot = fb.principal_eigenvalue_shooting(p)
+    z_shoot = principal_eigenvalue_shooting(p)
     assert z_shoot == pytest.approx(z_analytic, abs=1e-8)
 
 

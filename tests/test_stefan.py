@@ -3,9 +3,9 @@ import pytest
 from dataclasses import replace
 
 import freebound as fb
-from freebound.stefan import initial_state, step
+from freebound.stefan import CFL_SAFETY, FrontState, initial_state, step
 
-from oracles import logistic_eta
+from oracles import logistic_eta, reference_step
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +97,80 @@ def test_front_speed_positive_and_recorded(n):
         assert s.hprime > 0.0
         assert s.w[-1] == 0.0
         assert np.all(s.w >= 0.0)
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+def _assert_same_state(s, ref):
+    assert _bits(s.t) == _bits(ref.t)
+    assert _bits(s.h) == _bits(ref.h)
+    assert _bits(s.hprime) == _bits(ref.hprime)
+    assert s.w.tobytes() == ref.w.tobytes()
+
+
+@pytest.mark.parametrize("nx", [200, 300, 800])
+@pytest.mark.parametrize("beta", [0.5, 4.5])
+@pytest.mark.parametrize("kind", ["logistic", "cubic"])
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (1.0, 1.0)])
+def test_step_is_bit_identical_to_reference_step(nx, beta, kind, a, b):
+    n = fb.logistic() if kind == "logistic" else fb.cubic_monostable(0.5)
+    spec = fb.ProblemSpec(beta=beta, mu=1.0, a=a, b=b, h0=2.0, nonlinearity=n,
+                          nx=nx, dt=2e-3, tmax=1.0)
+    if beta == 4.5:  # the CFL limit forces several substeps per step
+        assert CFL_SAFETY * spec.h0 / (nx * beta) < spec.dt / 2.0
+    s = ref = initial_state(spec)
+    for _ in range(300):
+        s, ref = step(s, spec), reference_step(ref, spec)
+        _assert_same_state(s, ref)
+
+
+@pytest.mark.parametrize("beta, a, b, kind, nx", [
+    (0.5, 1.0, 0.0, "logistic", 200),
+    (4.5, 1.0, 1.0, "cubic", 300),
+])
+def test_simulate_is_bit_identical_on_reference_step(monkeypatch, beta, a, b,
+                                                     kind, nx):
+    n = fb.logistic() if kind == "logistic" else fb.cubic_monostable(0.5)
+    spec = fb.ProblemSpec(beta=beta, mu=1.0, a=a, b=b, h0=2.0, nonlinearity=n,
+                          nx=nx, dt=2e-3, tmax=2.0)
+    fast = fb.simulate(spec, snapshot_times=(1.0,))
+    monkeypatch.setattr(fb.stefan, "step", reference_step)
+    slow = fb.simulate(spec, snapshot_times=(1.0,))
+    for name in ("times", "h", "hprime", "supu", "eta"):
+        assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
+    assert len(fast.snapshots) == len(slow.snapshots) == 2
+    for (t1, x1, u1), (t2, x2, u2) in zip(fast.snapshots, slow.snapshots):
+        assert _bits(t1) == _bits(t2)
+        assert x1.tobytes() == x2.tobytes() and u1.tobytes() == u2.tobytes()
+
+
+def test_density_below_clamp_floor_raises(n):
+    # built directly, bypassing validate(): explicit reaction drives w < 0
+    sink = fb.Nonlinearity(f=lambda u: -2000.0 * u, fprime=n.fprime, fp0=1.0)
+    spec = fb.ProblemSpec(beta=0.0, mu=1.0, a=1.0, b=0.0, h0=2.0,
+                          nonlinearity=sink, nx=100, dt=1e-3, tmax=1.0)
+    with pytest.raises(fb.errors.NumericalError,
+                       match=r"density -\d\.\d{3}e[+-]\d+ below clamp floor") as new:
+        step(initial_state(spec), spec)
+    with pytest.raises(fb.errors.NumericalError) as ref:
+        reference_step(initial_state(spec), spec)
+    assert str(new.value) == str(ref.value)  # the same minimum is reported
+
+
+def test_non_positive_front_speed_raises(n):
+    spec = fb.ProblemSpec(beta=0.0, mu=1.0, a=1.0, b=0.0, h0=2.0,
+                          nonlinearity=n, nx=100, tmax=1.0)
+    w = spec.w0.copy()
+    w[-2] = 0.0  # flux (-4 w[n-1] + w[n-2]) / (2 dxi h) > 0, so h' < 0
+    state = FrontState(t=0.0, h=spec.h0, w=w, hprime=1.0)
+    with pytest.raises(fb.errors.InvariantViolation,
+                       match=r"front speed h' = -\d\.\d{3}e[+-]\d+ <= 0 at t = 0") as new:
+        step(state, spec)
+    with pytest.raises(fb.errors.InvariantViolation) as ref:
+        reference_step(state, spec)
+    assert str(new.value) == str(ref.value)
 
 
 # ------------------------------------------------------------------ simulate
