@@ -6,8 +6,10 @@ double precision (17 significant digits) so downstream refinement checks
 lose nothing.  Exit status: 0 success, 1 domain error (the requested
 object does not exist), 2 numerical failure or malformed input.
 
-The classification hints l_star and c_tilde: simulate solves both eagerly,
-because summary.json reports them; sweep solves c_tilde lazily, only for a
+The classification hints l_star and c_tilde: simulate solves both eagerly
+and independently, because summary.json reports them (a hint that fails
+reads null, and its error type and message go into an added hint_errors
+field, written only then); sweep solves c_tilde lazily, only for a
 cell that reaches classify's rule 3 (beta >= c0 and rules 1-2 silent), the
 one rule that reads it.  A sweep row that fails reads Error; its reason
 goes to the sidecar <out>.errors.json.
@@ -61,6 +63,9 @@ def _nonlinearity_from_args(args):
     cfg = {"nonlinearity": args.nonlinearity}
     if args.gamma is not None:
         cfg["gamma"] = args.gamma
+    if args.coefficients is not None:
+        cfg["coefficients"] = [float(v) for v in args.coefficients.split(",")
+                               if v.strip()]
     return nonlinearity_from_config(cfg)
 
 
@@ -111,16 +116,26 @@ def _cmd_wave(args):
     return 0
 
 
-def _classification_hint(traj, spec):
+def _hint(errors, name, solve):
+    """solve(), or None with its FreeboundError recorded as errors[name]."""
+    try:
+        return solve()
+    except FreeboundError as exc:
+        errors[name] = {"type": type(exc).__name__, "message": str(exc)}
+        return None
+
+
+def _classification_hint(traj, spec, errors):
+    """(verdict, l_star, c_tilde), each hint solved on its own: one that
+    fails reads None, and its error goes into errors under its name."""
     n = spec.nonlinearity
     lstar = ctilde = None
-    try:
-        if abs(spec.beta) < n.c0:
-            lstar = critical_length(spec.beta, spec.a, spec.b, n.fp0)
-        if spec.beta > -n.c0:
-            ctilde = spreading_speed(spec.beta, spec.mu, n).c_tilde
-    except FreeboundError:
-        pass
+    if abs(spec.beta) < n.c0:
+        lstar = _hint(errors, "l_star",
+                      lambda: critical_length(spec.beta, spec.a, spec.b, n.fp0))
+    if spec.beta > -n.c0:
+        ctilde = _hint(errors, "c_tilde",
+                       lambda: spreading_speed(spec.beta, spec.mu, n).c_tilde)
     verdict = classify(traj, spec, lstar=lstar, ctilde=ctilde)
     return verdict, lstar, ctilde
 
@@ -141,7 +156,8 @@ def _cmd_simulate(args):
         _write_csv(outdir / name, "x,u", (x, u))
         snap_files.append({"t": t, "file": name})
 
-    verdict, lstar, ctilde = _classification_hint(traj, spec)
+    hint_errors = {}
+    verdict, lstar, ctilde = _classification_hint(traj, spec, hint_errors)
     summary = {
         "config": cfg,
         "h_final": float(traj.h[-1]),
@@ -152,6 +168,8 @@ def _cmd_simulate(args):
         "c_tilde": ctilde,
         "snapshots": snap_files,
     }
+    if hint_errors:
+        summary["hint_errors"] = hint_errors
     with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     _emit(args, summary,
@@ -342,8 +360,11 @@ def build_parser():
 
     def add_nonlin(p):
         p.add_argument("--nonlinearity", default="logistic",
-                       choices=["logistic", "cubic"])
+                       choices=["logistic", "cubic", "custom"])
         p.add_argument("--gamma", type=float, default=None)
+        p.add_argument("--coefficients", default=None,
+                       help="custom f: ascending polynomial coefficients, "
+                            "e.g. 0,1,0,-1 for u - u^3")
 
     def add_parser(name, **kwargs):
         p = sub.add_parser(name, **kwargs)

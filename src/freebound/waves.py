@@ -10,7 +10,13 @@ All profiles solve q'' - g*q' + f(q) = 0 for some effective drift g in the
 
 One kernel (_shoot) makes every shot: DOP853 in tau >= 0 on the field
 [-q', f(q) - g*q'] backward (z = -tau) or [q', g*q' - f(q)] forward
-(z = tau).  A profile picks the drift, launch, direction and events:
+(z = tau).  It is scipy's DOP853 algorithm (tableau, initial step, step
+control, error norm, event location by brentq on a step's interpolant)
+written for Python floats, since the state has two or four components
+and array overhead would dominate.  A step's interpolant (three extra
+stages) is computed only where an event fires, or at every step of a
+dense shot, whose samples _sample then draws in one vectorized pass.
+A profile picks the drift, launch, direction and events:
 
     semi-wave   g = c - beta < c0; backward from the saddle launch
                 (1 - eps, |lam_minus| eps) on the stable manifold to q = 0
@@ -30,16 +36,23 @@ variational pair (dq/dg, dq'/dg) returns s and ds/dg together (_slope).
                negative, with bisection inside the sign bracket.
     beta_star  at c_tilde(beta_star) = beta_star - c0 the drift is
                c - beta = -c0, so beta_star = c0 + mu * s(-c0): one shot.
+
+Only the speed is eager: SpeedResult.profile, the sampled semi-wave at
+c_tilde, is shot and sampled on its first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from math import inf, nan, nextafter, sqrt
+from operator import mul
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from .errors import (
     NoFiniteWave,
@@ -94,9 +107,16 @@ class WaveProfile:
 
 @dataclass(frozen=True)
 class SpeedResult:
+    """c_tilde, the residual |mu*q'(0) - c_tilde| of the shot at it, and
+    (as profile) that semi-wave, shot and sampled on first read."""
+
     c_tilde: float
     residual: float
-    profile: WaveProfile
+    _shoot_profile: Callable[[], WaveProfile] = field(repr=False, compare=False)
+
+    @cached_property
+    def profile(self) -> WaveProfile:
+        return self._shoot_profile()
 
 
 def _saddle_launch(g: float, fp1: float, sign: float = -1.0) -> list:
@@ -111,55 +131,221 @@ def _default_budget(n: Nonlinearity) -> float:
 
 
 def _event(fn, direction, terminal=True):
-    """Mark fn(tau, y) as a solve_ivp stopping event."""
-    fn.terminal = terminal
-    fn.direction = direction
-    return fn
+    """A stopping event of _shoot: fn(y) crossing zero upward (direction
+    +1) or downward (-1); a non-terminal event is recorded, not stopped at."""
+    return fn, direction, terminal
 
 
-def _shoot(g, n, y0, events, budget, max_step, *, backward, dense):
+# DOP853's tableau as Python floats, row s of A cut to its first s entries
+# (the rest are zero); the fields are autonomous, so the stage times C go
+# unused.
+_A = tuple(tuple(map(float, DOP853.A[s, :s])) for s in range(1, DOP853.n_stages))
+_A_EXTRA = tuple(tuple(map(float, row[:s])) for s, row in
+                 enumerate(DOP853.A_EXTRA, start=DOP853.n_stages + 1))
+_B = tuple(map(float, DOP853.B))
+_E3 = tuple(map(float, DOP853.E3))
+_E5 = tuple(map(float, DOP853.E5))
+_D = tuple(tuple(map(float, row)) for row in DOP853.D)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0       # -1/(error estimator order 7 + 1)
+_EVENT_TOL = 4.0 * np.finfo(float).eps
+
+
+class _Shot(NamedTuple):
+    """Outcome of one _shoot: the roots (tau) and states of each event in
+    the order met, where the shot ended (a terminal root or the budget),
+    and with dense=True the interpolant (t_old, h, y_old, F) of every step."""
+    t_events: list
+    y_events: list
+    t: float
+    y: list
+    steps: list | None
+
+
+def _rms(v) -> float:
+    return sqrt(sum(x * x for x in v)) / sqrt(len(v))
+
+
+def _initial_step(rhs, y, fy, budget, max_step) -> float:
+    # scipy's select_initial_step for a method of error order 7
+    scale = [_ATOL + abs(v) * _RTOL for v in y]
+    d0 = _rms([v / s for v, s in zip(y, scale)])
+    d1 = _rms([v / s for v, s in zip(fy, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, budget)
+    f1 = rhs([v + h0 * fv for v, fv in zip(y, fy)])
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, fy, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100.0 * h0, h1, budget, max_step)
+
+
+def _dense(rhs, K, h, y_old, y, f_old, f):
+    """The seventh-degree interpolant coefficients F of an accepted step:
+    three extra stages appended to the per-component stage lists K."""
+    for a in _A_EXTRA:
+        k = rhs([yj + sum(map(mul, a, kj)) * h for yj, kj in zip(y_old, K)])
+        for kj, v in zip(K, k):
+            kj.append(v)
+    dy = [a - b for a, b in zip(y, y_old)]
+    return ([dy, [h * a - b for a, b in zip(f_old, dy)],
+             [2 * a - h * (b + c) for a, b, c in zip(dy, f, f_old)]]
+            + [[h * sum(map(mul, d, kj)) for kj in K] for d in _D])
+
+
+def _interpolate(step, t) -> list:
+    # scipy's Horner order: from the top coefficient, alternately times
+    # x and 1 - x, then plus y_old
+    t_old, h, y_old, F = step
+    x = (t - t_old) / h
+    out = []
+    for j, yj in enumerate(y_old):
+        v = 0.0
+        for i, Fk in enumerate(reversed(F)):
+            v += Fk[j]
+            v *= x if i % 2 == 0 else 1 - x
+        out.append(v + yj)
+    return out
+
+
+def _shoot(g, n, y0, events, budget, max_step, *, backward, dense) -> _Shot:
     """One DOP853 shot of q'' - g*q' + f(q) = 0 from y0 = (q, q') over
     tau in [0, budget], z = -tau (backward) or z = tau (forward).
 
     A four-component y0 adds the variational pair (dq/dg, dq'/dg) of the
-    backward field.  An invalid value inside the integrator (its error norm
-    breaks down when a shot stalls in the origin) raises NumericalError.
+    backward field.  events are _event triples.  An error norm that turns
+    0/0 or NaN (a shot stalling in the origin) raises NumericalError.
     """
+    f, fprime = n.f, n.fprime
     if len(y0) == 4:
-        def rhs(_t, y):
+        def rhs(y):
             q, p, q_g, p_g = y
-            return [-p, n.f(q) - g * p, -p_g, n.fprime(q) * q_g - p - g * p_g]
+            return [-p, float(f(q)) - g * p, -p_g,
+                    float(fprime(q)) * q_g - p - g * p_g]
     elif backward:
-        def rhs(_t, y):
-            return [-y[1], n.f(y[0]) - g * y[1]]
+        def rhs(y):
+            q, p = y
+            return [-p, float(f(q)) - g * p]
     else:
-        def rhs(_t, y):
-            return [y[1], g * y[1] - n.f(y[0])]
+        def rhs(y):
+            q, p = y
+            return [p, g * p - float(f(q))]
 
-    try:
-        with np.errstate(invalid="raise"):
-            sol = solve_ivp(rhs, (0.0, budget), y0, method="DOP853",
-                            rtol=_RTOL, atol=_ATOL, max_step=max_step,
-                            events=events, dense_output=dense)
-    except FloatingPointError as exc:
-        raise NumericalError(
-            f"shot at drift g = {g:g} broke down in the integrator: {exc}") from exc
-    if not sol.success:
-        raise NumericalError(f"integrator failed: {sol.message}")
-    return sol
+    y = [float(v) for v in y0]
+    fy = rhs(y)
+    t = 0.0
+    h_abs = _initial_step(rhs, y, fy, budget, max_step)
+    g_old = [fn(y) for fn, _, _ in events]
+    t_events = [[] for _ in events]
+    y_events = [[] for _ in events]
+    steps = [] if dense else None
+    while t < budget:
+        min_step = 10.0 * abs(nextafter(t, inf) - t)
+        h_abs = min(max(h_abs, min_step), max_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise NumericalError(
+                    f"integrator failed at drift g = {g:g}: required step "
+                    f"size is less than spacing between numbers")
+            t_new = min(t + h_abs, budget)
+            h = h_abs = t_new - t
+            # component-major stage lists: K[j][s] is stage s of y[j]
+            K = [[v] for v in fy]
+            for a in _A:
+                k = rhs([yj + sum(map(mul, a, kj)) * h for yj, kj in zip(y, K)])
+                for kj, v in zip(K, k):
+                    kj.append(v)
+            y_new = [yj + h * sum(map(mul, _B, kj)) for yj, kj in zip(y, K)]
+            f_new = rhs(y_new)
+            s5 = s3 = 0.0
+            for kj, fj, yj, ynj in zip(K, f_new, y, y_new):
+                kj.append(fj)
+                scale = _ATOL + max(abs(yj), abs(ynj)) * _RTOL
+                e5 = sum(map(mul, _E5, kj)) / scale
+                e3 = sum(map(mul, _E3, kj)) / scale
+                s5 += e5 * e5
+                s3 += e3 * e3
+            if s5 == 0.0 and s3 == 0.0:
+                err = 0.0
+            else:
+                denom = s5 + 0.01 * s3
+                err = h * s5 / sqrt(denom * len(y)) if denom > 0.0 else nan
+                if err != err:
+                    why = ("invalid value encountered in scalar divide"
+                           if denom == 0.0 else "the error norm is NaN")
+                    raise NumericalError(f"shot at drift g = {g:g} broke down "
+                                         f"in the integrator: {why}")
+            if err < 1.0:
+                factor = (_MAX_FACTOR if err == 0.0 else
+                          min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+            rejected = True
+
+        t_old, y_old, f_old = t, y, fy
+        t, y, fy = t_new, y_new, f_new
+        step = None
+        if dense:
+            step = (t_old, h, y_old, _dense(rhs, K, h, y_old, y, f_old, fy))
+            steps.append(step)
+        if not events:
+            continue
+        g_new = [fn(y) for fn, _, _ in events]
+        hits = [i for i, ((_, d, _), a, b) in enumerate(zip(events, g_old, g_new))
+                if d * a <= 0.0 <= d * b]
+        g_old = g_new
+        if not hits:
+            continue
+        if step is None:
+            step = (t_old, h, y_old, _dense(rhs, K, h, y_old, y, f_old, fy))
+        found = [(brentq(lambda s, fn=events[i][0]: fn(_interpolate(step, s)),
+                         t_old, t, xtol=_EVENT_TOL, rtol=_EVENT_TOL), i)
+                 for i in hits]
+        stop = any(events[i][2] for i in hits)
+        if stop:
+            # events after the first terminal root in this step never happen
+            found.sort()
+            first = next(k for k, (_, i) in enumerate(found) if events[i][2])
+            found = found[:first + 1]
+        for root, i in found:
+            t_events[i].append(root)
+            y_events[i].append(_interpolate(step, root))
+        if stop:
+            t = found[-1][0]
+            return _Shot(t_events, y_events, t, _interpolate(step, t), steps)
+    return _Shot(t_events, y_events, t, y, steps)
 
 
-def _sample(sol, tau_end, n_samples, reverse):
+def _sample(shot, tau_end, n_samples, reverse):
     """(tau, q, q') at n_samples uniform points (default: about 2e-4 apart,
     2001 to 500001) of a dense shot on [0, tau_end]; reverse returns them in
-    descending tau, which is ascending z for a backward shot."""
+    descending tau, which is ascending z for a backward shot.
+
+    All steps' interpolants are evaluated in one vectorized pass, in the
+    order of _interpolate: bit for bit what scipy's OdeSolution gives on
+    the same steps."""
     if n_samples is None:
         n_samples = int(np.clip(np.ceil(tau_end / 2e-4) + 1, 2001, 500001))
     tau = np.linspace(0.0, tau_end, n_samples)
-    y = sol.sol(tau)
-    if reverse:
-        return tau[::-1], y[0, ::-1].copy(), y[1, ::-1].copy()
-    return tau, y[0].copy(), y[1].copy()
+    t_old = np.array([s[0] for s in shot.steps])
+    h = np.array([s[1] for s in shot.steps])
+    seg = np.searchsorted(t_old[1:], tau, side="left")
+    x = (tau - t_old[seg]) / h[seg]
+    x_pair = (x, 1 - x)
+    out = []
+    for j in (0, 1):
+        F = np.array([[Fk[j] for Fk in s[3]] for s in shot.steps])
+        v = np.zeros_like(x)
+        for i in range(F.shape[1]):
+            v += F[seg, -1 - i]
+            v *= x_pair[i % 2]
+        v += np.array([s[2][j] for s in shot.steps])[seg]
+        out.append(v[::-1].copy() if reverse else v)
+    return (tau[::-1] if reverse else tau), out[0], out[1]
 
 
 def shoot_semi_wave(c: float, beta: float, n: Nonlinearity, *,
@@ -190,32 +376,32 @@ def shoot_semi_wave(c: float, beta: float, n: Nonlinearity, *,
         y0 += [0.0, -dlam * EPS_LAUNCH]
 
     events = [
-        _event(lambda _t, y: y[0], -1.0),
+        _event(lambda y: y[0], -1.0),
         # spiral decayed into the origin without crossing: c is numerically
         # indistinguishable from the existence boundary (legitimate crossing
         # amplitudes reach ~1e-40 near the boundary, so the floor sits far
         # below them, above the denormal range where stepping breaks down)
-        _event(lambda _t, y: abs(y[0]) + abs(y[1]) - 1e-220, -1.0),
+        _event(lambda y: abs(y[0]) + abs(y[1]) - 1e-220, -1.0),
     ]
-    sol = _shoot(g, n, y0, events, z_budget, max_step, backward=True,
-                 dense=samples)
-    if sol.t_events[1].size > 0:
+    shot = _shoot(g, n, y0, events, z_budget, max_step, backward=True,
+                  dense=samples)
+    if shot.t_events[1]:
         raise NumericalError(
             f"semi-wave shot at drift c - beta = {g:g} collapsed into the "
             f"origin before crossing q=0: c - beta is too close to c0")
-    if sol.t_events[0].size == 0:
+    if not shot.t_events[0]:
         raise NumericalError(
             f"semi-wave shot at drift c - beta = {g:g} did not reach q=0 "
             f"within z-budget {z_budget:g}")
-    tau_star = float(sol.t_events[0][0])
-    y_cross = sol.y_events[0][0]
+    tau_star = shot.t_events[0][0]
+    y_cross = shot.y_events[0][0]
     slope0 = float(y_cross[1])
     # s = p(tau*(g), g) with q(tau*, g) = 0, dq/dtau = -p, dp/dtau = -g*p
     # there, so ds/dg = p_g + (-g*p) * (q_g/p) = p_g - g*q_g
     dslope0 = float(y_cross[3] - g * y_cross[2]) if variational else None
 
     if samples:
-        tau, q, qp = _sample(sol, tau_star, n_samples, reverse=True)
+        tau, q, qp = _sample(shot, tau_star, n_samples, reverse=True)
         z = tau_star - tau
         q[0] = 0.0
     else:
@@ -245,8 +431,8 @@ def spreading_speed(beta: float, mu: float, n: Nonlinearity, *,
     Newton on F(c) = mu*s(c - beta) - c from c = 0, where F > 0; F is
     strictly decreasing, so every shot narrows the sign bracket
     [lo, c0 + beta - delta] and a step leaving it is replaced by
-    bisection.  The residual and profile come from a separate plain shot
-    at the root.
+    bisection.  The residual comes from a separate plain shot at the root;
+    the profile is shot again, with samples, only when it is read.
     """
     _require_finite(beta=beta, mu=mu)
     if mu <= 0.0:
@@ -299,10 +485,12 @@ def spreading_speed(beta: float, mu: float, n: Nonlinearity, *,
                 # root far below cmax (extreme beta or mu); one fixed-point
                 # sweep keeps c_tilde > 0
                 root = mu * _slope(root - beta, n, z_budget, max_step).s
-            profile = shoot_semi_wave(root, beta, n, z_budget=z_budget,
-                                      max_step=max_step)
-            residual = abs(mu * profile.slope0 - root)
-            return SpeedResult(c_tilde=root, residual=residual, profile=profile)
+            slope0 = shoot_semi_wave(root, beta, n, samples=False,
+                                     z_budget=z_budget, max_step=max_step).slope0
+            return SpeedResult(
+                c_tilde=root, residual=abs(mu * slope0 - root),
+                _shoot_profile=lambda: shoot_semi_wave(
+                    root, beta, n, z_budget=z_budget, max_step=max_step))
         delta *= 0.25
         z_budget = shot_budget(delta)
     raise NumericalError("fixed point pinned against c0 + beta; bracket failed")
@@ -336,20 +524,20 @@ def finite_wave(c: float, beta: float, mu: float, n: Nonlinearity, *,
     if not 0.0 < c < ctilde:
         raise NoFiniteWave(f"need 0 < c < c_tilde = {ctilde:g}, got c = {c:g}")
 
-    events = [_event(lambda _t, y: y[1], -1.0),          # turning point
-              _event(lambda _t, y: y[0] - 1.5, 1.0)]     # overshoot
+    events = [_event(lambda y: y[1], -1.0),          # turning point
+              _event(lambda y: y[0] - 1.5, 1.0)]     # overshoot
     budget = _default_budget(n)
-    sol = _shoot(c - beta, n, [0.0, ctilde / mu], events, budget, max_step,
-                 backward=False, dense=True)
-    if sol.t_events[1].size > 0:
+    shot = _shoot(c - beta, n, [0.0, ctilde / mu], events, budget, max_step,
+                  backward=False, dense=True)
+    if shot.t_events[1]:
         raise NumericalError(
             f"finite-wave shot (c={c:g}) escaped past q=1: launch slope lies "
             f"above the stable manifold (inconsistent ctilde?)")
-    if sol.t_events[0].size == 0:
+    if not shot.t_events[0]:
         raise NumericalError(f"finite-wave shot (c={c:g}) found no turning point "
                              f"within z-budget {budget:g}")
-    z_c = float(sol.t_events[0][0])
-    z, q, qp = _sample(sol, z_c, n_samples, reverse=False)
+    z_c = shot.t_events[0][0]
+    z, q, qp = _sample(shot, z_c, n_samples, reverse=False)
     q[0] = 0.0
     qp[-1] = 0.0
     return WaveProfile(kind="finite", z=z, q=q, qp=qp, speed=c,
@@ -379,20 +567,20 @@ def traveling_wave(c: float, direction: str, n: Nonlinearity, *,
     right = direction == "right"
     y0 = _saddle_launch(c, float(n.fprime(1.0)), -1.0 if right else 1.0)
     events = [
-        _event(lambda _t, y: y[0] - TAIL_CUT, -1.0),
+        _event(lambda y: y[0] - TAIL_CUT, -1.0),
         # non-terminal: anchors the translation q(0) = 1/2 with event
         # precision (the tail cut itself is exponentially ill-conditioned)
-        _event(lambda _t, y: y[0] - 0.5, -1.0, terminal=False),
+        _event(lambda y: y[0] - 0.5, -1.0, terminal=False),
     ]
-    sol = _shoot(c, n, y0, events, z_budget, max_step, backward=right,
-                 dense=True)
-    if sol.t_events[0].size == 0:
+    shot = _shoot(c, n, y0, events, z_budget, max_step, backward=right,
+                  dense=True)
+    if not shot.t_events[0]:
         raise NumericalError(f"wave tail not reached within z-budget {z_budget:g}")
-    tau_star = float(sol.t_events[0][0])
-    tau_half = float(sol.t_events[1][0])
-    slope_half = float(sol.y_events[1][0][1])
+    tau_star = shot.t_events[0][0]
+    tau_half = shot.t_events[1][0]
+    slope_half = shot.y_events[1][0][1]
 
-    tau, q, qp = _sample(sol, tau_star, n_samples, reverse=right)
+    tau, q, qp = _sample(shot, tau_star, n_samples, reverse=right)
     z = tau_half - tau if right else tau - tau_half
     return WaveProfile(kind=f"traveling-{direction}", z=z, q=q, qp=qp,
                        speed=c, slope0=slope_half)
@@ -415,22 +603,22 @@ def tadpole_wave(beta: float, mu: float, n: Nonlinearity, *,
         raise NoWave(f"tadpole needs c0 < beta < beta_star = {beta_star:g}, "
                      f"got beta = {beta:g}")
 
-    events = [_event(lambda _t, y: y[0] - 5e-7, -1.0),       # tail cut
-              _event(lambda _t, y: y[0] - 3.0, 1.0)]     # escaped the hump
+    events = [_event(lambda y: y[0] - 5e-7, -1.0),       # tail cut
+              _event(lambda y: y[0] - 3.0, 1.0)]     # escaped the hump
     budget = _default_budget(n)
-    sol = _shoot(n.c0, n, [0.0, -(beta - n.c0) / mu], events, budget,
-                 max_step, backward=True, dense=True)
-    if sol.t_events[1].size > 0:
+    shot = _shoot(n.c0, n, [0.0, -(beta - n.c0) / mu], events, budget,
+                  max_step, backward=True, dense=True)
+    if shot.t_events[1]:
         raise NumericalError("tadpole shot escaped the hump region")
-    if sol.t_events[0].size > 0:
-        tau_end = float(sol.t_events[0][0])
-    elif sol.y[0, -1] < 1e-4:
-        tau_end = float(sol.t[-1])
+    if shot.t_events[0]:
+        tau_end = shot.t_events[0][0]
+    elif shot.y[0] < 1e-4:
+        tau_end = shot.t
     else:
         raise NumericalError(
             f"tadpole tail not below 1e-4 within z-budget {budget:g}")
 
-    tau, q, qp = _sample(sol, tau_end, n_samples, reverse=True)
+    tau, q, qp = _sample(shot, tau_end, n_samples, reverse=True)
     z = -tau
     q[-1] = 0.0
     return WaveProfile(kind="tadpole", z=z, q=q, qp=qp,
@@ -453,17 +641,17 @@ def stationary_increasing(beta: float, a: float, b: float, n: Nonlinearity, *,
         raise NoStationary(f"beta = {beta:g} >= c0 = {n.c0:g}")
 
     y0 = _saddle_launch(beta, float(n.fprime(1.0)))
-    events = [_event(lambda _t, y: a * y[0] - b * y[1], -1.0)]
+    events = [_event(lambda y: a * y[0] - b * y[1], -1.0)]
     budget = _default_budget(n)
-    sol = _shoot(beta, n, y0, events, budget, max_step, backward=True,
-                 dense=True)
-    if sol.t_events[0].size == 0:
+    shot = _shoot(beta, n, y0, events, budget, max_step, backward=True,
+                  dense=True)
+    if not shot.t_events[0]:
         raise NoStationary(
             f"trajectory never met a*v = b*v' within z-budget {budget:g} "
             f"(a={a:g}, b={b:g}, beta={beta:g})")
-    tau_star = float(sol.t_events[0][0])
-    slope0 = float(sol.y_events[0][0][1])
-    tau, q, qp = _sample(sol, tau_star, n_samples, reverse=True)
+    tau_star = shot.t_events[0][0]
+    slope0 = shot.y_events[0][0][1]
+    tau, q, qp = _sample(shot, tau_star, n_samples, reverse=True)
     z = tau_star - tau
     if b == 0.0:
         q[0] = 0.0

@@ -21,8 +21,10 @@ from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq
 
 import freebound as fb
+from freebound import waves
 from freebound.errors import InvariantViolation, NoSemiWave, NumericalError
 from freebound.stefan import CFL_SAFETY, CLAMP_FLOOR, FrontState
+from freebound.waves import _ATOL, _RTOL
 
 
 def rk4_step(rhs, y, h):
@@ -279,3 +281,63 @@ def reference_step(state, spec):
         np.maximum(w, 0.0, out=w)
         t, h = t + dt, h_new
     return FrontState(t=t, h=h, w=w, hprime=hp)
+
+
+def reference_shoot(g, n, y0, events, budget, max_step, *, backward, dense):
+    """The shooting kernel as it stood on solve_ivp: one DOP853 shot of
+    q'' - g*q' + f(q) = 0 from y0 over tau in [0, budget].  events are
+    solve_ivp events fn(tau, y) with terminal and direction attributes."""
+    if len(y0) == 4:
+        def rhs(_t, y):
+            q, p, q_g, p_g = y
+            return [-p, n.f(q) - g * p, -p_g, n.fprime(q) * q_g - p - g * p_g]
+    elif backward:
+        def rhs(_t, y):
+            return [-y[1], n.f(y[0]) - g * y[1]]
+    else:
+        def rhs(_t, y):
+            return [y[1], g * y[1] - n.f(y[0])]
+
+    try:
+        with np.errstate(invalid="raise"):
+            sol = solve_ivp(rhs, (0.0, budget), y0, method="DOP853",
+                            rtol=_RTOL, atol=_ATOL, max_step=max_step,
+                            events=events, dense_output=dense)
+    except FloatingPointError as exc:
+        raise NumericalError(
+            f"shot at drift g = {g:g} broke down in the integrator: {exc}") from exc
+    if not sol.success:
+        raise NumericalError(f"integrator failed: {sol.message}")
+    return sol
+
+
+def reference_sample(shot, tau_end, n_samples, reverse):
+    """The samples of a reference shot, through solve_ivp's OdeSolution."""
+    if n_samples is None:
+        n_samples = int(np.clip(np.ceil(tau_end / 2e-4) + 1, 2001, 500001))
+    tau = np.linspace(0.0, tau_end, n_samples)
+    y = shot.steps.sol(tau)
+    if reverse:
+        return tau[::-1], y[0, ::-1].copy(), y[1, ::-1].copy()
+    return tau, y[0].copy(), y[1].copy()
+
+
+def use_reference_kernel(monkeypatch):
+    """Route every wave profile of the library through reference_shoot and
+    reference_sample for the rest of a test."""
+    def shoot(g, n, y0, events, budget, max_step, *, backward, dense):
+        ivp_events = []
+        for fn, direction, terminal in events:
+            def event(_t, y, fn=fn):
+                return fn(y)
+            event.direction, event.terminal = direction, terminal
+            ivp_events.append(event)
+        sol = reference_shoot(g, n, list(y0), ivp_events, budget, max_step,
+                              backward=backward, dense=dense)
+        return waves._Shot(
+            t_events=[list(te) for te in sol.t_events],
+            y_events=[[list(y) for y in ye] for ye in sol.y_events],
+            t=float(sol.t[-1]), y=list(sol.y[:, -1]), steps=sol)
+
+    monkeypatch.setattr(waves, "_shoot", shoot)
+    monkeypatch.setattr(waves, "_sample", reference_sample)

@@ -251,7 +251,7 @@ def test_sweep_solves_c_tilde_only_when_rule_3_reads_it(monkeypatch):
         assert (index, reason) == (7, None)
         assert len(calls) == solves
         spec = spec_from_config(cfg)
-        eager, _, _ = _classification_hint(fb.simulate(spec), spec)
+        eager, _, _ = _classification_hint(fb.simulate(spec), spec, {})
         assert eager.evidence["rule"] == rule
         assert row[0] == eager.verdict
 
@@ -311,6 +311,49 @@ def test_custom_reaction_term_validated_on_load(tmp_path, capsys, coefficients,
     assert message in capsys.readouterr().err
 
 
+def test_semiwave_custom_reaction_term(capsys):
+    argv = ["semiwave", "--beta", "0.5", "--mu", "1", "--nonlinearity", "custom",
+            "--coefficients", "0,1,0,-1", "--json"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    n = fb.from_coefficients([0.0, 1.0, 0.0, -1.0])
+    assert out["c_tilde"] == fb.spreading_speed(0.5, 1.0, n).c_tilde
+    assert out["residual"] < 1e-8
+
+
+def test_semiwave_refuses_inadmissible_custom_term_before_any_shot(monkeypatch,
+                                                                   capsys):
+    def shot(*args, **kwargs):
+        raise AssertionError("a shot was made for an inadmissible term")
+
+    monkeypatch.setattr(fb.waves, "_shoot", shot)
+    assert main(["semiwave", "--beta", "0.5", "--mu", "1", "--nonlinearity",
+                 "custom", "--coefficients", "0,1,1"]) == 2
+    assert "roots_at_0_and_1" in capsys.readouterr().err
+
+
+def test_simulate_keeps_c_tilde_when_l_star_fails(tmp_path, capsys):
+    # just below c0, critical_length finds no sign change below its L_max,
+    # while c_tilde still exists: each hint stands on its own
+    beta = 1.99999999
+    summaries = []
+    for text in (BASE_CFG, BASE_CFG.replace("beta = 0.5", f"beta = {beta!r}")
+                 .replace("tmax = 5", "tmax = 0.5")):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / f"o{len(summaries)}"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        summaries.append(json.loads((out / "summary.json").read_text()))
+    assert "hint_errors" not in summaries[0]
+    summary = summaries[1]
+    assert summary["l_star"] is None
+    n = fb.logistic()
+    assert summary["c_tilde"] == fb.spreading_speed(beta, 2.0, n).c_tilde
+    assert summary["hint_errors"] == {"l_star": {
+        "type": "NumericalError",
+        "message": "l_star: no sign change below L_max=10000"}}
+
+
 def test_run_directory_reload_matches_in_memory_run(tmp_path, capsys):
     # classify and asymptotics read back exactly what simulate computed:
     # 17-digit CSVs and the JSON summary round-trip every double
@@ -334,7 +377,7 @@ def test_run_directory_reload_matches_in_memory_run(tmp_path, capsys):
 
     spec = spec_from_config(parse_config(text))
     traj = fb.simulate(spec, snapshot_times=[10.0, 12.0])
-    verdict, _, _ = _classification_hint(traj, spec)
+    verdict, _, _ = _classification_hint(traj, spec, {})
     assert classified == json.loads(json.dumps(
         {"verdict": verdict.verdict, "evidence": verdict.evidence}))
     sr = fb.spreading_speed(spec.beta, spec.mu, spec.nonlinearity)
