@@ -43,6 +43,7 @@ from .stefan import (
     initial_state,
     ode_upper_bound,
     simulate,
+    simulate_many,
     step,
 )
 from .classify import Classification, classify
@@ -61,7 +62,7 @@ __all__ = [
     "critical_advection", "finite_wave", "traveling_wave", "tadpole_wave",
     "stationary_increasing", "profile_interpolator",
     "ProblemSpec", "FrontState", "Trajectory", "initial_state", "step",
-    "simulate", "ode_upper_bound", "default_initial_profile",
+    "simulate", "simulate_many", "ode_upper_bound", "default_initial_profile",
     "Classification", "classify",
     "ThresholdResult", "mu_threshold", "lambda_threshold",
     "SpeedFit", "fit_speed", "profile_error",

@@ -13,14 +13,25 @@ field, written only then); sweep solves c_tilde lazily, only for a
 cell that reaches classify's rule 3 (beta >= c0 and rules 1-2 silent), the
 one rule that reads it.  A sweep row that fails reads Error; its reason
 goes to the sidecar <out>.errors.json.
+
+A sweep cuts its cells, in grid order, into contiguous chunks of at most
+ENSEMBLE_MAX, as many chunks as workers (--workers, else the CPU count) or
+a multiple of that, and each pool worker runs a whole chunk: its cells
+step together as one stefan.simulate_many ensemble and share their hints,
+l_star solved once per beta and c_tilde once per (beta, mu).  A chunk of
+one cell runs alone on simulate.  If an ensemble raises, each of its cells
+runs again alone, so Error rows and the sidecar read as a cell-by-cell
+sweep writes them; every other row is bit-identical either way.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +42,7 @@ from .classify import classify
 from .config import ConfigError, load_config, nonlinearity_from_config, spec_from_config
 from .eigen import EigenProblem, critical_length, critical_length_no_advection, principal_eigenvalue
 from .errors import DomainError, FreeboundError, NumericalError
-from .stefan import Trajectory, simulate
+from .stefan import Trajectory, simulate, simulate_many
 from .thresholds import lambda_threshold, mu_threshold
 from .waves import (
     finite_wave,
@@ -42,6 +53,7 @@ from .waves import (
 )
 
 FMT = "%.17g"
+ENSEMBLE_MAX = 16   # most sweep cells one worker steps as one ensemble
 
 
 def _write_csv(path, header, columns):
@@ -268,24 +280,39 @@ def _parse_grid(text):
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _sweep_verdict(traj, spec):
+def _memo(hints, key, solve):
+    """hints[key], solved on first use; a FreeboundError is kept as None
+    (a sweep does not record why a hint failed)."""
+    if key not in hints:
+        hints[key] = _hint({}, key, solve)
+    return hints[key]
+
+
+def _sweep_verdict(traj, spec, hints=None):
     """The verdict _classification_hint gives, with c_tilde solved only
-    when rule 3 is reached: rules 1-2 never read it."""
+    when rule 3 is reached: rules 1-2 never read it.
+
+    hints, shared by cells with the same a, b and reaction term, holds
+    l_star by beta and c_tilde by (beta, mu), each solved once.
+    """
+    hints = {} if hints is None else hints
     n = spec.nonlinearity
     lstar = None
     if abs(spec.beta) < n.c0:
-        try:
-            lstar = critical_length(spec.beta, spec.a, spec.b, n.fp0)
-        except FreeboundError:
-            pass
+        lstar = _memo(hints, ("l_star", spec.beta),
+                      lambda: critical_length(spec.beta, spec.a, spec.b, n.fp0))
     verdict = classify(traj, spec, lstar=lstar)
     if spec.beta >= n.c0 and verdict.evidence["rule"] == "no-rule-fired":
-        try:
-            ctilde = spreading_speed(spec.beta, spec.mu, n).c_tilde
-        except FreeboundError:
-            return verdict
-        verdict = classify(traj, spec, lstar=lstar, ctilde=ctilde)
+        ctilde = _memo(hints, ("c_tilde", spec.beta, spec.mu),
+                       lambda: spreading_speed(spec.beta, spec.mu, n).c_tilde)
+        if ctilde is not None:
+            verdict = classify(traj, spec, lstar=lstar, ctilde=ctilde)
     return verdict
+
+
+def _sweep_row(traj, spec, hints=None):
+    verdict = _sweep_verdict(traj, spec, hints)
+    return verdict.verdict, float(traj.h[-1]), float(traj.supu[-1])
 
 
 def _sweep_cell(payload):
@@ -293,13 +320,39 @@ def _sweep_cell(payload):
     index, cfg = payload
     try:
         spec = spec_from_config(cfg)
-        traj = simulate(spec)
-        verdict = _sweep_verdict(traj, spec)
-        return index, (verdict.verdict, float(traj.h[-1]), float(traj.supu[-1])), None
+        return index, _sweep_row(simulate(spec), spec), None
     except FreeboundError as exc:
         reason = {"index": index, "config": cfg, "type": type(exc).__name__,
                   "message": str(exc)}
         return index, ("Error", float("nan"), float("nan")), reason
+
+
+def _sweep_chunk(chunk):
+    """_sweep_cell's result for each (index, cfg) of chunk.
+
+    Two or more cells run as one simulate_many ensemble and share their
+    hints; if that raises, each cell runs again alone through _sweep_cell.
+    """
+    if len(chunk) < 2:
+        return [_sweep_cell(item) for item in chunk]
+    try:
+        specs = [spec_from_config(cfg) for _, cfg in chunk]
+        # the cells of a sweep differ only in beta, mu and lambda
+        specs = [replace(s, nonlinearity=specs[0].nonlinearity) for s in specs]
+        hints = {}
+        return [(index, _sweep_row(traj, spec, hints), None)
+                for (index, _), traj, spec in zip(chunk, simulate_many(specs), specs)]
+    except (FreeboundError, ValueError):
+        return [_sweep_cell(item) for item in chunk]
+
+
+def _sweep_chunks(items, workers):
+    """items cut into contiguous chunks of at most ENSEMBLE_MAX, their
+    number a multiple of workers (fewer only when items run out)."""
+    count = -(-len(items) // ENSEMBLE_MAX)
+    count = min(len(items), -(-count // workers) * workers)
+    bounds = [len(items) * i // count for i in range(count + 1)]
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _cmd_sweep(args):
@@ -325,11 +378,14 @@ def _cmd_sweep(args):
     results = {}
     failures = []
     if cells:
+        chunks = _sweep_chunks(list(enumerate(cells)),
+                               max(1, args.workers or os.cpu_count() or 1))
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            for index, row, reason in pool.map(_sweep_cell, list(enumerate(cells))):
-                results[index] = row
-                if reason is not None:
-                    failures.append(reason)
+            for rows in pool.map(_sweep_chunk, chunks):
+                for index, row, reason in rows:
+                    results[index] = row
+                    if reason is not None:
+                        failures.append(reason)
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("beta,mu,lambda,verdict,h_final,supu_final\n")

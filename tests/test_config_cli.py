@@ -3,12 +3,13 @@ import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import freebound as fb
-from freebound import cli
+from freebound import cli, config
 from freebound.cli import _classification_hint, _sweep_cell, main
 from freebound.config import parse_config, nonlinearity_from_config, spec_from_config
 from freebound.errors import ConfigError
@@ -275,6 +276,125 @@ def test_sweep_records_why_rows_failed(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--mus", "1.0",
                  "--out", str(out)]) == 0
     assert not sidecar.exists()
+
+
+@pytest.mark.parametrize("cells", [1, 2, 5, 16, 17, 40, 100])
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_sweep_chunks_are_contiguous_bounded_and_fill_the_workers(cells, workers):
+    items = list(range(cells))
+    chunks = cli._sweep_chunks(items, workers)
+    assert [i for chunk in chunks for i in chunk] == items
+    assert all(1 <= len(chunk) <= cli.ENSEMBLE_MAX for chunk in chunks)
+    assert len(chunks) % workers == 0 or len(chunks) == cells
+    assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+
+
+class _InProcessPool:
+    """ProcessPoolExecutor's interface, mapping in this process."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def _sweep_files(argv, out):
+    assert main([*argv, "--out", str(out)]) == 0
+    sidecar = Path(f"{out}.errors.json")
+    return out.read_bytes(), sidecar.read_bytes() if sidecar.exists() else None
+
+
+def test_sweep_with_a_failing_cell_writes_what_the_per_cell_path_writes(
+        tmp_path, monkeypatch, capsys):
+    # on (0.9, 1) the reaction sinks at -2000 u, as in the clamp floor test:
+    # cells whose density grows past 0.9 break the floor mid-run
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("beta = 0.5\nmu = 1.0\na = 1\nb = 0\nh0 = 6\nnx = 200\n"
+                   "dt = 2e-3\ntmax = 6\n")
+    argv = ["sweep", "--config", str(cfg), "--betas=-3,0.5,1.5",
+            "--lambdas", "0.5,0.85", "--workers", "1"]
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    raised = []
+    ensemble = cli.simulate_many
+
+    def recorded(specs):
+        try:
+            return ensemble(specs)
+        except fb.errors.FreeboundError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(cli, "simulate_many", recorded)
+    healthy_csv, healthy_sidecar = _sweep_files(argv, tmp_path / "healthy.csv")
+    assert healthy_sidecar is None and not raised
+
+    logistic = fb.logistic()
+    sink = fb.Nonlinearity(
+        f=lambda u: np.where((u > 0.9) & (u < 1.0), -2000.0 * u, logistic.f(u)),
+        fprime=logistic.fprime, fp0=1.0, kind="logistic")
+    monkeypatch.setattr(config, "logistic", lambda: sink)
+    together = _sweep_files(argv, tmp_path / "together.csv")
+    assert len(raised) == 1 and "below clamp floor" in str(raised[0])
+    monkeypatch.setattr(cli, "ENSEMBLE_MAX", 1)
+    alone = _sweep_files(argv, tmp_path / "alone.csv")
+    assert not raised[1:]
+    assert together == alone
+
+    rows = together[0].decode().splitlines()[1:]
+    failures = json.loads(together[1])
+    failed = [f["index"] for f in failures]
+    assert failed == [i for i, row in enumerate(rows) if ",Error," in row]
+    assert 0 < len(failed) < len(rows)
+    for f in failures:
+        assert f["type"] == "NumericalError" and "below clamp floor" in f["message"]
+        t_fail = float(re.search(r"at t = ([0-9.]+)", f["message"]).group(1))
+        assert t_fail > 1.0  # mid-run, after the ensemble had stepped
+    healthy_rows = healthy_csv.decode().splitlines()[1:]
+    for i, row in enumerate(rows):
+        if i not in failed:
+            assert row == healthy_rows[i]
+
+
+def test_sweep_chunk_solves_each_hint_once(monkeypatch):
+    calls = {"critical_length": [], "spreading_speed": []}
+    for name, seen in calls.items():
+        def counting(*args, real=getattr(cli, name), seen=seen, **kwargs):
+            seen.append(args[:2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+    base = parse_config("a = 1\nb = 0\nh0 = 3.0\nnx = 200\ndt = 2e-3\ntmax = 5.0\n"
+                        "nonlinearity = logistic\n")
+    chunk = []
+    for beta in (0.5, 2.5):
+        for mu in (1.0, 2.0):
+            for lam in (2.0, 3.0):
+                cfg = dict(base, beta=beta, mu=mu)
+                cfg["lambda"] = lam
+                chunk.append((10 + len(chunk), cfg))
+    rows = cli._sweep_chunk(chunk)
+    # l_star once for beta = 0.5; c_tilde once per (beta, mu) at rule 3
+    assert calls["critical_length"] == [(0.5, 1.0)]
+    assert calls["spreading_speed"] == [(2.5, 1.0), (2.5, 2.0)]
+
+    for name in calls:
+        calls[name].clear()
+    for (index, cfg), (i, row, reason) in zip(chunk, rows, strict=True):
+        spec = spec_from_config(cfg)
+        traj = fb.simulate(spec)
+        verdict = cli._sweep_verdict(traj, spec)
+        assert (i, reason) == (index, None)
+        assert row == (verdict.verdict, float(traj.h[-1]), float(traj.supu[-1]))
+    # cell by cell, every beta = 0.5 cell solves l_star and every beta = 2.5
+    # cell reaches rule 3
+    assert len(calls["critical_length"]) == len(calls["spreading_speed"]) == 4
 
 
 @pytest.mark.parametrize("argv, cfg_line", [

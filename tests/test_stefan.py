@@ -3,7 +3,10 @@ import pytest
 from dataclasses import replace
 
 import freebound as fb
-from freebound.stefan import CFL_SAFETY, FrontState, initial_state, step
+from scipy.linalg.lapack import dgtsv
+
+from freebound.stefan import (CFL_SAFETY, FrontState, _stacked_system, initial_state,
+                               simulate_many, step)
 
 from oracles import logistic_eta, reference_step
 
@@ -171,6 +174,102 @@ def test_non_positive_front_speed_raises(n):
     with pytest.raises(fb.errors.InvariantViolation) as ref:
         reference_step(state, spec)
     assert str(new.value) == str(ref.value)
+
+
+# ------------------------------------------------------------ ensembles
+
+ENSEMBLES = {  # (a, b, reaction term, nx, betas); two lambdas each
+    "dirichlet-logistic": (1.0, 0.0, fb.logistic(), 200, (-3.5, -1.5, 0.5, 2.5, 4.5)),
+    "robin-cubic": (1.0, 1.0, fb.cubic_monostable(0.5), 300, (-4.5, 0.5, 3.5)),
+    "neumann-custom": (0.0, 1.0, fb.from_coefficients([0.0, 1.0, 0.0, -1.0]), 200,
+                       (-4.5, 1.0, 3.5)),
+}
+
+
+def _ensemble_specs(a, b, reaction, nx, betas, lambdas=(0.5, 2.0), tmax=1.0):
+    psi = fb.default_initial_profile(2.0, a, b)
+    return [fb.ProblemSpec(beta=beta, mu=0.5 + 0.25 * abs(beta), a=a, b=b, h0=2.0,
+                           nonlinearity=reaction,
+                           u0=lambda x, lam=lam: lam * psi(x),
+                           nx=nx, dt=2e-3, tmax=tmax)
+            for beta in betas for lam in lambdas]
+
+
+def _assert_same_trajectory(run, ref):
+    for name in ("times", "h", "hprime", "supu", "eta"):
+        assert getattr(run, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert len(run.snapshots) == len(ref.snapshots) == 1
+    (t1, x1, u1), (t2, x2, u2) = run.snapshots[0], ref.snapshots[0]
+    assert _bits(t1) == _bits(t2)
+    assert x1.tobytes() == x2.tobytes() and u1.tobytes() == u2.tobytes()
+    assert run.spec is ref.spec
+
+
+@pytest.mark.parametrize("name", ENSEMBLES)
+@pytest.mark.parametrize("nx", [200, 300])
+def test_simulate_many_is_bit_identical_to_simulate(name, nx):
+    a, b, reaction, _, betas = ENSEMBLES[name]
+    specs = _ensemble_specs(a, b, reaction, nx, betas)
+    # the CFL limit forces extra substeps on some members, not on others
+    forced = [abs(s.beta) >= CFL_SAFETY * s.h0 / (nx * s.dt) for s in specs]
+    assert any(forced) and not all(forced)
+    for run, spec in zip(simulate_many(specs), specs):
+        _assert_same_trajectory(run, fb.simulate(spec))
+
+
+def test_one_member_ensemble_is_bit_identical_to_simulate():
+    a, b, reaction, nx, _ = ENSEMBLES["robin-cubic"]
+    spec, = _ensemble_specs(a, b, reaction, nx, (4.5,), lambdas=(0.5,))
+    run, = simulate_many([spec])
+    _assert_same_trajectory(run, fb.simulate(spec))
+    assert simulate_many([]) == []
+
+
+@pytest.mark.parametrize("fold", [False, True])
+def test_stacked_gtsv_equals_separate_calls(fold):
+    # step's system for each member, with the Robin fold in the first row
+    rng = np.random.default_rng(7)
+    n, K = 40, 5
+    r = rng.uniform(0.5, 30.0, K)   # r > 3 pivots in the folded first row
+    a1, a2 = (rng.uniform(1.0, 1.4, K), -rng.uniform(0.2, 0.4, K)) if fold else (None, None)
+    w = rng.uniform(0.0, 2.0, (K, n + 1))
+    separate = []
+    for k in range(K):
+        sub = np.full(n - 2, -r[k])
+        sup = np.full(n - 2, -r[k])
+        diag = np.full(n - 1, 1.0 + 2.0 * r[k])
+        if fold:
+            diag[0] -= r[k] * a1[k]
+            sup[0] -= r[k] * a2[k]
+        *_, x, info = dgtsv(sub, diag, sup, w[k, 1:-1].copy())
+        assert info == 0
+        separate.append(x)
+    *_, x, info = dgtsv(*_stacked_system(r, (a1, a2) if fold else None, n),
+                        w.reshape(-1)[1:-1].copy())
+    assert info == 0
+    stacked = np.concatenate([[0.0], x, [0.0]]).reshape(K, n + 1)
+    for k in range(K):
+        assert stacked[k, 1:-1].tobytes() == separate[k].tobytes()
+
+
+def test_simulate_many_refuses_specs_it_cannot_stack(n):
+    spec = fb.ProblemSpec(beta=0.0, mu=1.0, a=1.0, b=0.0, h0=2.0,
+                          nonlinearity=n, nx=100, tmax=1.0)
+    for other in (replace(spec, nx=120), replace(spec, dt=1e-3),
+                  replace(spec, b=1.0), replace(spec, nonlinearity=fb.logistic())):
+        with pytest.raises(ValueError, match="ensemble members differ"):
+            simulate_many([spec, other])
+
+
+def test_simulate_many_names_the_member_that_failed(n):
+    # amplitude 1000 breaks the run within its first nominal step
+    specs = _ensemble_specs(1.0, 0.0, n, 100, (0.0,), lambdas=(0.5, 1000.0))
+    with pytest.raises(fb.errors.NumericalError) as alone:
+        fb.simulate(specs[1])
+    with pytest.raises(fb.errors.NumericalError) as ensemble:
+        simulate_many(specs)
+    assert type(ensemble.value) is type(alone.value)
+    assert str(ensemble.value) == f"ensemble member 1: {alone.value}"
 
 
 # ------------------------------------------------------------------ simulate
