@@ -12,7 +12,9 @@ reads null, and its error type and message go into an added hint_errors
 field, written only then); sweep solves c_tilde lazily, only for a
 cell that reaches classify's rule 3 (beta >= c0 and rules 1-2 silent), the
 one rule that reads it.  A sweep row that fails reads Error; its reason
-goes to the sidecar <out>.errors.json.
+goes to the sidecar <out>.errors.json, which also holds an entry, with an
+added "hint" key, for each cell classified without a hint it asked for
+because the hint's solve failed.  A sweep with neither writes no sidecar.
 
 A sweep cuts its cells, in grid order, into contiguous chunks of at most
 ENSEMBLE_MAX, as many chunks as workers (--workers, else the CPU count) or
@@ -280,51 +282,66 @@ def _parse_grid(text):
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _memo(hints, key, solve):
-    """hints[key], solved on first use; a FreeboundError is kept as None
-    (a sweep does not record why a hint failed)."""
+def _memo(hints, key, solve, errors):
+    """hints[key], solved on first use; a FreeboundError is kept as None,
+    and recorded in errors under the hint's name for every cell that asks."""
     if key not in hints:
-        hints[key] = _hint({}, key, solve)
-    return hints[key]
+        failed = {}
+        hints[key] = _hint(failed, key[0], solve), failed.get(key[0])
+    value, error = hints[key]
+    if error is not None:
+        errors[key[0]] = error
+    return value
 
 
-def _sweep_verdict(traj, spec, hints=None):
+def _sweep_verdict(traj, spec, hints=None, errors=None):
     """The verdict _classification_hint gives, with c_tilde solved only
     when rule 3 is reached: rules 1-2 never read it.
 
     hints, shared by cells with the same a, b and reaction term, holds
-    l_star by beta and c_tilde by (beta, mu), each solved once.
+    l_star by beta and c_tilde by (beta, mu), each solved once.  A hint
+    that fails leaves the cell classified without it, and its error goes
+    into errors under its name.
     """
     hints = {} if hints is None else hints
+    errors = {} if errors is None else errors
     n = spec.nonlinearity
     lstar = None
     if abs(spec.beta) < n.c0:
         lstar = _memo(hints, ("l_star", spec.beta),
-                      lambda: critical_length(spec.beta, spec.a, spec.b, n.fp0))
+                      lambda: critical_length(spec.beta, spec.a, spec.b, n.fp0),
+                      errors)
     verdict = classify(traj, spec, lstar=lstar)
     if spec.beta >= n.c0 and verdict.evidence["rule"] == "no-rule-fired":
         ctilde = _memo(hints, ("c_tilde", spec.beta, spec.mu),
-                       lambda: spreading_speed(spec.beta, spec.mu, n).c_tilde)
+                       lambda: spreading_speed(spec.beta, spec.mu, n).c_tilde,
+                       errors)
         if ctilde is not None:
             verdict = classify(traj, spec, lstar=lstar, ctilde=ctilde)
     return verdict
 
 
-def _sweep_row(traj, spec, hints=None):
-    verdict = _sweep_verdict(traj, spec, hints)
-    return verdict.verdict, float(traj.h[-1]), float(traj.supu[-1])
+def _sweep_result(index, cfg, traj, spec, hints=None):
+    """(index, CSV row, reasons): reasons lists the cell's dropped hints
+    for the sidecar, or is None when there are none."""
+    errors = {}
+    verdict = _sweep_verdict(traj, spec, hints, errors)
+    row = verdict.verdict, float(traj.h[-1]), float(traj.supu[-1])
+    reasons = [{"index": index, "config": cfg, "hint": name, **error}
+               for name, error in errors.items()]
+    return index, row, reasons or None
 
 
 def _sweep_cell(payload):
-    """(index, CSV row, None) for one cell, or (index, Error row, reason)."""
+    """_sweep_result for one cell, or (index, Error row, [reason])."""
     index, cfg = payload
     try:
         spec = spec_from_config(cfg)
-        return index, _sweep_row(simulate(spec), spec), None
+        return _sweep_result(index, cfg, simulate(spec), spec)
     except FreeboundError as exc:
         reason = {"index": index, "config": cfg, "type": type(exc).__name__,
                   "message": str(exc)}
-        return index, ("Error", float("nan"), float("nan")), reason
+        return index, ("Error", float("nan"), float("nan")), [reason]
 
 
 def _sweep_chunk(chunk):
@@ -340,8 +357,8 @@ def _sweep_chunk(chunk):
         # the cells of a sweep differ only in beta, mu and lambda
         specs = [replace(s, nonlinearity=specs[0].nonlinearity) for s in specs]
         hints = {}
-        return [(index, _sweep_row(traj, spec, hints), None)
-                for (index, _), traj, spec in zip(chunk, simulate_many(specs), specs)]
+        return [_sweep_result(index, cfg, traj, spec, hints)
+                for (index, cfg), traj, spec in zip(chunk, simulate_many(specs), specs)]
     except (FreeboundError, ValueError):
         return [_sweep_cell(item) for item in chunk]
 
@@ -382,10 +399,9 @@ def _cmd_sweep(args):
                                max(1, args.workers or os.cpu_count() or 1))
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             for rows in pool.map(_sweep_chunk, chunks):
-                for index, row, reason in rows:
+                for index, row, reasons in rows:
                     results[index] = row
-                    if reason is not None:
-                        failures.append(reason)
+                    failures.extend(reasons or ())
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("beta,mu,lambda,verdict,h_final,supu_final\n")
@@ -404,7 +420,9 @@ def _cmd_sweep(args):
     if failures:
         with open(errors_path, "w", encoding="utf-8") as fh:
             json.dump(failures, fh, indent=2, sort_keys=True)
-        print(f"wrote {errors_path} ({len(failures)} failed cells)")
+        dropped = sum("hint" in f for f in failures)
+        print(f"wrote {errors_path} ({len(failures) - dropped} failed cells"
+              + (f", {dropped} dropped hints)" if dropped else ")"))
     return 0
 
 

@@ -37,12 +37,29 @@ variational pair (dq/dg, dq'/dg) returns s and ds/dg together (_slope).
     beta_star  at c_tilde(beta_star) = beta_star - c0 the drift is
                c - beta = -c0, so beta_star = c0 + mu * s(-c0): one shot.
 
+s(g) depends on neither beta nor mu, so every query samples one curve.
+Each variational shot adds (g, s, ds/dg) to a _SlopeCurve kept per
+Nonlinearity instance and max_step: made on first use (never at import),
+keyed by the instance's identity (Polynomial terms are unhashable, and
+equal terms need not share shots), and dropped when the instance is
+collected.  spreading_speed starts Newton inside the tightest stored sign
+bracket, at the root of its cubic Hermite interpolant, or at a stored
+shot that already meets Newton's tolerance, so a repeated query costs one
+shot plus the residual shot; with nothing usable stored it starts from
+c = 0.  Nothing is served from the curve: every c_tilde is a Newton root
+of shots made in its own call, and its residual comes from a fresh plain
+shot.  The first query on a fresh instance takes the c = 0 path, bit for
+bit what it took before the curve existed; warm results agree with it
+within 1e-12 (tests/test_waves.py).
+
 Only the speed is eager: SpeedResult.profile, the sampled semi-wave at
 c_tilde, is shot and sampled on its first read.
 """
 
 from __future__ import annotations
 
+import weakref
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf, nan, nextafter, sqrt
@@ -248,7 +265,7 @@ def _shoot(g, n, y0, events, budget, max_step, *, backward, dense) -> _Shot:
         while True:
             if h_abs < min_step:
                 raise NumericalError(
-                    f"integrator failed at drift g = {g:g}: required step "
+                    f"integrator failed at drift g = {g:.17g}: required step "
                     f"size is less than spacing between numbers")
             t_new = min(t + h_abs, budget)
             h = h_abs = t_new - t
@@ -276,7 +293,7 @@ def _shoot(g, n, y0, events, budget, max_step, *, backward, dense) -> _Shot:
                 if err != err:
                     why = ("invalid value encountered in scalar divide"
                            if denom == 0.0 else "the error norm is NaN")
-                    raise NumericalError(f"shot at drift g = {g:g} broke down "
+                    raise NumericalError(f"shot at drift g = {g:.17g} broke down "
                                          f"in the integrator: {why}")
             if err < 1.0:
                 factor = (_MAX_FACTOR if err == 0.0 else
@@ -381,7 +398,7 @@ def shoot_semi_wave(c: float, beta: float, n: Nonlinearity, *,
                   max_step, backward=True, dense=samples)
     if not shot.t_events[0]:
         raise NumericalError(
-            f"semi-wave shot at drift c - beta = {g:g} did not reach q=0 "
+            f"semi-wave shot at drift c - beta = {g:.17g} did not reach q=0 "
             f"within z-budget {z_budget:g}")
     tau_star = shot.t_events[0][0]
     y_cross = shot.y_events[0][0]
@@ -407,22 +424,97 @@ class _Slope(NamedTuple):
     ds: float
 
 
+class _SlopeCurve:
+    """Every variational shot made for one reaction term at one max_step:
+    drifts g in ascending order with s(g) and ds/dg."""
+
+    def __init__(self):
+        self.g, self.s, self.ds = [], [], []
+
+    def add(self, g, slope: _Slope):
+        i = bisect_left(self.g, g)
+        if i == len(self.g) or self.g[i] != g:
+            self.g.insert(i, g)
+            self.s.insert(i, slope.s)
+            self.ds.insert(i, slope.ds)
+
+    def newton_start(self, beta, mu, cap):
+        """(c, g, bracket) to start Newton on F(c) = mu*s(c - beta) - c
+        from, with c = g + beta, or None.
+
+        A stored shot with 0 < c <= cap next to the root where Newton's step
+        is already below its tolerance is the start itself, so a repeated
+        query shoots at a stored drift and converges in one shot (bracket
+        None).  Otherwise bracket = (lo, hi) holds adjacent stored shots
+        with F(lo) > 0 >= F(hi), 0 < hi <= cap, and c is the root of F's
+        cubic Hermite interpolant between them.
+        """
+        gs, ss, dss = self.g, self.s, self.ds
+        # F decreases along g, so its sign splits the sorted drifts
+        i = bisect_left(range(len(gs)), True,
+                        key=lambda k: mu * ss[k] - (gs[k] + beta) <= 0.0)
+        ends = []
+        for k in range(max(i - 1, 0), min(i + 1, len(gs))):
+            c = gs[k] + beta
+            f, df = mu * ss[k] - c, mu * dss[k] - 1.0
+            if df < 0.0 and abs((c - f / df) - c) <= 1e-13 * c and c <= cap:
+                return c, gs[k], None
+            ends.append((c, f, df))
+        if len(ends) < 2:
+            return None
+        (lo, f_lo, df_lo), (hi, f_hi, df_hi) = ends
+        if not (lo < hi <= cap and hi > 0.0):
+            return None
+        h = hi - lo
+
+        def hermite(c):
+            x = (c - lo) / h
+            return ((1.0 + 2.0 * x) * (1.0 - x) ** 2 * f_lo
+                    + x * (1.0 - x) ** 2 * h * df_lo
+                    + x * x * (3.0 - 2.0 * x) * f_hi
+                    - x * x * (1.0 - x) * h * df_hi)
+
+        c = brentq(hermite, lo, hi, xtol=_EVENT_TOL * hi, rtol=_EVENT_TOL)
+        return c, c - beta, (lo, hi)
+
+
+# one _SlopeCurve per reaction term instance and max_step, keyed by id(n)
+# (Polynomial terms are unhashable) and dropped when the term is collected
+_CURVES: dict = {}
+
+
+def _slope_curve(n: Nonlinearity, max_step: float) -> _SlopeCurve:
+    key = (id(n), max_step)
+    curve = _CURVES.get(key)
+    if curve is None:
+        curve = _CURVES[key] = _SlopeCurve()
+        weakref.finalize(n, _CURVES.pop, key, None)
+    return curve
+
+
 def _slope(g, n, z_budget, max_step) -> _Slope:
-    """s(g) = q'(0) of the semi-wave with drift g, and ds/dg, in one shot."""
+    """s(g) = q'(0) of the semi-wave with drift g, and ds/dg, in one shot,
+    added to n's slope curve."""
     w = shoot_semi_wave(g, 0.0, n, samples=False, z_budget=z_budget,
                         max_step=max_step, variational=True)
-    return _Slope(w.slope0, w.dslope0)
+    slope = _Slope(w.slope0, w.dslope0)
+    _slope_curve(n, max_step).add(g, slope)
+    return slope
 
 
 def spreading_speed(beta: float, mu: float, n: Nonlinearity, *,
                     max_step: float = _MAX_STEP) -> SpeedResult:
     """Fixed point c_tilde of c = mu * q'(0; c - beta) in (0, c0 + beta).
 
-    Newton on F(c) = mu*s(c - beta) - c from c = 0, where F > 0; F is
-    strictly decreasing, so every shot narrows the sign bracket
-    [lo, c0 + beta - delta] and a step leaving it is replaced by
-    bisection.  The residual comes from a separate plain shot at the root;
-    the profile is shot again, with samples, only when it is read.
+    Newton on F(c) = mu*s(c - beta) - c; F is strictly decreasing, so every
+    shot narrows the sign bracket and a step leaving it is replaced by
+    bisection.  Newton starts where n's slope curve puts it
+    (_SlopeCurve.newton_start): inside the sign bracket of two earlier
+    shots, or at an earlier shot whose Newton step is already below
+    tolerance; with neither, from c = 0, where F > 0, with the bracket
+    [0, c0 + beta - delta].  The residual comes from a separate plain shot
+    at the root; the profile is shot again, with samples, only when it is
+    read.
     """
     _require_finite(beta=beta, mu=mu)
     if mu <= 0.0:
@@ -440,18 +532,28 @@ def spreading_speed(beta: float, mu: float, n: Nonlinearity, *,
         omega = 0.5 * np.sqrt(delta * (2.0 * n.c0 - delta))
         return max(budget, 8.0 / omega + 0.5 * budget)
 
-    def newton_pair(c):
-        s, ds = _slope(c - beta, n, z_budget, max_step)
+    def newton_pair(c, g):
+        s, ds = _slope(g, n, z_budget, max_step)
         return mu * s - c, mu * ds - 1.0
 
     z_budget = shot_budget(delta)
-    c = lo = 0.0
-    f, df = newton_pair(c)
-    if f <= 0.0:
-        raise NumericalError("slope map not positive at c = 0")
+    lo, hi, bracketed = 0.0, cmax - delta, False   # bracketed: F(hi) <= 0 seen
+    start = _slope_curve(n, max_step).newton_start(beta, mu, hi)
+    if start is None:
+        c = lo
+        f, df = newton_pair(c, c - beta)
+        if f <= 0.0:
+            raise NumericalError("slope map not positive at c = 0")
+    else:
+        c, g, bracket = start
+        if bracket is not None:
+            (lo, hi), bracketed = bracket, True
+        f, df = newton_pair(c, g)
+        if f > 0.0:
+            lo = c
+        else:
+            hi, bracketed = c, True
     for _ in range(4):
-        hi = cmax - delta
-        bracketed = False          # F(hi) <= 0 seen
         root = None
         for _ in range(200):
             c_new = c - f / df if df < 0.0 else np.nan
@@ -461,7 +563,7 @@ def spreading_speed(beta: float, mu: float, n: Nonlinearity, *,
             if not lo < c_new < hi:
                 c_new = 0.5 * (lo + hi) if bracketed else hi
             c = c_new
-            f, df = newton_pair(c)
+            f, df = newton_pair(c, c - beta)
             if f > 0.0:
                 lo = c
                 if c == hi:        # F > 0 all the way to c0 + beta - delta
@@ -483,6 +585,7 @@ def spreading_speed(beta: float, mu: float, n: Nonlinearity, *,
                     root, beta, n, z_budget=z_budget, max_step=max_step))
         delta *= 0.25
         z_budget = shot_budget(delta)
+        hi, bracketed = cmax - delta, False
     raise NumericalError("fixed point pinned against c0 + beta; bracket failed")
 
 

@@ -7,10 +7,11 @@ on the untransformed eigenproblem, and the phase-plane first integral for
 the zero-speed slope.  The exceptions are the slow reference paths at the
 end: bracketing root-finds for c_tilde and beta_star over the library's
 plain semi-wave shot, without the Newton solve and the s(g) identity that
-replaced them, a mu_star/lambda_star bisection on full-horizon runs,
-without the early stops at the spreading and Vanishing certificates, and
-the Stefan substep loop as it stood before its per-call hoisting and
-in-place buffers.
+replaced them, that Newton solve started from c = 0 on every call,
+without the slope curve's warm start, a mu_star/lambda_star bisection on
+full-horizon runs, without the early stops at the spreading and Vanishing
+certificates, and the Stefan substep loop as it stood before its
+per-call hoisting and in-place buffers.
 """
 
 from dataclasses import replace
@@ -175,6 +176,69 @@ def spreading_speed_brentq(beta, mu, n, max_step=0.1):
     raise NumericalError("fixed point pinned against c0 + beta")
 
 
+def reference_spreading_speed(beta, mu, n, max_step=0.1):
+    """spreading_speed as it stood before the slope curve: (c_tilde,
+    residual) by safeguarded Newton on mu*s(c - beta) - c from c = 0 on
+    every call, its variational shots made directly, not through n's
+    slope curve."""
+    if beta <= -n.c0:
+        raise NoSemiWave(f"beta = {beta:g} <= -c0 = {-n.c0:g}: no spreading speed")
+    cmax = n.c0 + beta
+    delta = min(2e-3 * n.c0, 0.25 * cmax)
+    budget = waves._default_budget(n)
+
+    def shot_budget(delta):
+        omega = 0.5 * np.sqrt(delta * (2.0 * n.c0 - delta))
+        return max(budget, 8.0 / omega + 0.5 * budget)
+
+    def slope(c):
+        w = fb.shoot_semi_wave(c - beta, 0.0, n, samples=False,
+                               z_budget=z_budget, max_step=max_step,
+                               variational=True)
+        return w.slope0, w.dslope0
+
+    def newton_pair(c):
+        s, ds = slope(c)
+        return mu * s - c, mu * ds - 1.0
+
+    z_budget = shot_budget(delta)
+    c = lo = 0.0
+    f, df = newton_pair(c)
+    if f <= 0.0:
+        raise NumericalError("slope map not positive at c = 0")
+    for _ in range(4):
+        hi = cmax - delta
+        bracketed = False
+        root = None
+        for _ in range(200):
+            c_new = c - f / df if df < 0.0 else np.nan
+            if abs(c_new - c) <= 1e-13 * c:
+                root = c_new
+                break
+            if not lo < c_new < hi:
+                c_new = 0.5 * (lo + hi) if bracketed else hi
+            c = c_new
+            f, df = newton_pair(c)
+            if f > 0.0:
+                lo = c
+                if c == hi:
+                    break
+            else:
+                hi, bracketed = c, True
+        else:
+            raise NumericalError("Newton on the slope map did not converge")
+        if root is not None:
+            if root <= 1e-9 * cmax:
+                root = mu * slope(root)[0]
+            slope0 = fb.shoot_semi_wave(root, beta, n, samples=False,
+                                        z_budget=z_budget,
+                                        max_step=max_step).slope0
+            return root, abs(mu * slope0 - root)
+        delta *= 0.25
+        z_budget = shot_budget(delta)
+    raise NumericalError("fixed point pinned against c0 + beta; bracket failed")
+
+
 def critical_advection_nested(mu, n, b_max_factor=10.0, xtol=1e-10):
     """beta_star as the root of c_tilde(beta) - beta + c0, brentq over brentq."""
     def excess(beta):
@@ -305,7 +369,7 @@ def reference_shoot(g, n, y0, events, budget, max_step, *, backward, dense):
                             events=events, dense_output=dense)
     except FloatingPointError as exc:
         raise NumericalError(
-            f"shot at drift g = {g:g} broke down in the integrator: {exc}") from exc
+            f"shot at drift g = {g:.17g} broke down in the integrator: {exc}") from exc
     if not sol.success:
         raise NumericalError(f"integrator failed: {sol.message}")
     return sol

@@ -98,6 +98,15 @@ def test_semiwave_domain_error_exit_code(capsys):
     assert "no spreading speed" in capsys.readouterr().err
 
 
+def test_semiwave_edge_error_names_the_drift_it_shot(capsys):
+    # the first shot, at c = 0, has drift 1.999999, which {g:g} would print
+    # as 2: a drift never shot (g >= c0 has no semi-wave)
+    assert main(["semiwave", "--beta", "-1.999999", "--mu", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"drift g = {0.0 - -1.999999:.17g} broke down" in err
+    assert "g = 2 " not in err
+
+
 def test_missing_config_exit_code(capsys):
     assert main(["simulate", "--config", "/nonexistent/x.cfg"]) == 2
 
@@ -360,6 +369,30 @@ def test_sweep_with_a_failing_cell_writes_what_the_per_cell_path_writes(
     for i, row in enumerate(rows):
         if i not in failed:
             assert row == healthy_rows[i]
+
+
+def test_sweep_records_the_hints_it_dropped(tmp_path, monkeypatch, capsys):
+    # just below c0, critical_length finds no sign change below its L_max:
+    # each cell is classified without l_star, and the sidecar says so
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(BASE_CFG.replace("tmax = 5", "tmax = 0.5"))
+    argv = ["sweep", "--config", str(cfg), "--betas", "1.99999999",
+            "--lambdas", "0.5,2", "--workers", "1"]
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    together = _sweep_files(argv, tmp_path / "together.csv")
+    monkeypatch.setattr(cli, "ENSEMBLE_MAX", 1)
+    alone = _sweep_files(argv, tmp_path / "alone.csv")
+    assert together == alone
+    csv, sidecar = together
+    assert b"Error" not in csv
+    assert csv.decode().splitlines()[0] == "beta,mu,lambda,verdict,h_final,supu_final"
+    failures = json.loads(sidecar)
+    assert [(f["index"], f["config"]["lambda"]) for f in failures] == [(0, 0.5), (1, 2.0)]
+    for f in failures:
+        assert f["hint"] == "l_star" and f["config"]["beta"] == 1.99999999
+        assert f["type"] == "NumericalError"
+        assert f["message"] == "l_star: no sign change below L_max=10000"
+    assert "(0 failed cells, 2 dropped hints)" in capsys.readouterr().out
 
 
 def test_sweep_chunk_solves_each_hint_once(monkeypatch):

@@ -23,22 +23,24 @@ CRITERION_3_LADDER = [(b, m) for b in (-1.5, -1.0, 0.0, 1.0, 1.5, 2.5)
 
 
 @pytest.fixture(scope="module")
-def n():
-    return fb.logistic()
+def n(logistic_n):
+    return logistic_n
 
 
-def on_both_kernels(monkeypatch, compute):
-    """compute() on the library's kernel, then on the reference kernel."""
-    new = compute()
+def on_both_kernels(monkeypatch, compute, term=fb.logistic):
+    """compute(n) on the library's kernel, then on the reference kernel,
+    each with a fresh reaction term n = term(), so that no reference shot
+    enters a slope curve the library's shots use."""
+    new = compute(term())
     with monkeypatch.context() as patch:
         use_reference_kernel(patch)
-        old = compute()
+        old = compute(term())
     return new, old
 
 
-def raised(compute):
+def raised(compute, *args):
     with pytest.raises(fb.errors.FreeboundError) as info:
-        compute()
+        compute(*args)
     return type(info.value), str(info.value)
 
 
@@ -72,7 +74,7 @@ def test_slope_and_derivative_match_reference(n, monkeypatch):
     budget = waves._default_budget(n)
     for g in (-1.9, -1.5, -0.5, 0.5, 1.5, 1.9):
         new, old = on_both_kernels(monkeypatch,
-                                   lambda: waves._slope(g, n, budget, 0.1))
+                                   lambda nl: waves._slope(g, nl, budget, 0.1))
         assert abs(new.s - old.s) <= 1e-12
         assert abs(new.ds - old.ds) <= 1e-12
 
@@ -82,18 +84,18 @@ def test_slope_and_derivative_match_reference(n, monkeypatch):
     ("cubic", [(b, 1.0) for b in (-1.5, -1.0, 0.0, 1.0, 1.5, 2.5)]),
 ])
 def test_c_tilde_matches_reference(monkeypatch, kind, cases):
-    nl = fb.logistic() if kind == "logistic" else fb.cubic_monostable(0.5)
+    term = fb.logistic if kind == "logistic" else lambda: fb.cubic_monostable(0.5)
     for beta, mu in cases:
         new, old = on_both_kernels(
-            monkeypatch, lambda: fb.spreading_speed(beta, mu, nl))
+            monkeypatch, lambda nl: fb.spreading_speed(beta, mu, nl), term)
         assert abs(new.c_tilde - old.c_tilde) <= 1e-12
         assert new.residual < 1e-8
 
 
-def test_critical_advection_matches_reference(n, monkeypatch):
+def test_critical_advection_matches_reference(monkeypatch):
     for mu in (0.3, 1.0, 3.0):
         new, old = on_both_kernels(monkeypatch,
-                                   lambda: fb.critical_advection(mu, n))
+                                   lambda nl: fb.critical_advection(mu, nl))
         assert abs(new - old) <= 1e-12
 
 
@@ -115,7 +117,7 @@ PROFILES = {
 def test_profile_matches_reference(n, monkeypatch, name):
     inputs = {"ctilde": fb.spreading_speed(0.5, 1.0, n).c_tilde,
               "beta_star": fb.critical_advection(1.0, n)}
-    new, old = on_both_kernels(monkeypatch, lambda: PROFILES[name](n, inputs))
+    new, old = on_both_kernels(monkeypatch, lambda nl: PROFILES[name](nl, inputs))
     assert new.kind == old.kind and new.z.size == old.z.size
     # the sample ends are the event times (and the q = 1/2 anchor for
     # traveling waves)
@@ -153,13 +155,13 @@ def test_interpolants_evaluate_like_ode_solution(n):
 def test_failed_shots_raise_like_reference(n, monkeypatch):
     for compute in (
         # stalls in the origin spiral: the error norm turns 0/0
-        lambda: fb.spreading_speed(-n.c0 + 1e-6, 1.0, n),
-        lambda: fb.shoot_semi_wave(n.c0 - 3e-5, 0.0, n, samples=False,
-                                   z_budget=2000.0),
+        lambda nl: fb.spreading_speed(-n.c0 + 1e-6, 1.0, nl),
+        lambda nl: fb.shoot_semi_wave(n.c0 - 3e-5, 0.0, nl, samples=False,
+                                      z_budget=2000.0),
         # budget exhausted before q = 0
-        lambda: fb.shoot_semi_wave(1.0, 0.0, n, samples=False, z_budget=5.0),
+        lambda nl: fb.shoot_semi_wave(1.0, 0.0, nl, samples=False, z_budget=5.0),
     ):
-        new, old = on_both_kernels(monkeypatch, lambda: raised(compute))
+        new, old = on_both_kernels(monkeypatch, lambda nl: raised(compute, nl))
         assert new == old
         assert new[0] is fb.errors.NumericalError and "drift" in new[1]
 
@@ -172,8 +174,8 @@ def test_collapse_event_located_like_reference(n, monkeypatch):
     y0 = waves._saddle_launch(g, float(n.fprime(1.0)))
     events = [waves._event(lambda y: y[0], -1.0),
               waves._event(lambda y: abs(y[0]) + abs(y[1]) - 1e-100, -1.0)]
-    new, old = on_both_kernels(monkeypatch, lambda: waves._shoot(
-        g, n, y0, events, 2000.0, 0.1, backward=True, dense=False))
+    new, old = on_both_kernels(monkeypatch, lambda nl: waves._shoot(
+        g, nl, y0, events, 2000.0, 0.1, backward=True, dense=False))
     assert not new.t_events[0] and not old.t_events[0]
     assert abs(new.t_events[1][0] - old.t_events[1][0]) <= 1e-10
     assert new.t == new.t_events[1][0]

@@ -1,3 +1,4 @@
+import gc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from freebound import waves
 from oracles import (
     critical_advection_nested,
     halved_step_slope,
+    reference_spreading_speed,
     spreading_speed_brentq,
 )
 
@@ -20,8 +22,9 @@ SLOPE0_GAMMA_MINUS2_LOGISTIC = 2.2129469448396546
 
 
 @pytest.fixture(scope="module")
-def n():
-    return fb.logistic()
+def n(logistic_n):
+    # the session's term: its slope curve carries shots from every test
+    return logistic_n
 
 
 # ---------------------------------------------------------------- semi-waves
@@ -180,13 +183,13 @@ def test_critical_advection_refuses_non_finite(n, no_shots, mu):
     lambda n: fb.stationary_increasing(0.0, 1.0, np.inf, n),
 ], ids=["semi-c", "semi-beta", "traveling-c", "finite-mu", "tadpole-beta",
         "stationary-b"])
-def test_wave_profiles_refuse_non_finite(n, monkeypatch, call):
+def test_wave_profiles_refuse_non_finite(monkeypatch, call):
     def shot(*args, **kwargs):
         raise AssertionError("a shot was made on non-finite input")
 
     monkeypatch.setattr(waves, "_shoot", shot)
     with pytest.raises(ValueError, match="must be finite"):
-        call(n)
+        call(fb.logistic())
 
 
 def test_newton_matches_brentq_oracle(n):
@@ -350,6 +353,100 @@ def test_no_stationary_outside_range(n):
         fb.stationary_increasing(n.c0, 1.0, 0.0, n)
     with pytest.raises(fb.errors.NoStationary):
         fb.stationary_increasing(0.0, 0.0, 1.0, n)
+
+
+# --------------------------------------------------------------- slope curve
+
+LADDER = [(b, m) for b in (-1.5, -1.0, 0.0, 1.0, 1.5, 2.5)
+          for m in (0.5, 1.0, 2.0)]
+# drifts no ladder shot has met: warm starts from Hermite roots
+OFF_LADDER = [(b + 0.013, 1.07 * m) for b, m in LADDER]
+TERMS = {
+    "logistic": fb.logistic,
+    "cubic": lambda: fb.cubic_monostable(0.5),
+    "custom": lambda: fb.from_coefficients([0.0, 1.0, 0.0, -1.0]),
+}
+
+
+def curve_size(n):
+    return len(waves._slope_curve(n, waves._MAX_STEP).g)
+
+
+def warmed(term):
+    n = term()
+    for beta, mu in LADDER:
+        fb.spreading_speed(beta, mu, n)
+    return n
+
+
+@pytest.fixture
+def shots(monkeypatch):
+    """Counts semi-wave shots; each is still made."""
+    made = []
+    shoot = waves.shoot_semi_wave
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return shoot(*args, **kwargs)
+
+    monkeypatch.setattr(waves, "shoot_semi_wave", counted)
+    return made
+
+
+@pytest.mark.parametrize("term", TERMS.values(), ids=TERMS)
+def test_cold_spreading_speed_is_the_reference_path(term):
+    for beta, mu in [(0.5, 2.0), (-1.99, 1.0), (2.5, 0.5), (5.0, 1.0),
+                     (0.0, 1e-4)]:
+        res = fb.spreading_speed(beta, mu, term())
+        assert (res.c_tilde, res.residual) == reference_spreading_speed(
+            beta, mu, term())
+
+
+@pytest.mark.parametrize("term", TERMS.values(), ids=TERMS)
+def test_warm_spreading_speed_matches_reference(term):
+    n = warmed(term)
+    for beta, mu in LADDER + OFF_LADDER:
+        res = fb.spreading_speed(beta, mu, n)
+        c_tilde, _ = reference_spreading_speed(beta, mu, term())
+        assert abs(res.c_tilde - c_tilde) <= 1e-12
+        assert res.residual < 1e-8
+
+
+def test_warm_edge_raises_like_cold():
+    def raised(n):
+        with pytest.raises(fb.errors.FreeboundError) as info:
+            fb.spreading_speed(-1.999999, 1.0, n)
+        return type(info.value), str(info.value)
+
+    cold = raised(fb.logistic())
+    assert cold == raised(warmed(fb.logistic))
+    assert cold[0] is fb.errors.NumericalError
+
+
+def test_warm_ladder_needs_at_most_three_shots(shots):
+    n = warmed(fb.logistic)
+    size = curve_size(n)
+    for beta, mu in LADDER:
+        shots.clear()
+        fb.spreading_speed(beta, mu, n)
+        assert len(shots) <= 3
+    assert curve_size(n) == size
+    # a repeated query shoots where the last one converged: no new point
+    for _ in range(2):
+        fb.spreading_speed(0.3, 1.3, n)
+        size = curve_size(n)
+        fb.spreading_speed(0.3, 1.3, n)
+        assert curve_size(n) == size
+
+
+def test_slope_curve_is_dropped_with_its_term():
+    n = fb.from_coefficients([0.0, 1.0, 0.0, -1.0])
+    fb.critical_advection(1.0, n)
+    key = (id(n), waves._MAX_STEP)
+    assert waves._CURVES[key].g == [-n.c0]
+    del n
+    gc.collect()
+    assert key not in waves._CURVES
 
 
 # ------------------------------------------------------- oracle self-consistency
