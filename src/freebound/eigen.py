@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._brentq import brentq
 from .errors import NoCriticalLength, NumericalError, _require_finite
 
 __all__ = [

@@ -275,7 +275,6 @@ def _eta_step(n: Nonlinearity, eta: float, dt: float) -> float:
 
 
 def simulate(spec: ProblemSpec, snapshot_times: Sequence[float] = (),
-             until_h: float | None = None,
              stop: Callable[[FrontState], bool] | None = None) -> Trajectory:
     """Run to tmax, recording (t, h, h', sup u, eta) every nominal step.
 
@@ -287,16 +286,8 @@ def simulate(spec: ProblemSpec, snapshot_times: Sequence[float] = (),
     snapshotted) whose state makes stop(state) true; at least one step is
     taken.  The recorded arrays then hold only the steps taken, a bitwise
     prefix of the full-horizon run, and every per-step check has run on
-    each of them.  until_h (finite) is the hook state.h >= until_h; give
-    one of the two, not both.
+    each of them.
     """
-    if until_h is not None:
-        if stop is not None:
-            raise ValueError("give until_h or stop, not both")
-        _require_finite(until_h=until_h)
-
-        def stop(st):
-            return st.h >= until_h
     state = initial_state(spec)
     n_steps = int(np.ceil(spec.tmax / spec.dt))
     eta = float(np.max(spec.w0)) + 1.0

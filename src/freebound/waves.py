@@ -13,9 +13,13 @@ One kernel (_shoot) makes every shot: DOP853 in tau >= 0 on the field
 (z = tau).  It is scipy's DOP853 algorithm (tableau, initial step, step
 control, error norm, event location by brentq on a step's interpolant)
 written for Python floats, since the state has two or four components
-and array overhead would dominate.  A step's interpolant (three extra
-stages) is computed only where an event fires, or at every step of a
-dense shot, whose samples _sample then draws in one vectorized pass.
+and array overhead would dominate.  The tableau is held as float
+literals, checked against scipy.integrate.DOP853's by the tests, and the
+event roots come from _brentq, a Python-float port of scipy's brentq, so
+that importing the package loads neither scipy.integrate nor
+scipy.optimize.  A step's interpolant (three extra stages) is computed
+only where an event fires, or at every step of a dense shot, whose
+samples _sample then draws in one vectorized pass.
 A profile picks the drift, launch, direction and events:
 
     semi-wave   g = c - beta < c0; backward from the saddle launch
@@ -67,10 +71,8 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
+from ._brentq import brentq
 from .errors import (
     NoFiniteWave,
     NoSemiWave,
@@ -153,16 +155,81 @@ def _event(fn, direction, terminal=True):
     return fn, direction, terminal
 
 
-# DOP853's tableau as Python floats, row s of A cut to its first s entries
-# (the rest are zero); the fields are autonomous, so the stage times C go
-# unused.
-_A = tuple(tuple(map(float, DOP853.A[s, :s])) for s in range(1, DOP853.n_stages))
-_A_EXTRA = tuple(tuple(map(float, row[:s])) for s, row in
-                 enumerate(DOP853.A_EXTRA, start=DOP853.n_stages + 1))
-_B = tuple(map(float, DOP853.B))
-_E3 = tuple(map(float, DOP853.E3))
-_E5 = tuple(map(float, DOP853.E5))
-_D = tuple(tuple(map(float, row)) for row in DOP853.D)
+# DOP853's tableau as Python float literals, equal to scipy.integrate.DOP853's
+# (tests/test_shooting_kernel.py checks them): row s of A cut to its first s
+# entries (the rest are zero); the fields are autonomous, so the stage times
+# C go unused.
+_A = (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+)
+_A_EXTRA = (
+    (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+     0.00820105229563469, 0.007567897660545699, -0.008298),
+    (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+     0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
+     -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
+     0.1413124436746325),
+    (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
+     7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
+     -0.0013990241651590145, 2.9475147891527724, -9.15095847217987),
+)
+_B = (
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259
+)
+_E3 = (
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0
+)
+_E5 = (
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+    0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0
+)
+_D = (
+    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
+     -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+     -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894),
+    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
+     165.20045171727028, -374.5467547226902, -22.113666853125306,
+     7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408),
+    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518,
+     -189.17813819516758, 527.8081592054236, -11.57390253995963,
+     6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279),
+    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643,
+     -231.5293791760455, 357.6391179106141, 93.40532418362432,
+     -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564),
+)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0       # -1/(error estimator order 7 + 1)
 _EVENT_TOL = 4.0 * np.finfo(float).eps
@@ -758,6 +825,10 @@ def profile_interpolator(profile: WaveProfile):
     Monotone interpolation keeps q within its sample range, so composite
     sup-norm comparisons cannot pick up interpolation overshoot.
     """
+    # imported here, not with the module: scipy.interpolate loads
+    # scipy.optimize too, and only the asymptotics read profiles this way
+    from scipy.interpolate import PchipInterpolator
+
     pchip = PchipInterpolator(profile.z, profile.q, extrapolate=False)
     lo, hi = profile.z[0], profile.z[-1]
     q_lo, q_hi = profile.q[0], profile.q[-1]

@@ -132,7 +132,7 @@ def test_until_h_run_is_a_prefix_of_the_full_run(template, lambda_config,
                                   lstar_05)
     until_h = lstar + MARGIN
     full = fb.simulate(spec)
-    fast = fb.simulate(spec, until_h=until_h)
+    fast = fb.simulate(spec, stop=lambda st: st.h >= until_h)
     k = len(fast.times)
     for name in ("times", "h", "hprime", "supu", "eta"):
         prefix = getattr(full, name)[:k]
@@ -182,7 +182,8 @@ def test_vanishing_certificate_never_fires_on_spreading_runs(
     until_h = lstar + MARGIN
     checks = np.arange(thresholds.CHECK_EVERY, spec.tmax,
                        thresholds.CHECK_EVERY)
-    traj = fb.simulate(spec, snapshot_times=checks, until_h=until_h)
+    traj = fb.simulate(spec, snapshot_times=checks,
+                       stop=lambda st: st.h >= until_h)
     candidates = vanishing_candidates(spec, spec.h0, lstar)
     slacks = [vanishing_certificate(x[-1], x, u, spec, lstar, candidates)[0]
               for _, x, u in traj.snapshots if x[-1] < until_h]
