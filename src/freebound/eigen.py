@@ -27,6 +27,7 @@ decreasing in ell from +inf.  For b = 0 both equal 2*pi/sqrt(c0^2-beta^2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,16 @@ class EigenResult:
     eigenfunction: np.ndarray
 
 
+def _root(g, lo, hi, xtol, what: str) -> float:
+    """brentq's root of g in [lo, hi]; a search that does not converge in
+    200 iterations (a bracket end overflowed for an extreme ell) raises
+    NumericalError, not brentq's RuntimeError."""
+    try:
+        return brentq(g, lo, hi, xtol=xtol, maxiter=200)
+    except RuntimeError as exc:
+        raise NumericalError(f"{what}: {exc}") from exc
+
+
 def _transformed_s1(ell: float, A: float, b: float) -> float:
     """Principal s of -psi'' = s*psi, A*psi(0) = b*psi'(0), psi(ell) = 0."""
     if b == 0.0:
@@ -90,8 +101,8 @@ def _transformed_s1(ell: float, A: float, b: float) -> float:
 
         # right endpoint padded past pi/ell: for b -> 0 the root sits at
         # pi/ell itself and rounding of k*ell can leave g(pi/ell) < 0
-        k1 = brentq(g, np.pi / (2.0 * ell) * (1.0 - 1e-12),
-                    (np.pi + 1e-9) / ell, xtol=1e-15, maxiter=200)
+        k1 = _root(g, np.pi / (2.0 * ell) * (1.0 - 1e-12),
+                   (np.pi + 1e-9) / ell, 1e-15, f"eigenvalue root at ell = {ell:g}")
         return k1 * k1
 
     # A < 0: boundary parameter pulls the mode down; hyperbolic when
@@ -116,7 +127,7 @@ def _transformed_s1(ell: float, A: float, b: float) -> float:
             lo *= 0.1
             if lo < 1e-300:
                 return 0.0
-        kappa = brentq(gh, lo, hi, xtol=1e-15, maxiter=200)
+        kappa = _root(gh, lo, hi, 1e-15, f"eigenvalue root at ell = {ell:g}")
         return -kappa * kappa
 
     # Trigonometric with first zero before the quarter period:
@@ -130,7 +141,7 @@ def _transformed_s1(ell: float, A: float, b: float) -> float:
         lo *= 0.1
         if lo < 1e-300:
             return 0.0
-    k1 = brentq(gt, lo, hi, xtol=1e-15, maxiter=200)
+    k1 = _root(gt, lo, hi, 1e-15, f"eigenvalue root at ell = {ell:g}")
     return k1 * k1
 
 
@@ -173,10 +184,22 @@ def _eigenfunction(ell, beta, a, b, s1, n_min=801):
 
 
 def principal_eigenvalue(p: EigenProblem) -> EigenResult:
-    """Smallest eigenvalue, with its sign-definite eigenfunction."""
+    """Smallest eigenvalue, with its sign-definite eigenfunction.
+
+    Raises NumericalError when zeta1 or the sampled eigenfunction
+    overflows double precision.
+    """
     s1 = _transformed_s1(p.ell, p.a - p.b * p.beta / 2.0, p.b)
     zeta1 = s1 + p.beta * p.beta / 4.0 - p.m
-    x, phi = _eigenfunction(p.ell, p.beta, p.a, p.b, s1)
+    if not math.isfinite(zeta1):
+        raise NumericalError(f"zeta1 = {zeta1} at ell = {p.ell:g}, "
+                             f"beta = {p.beta:g}: out of double range")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            x, phi = _eigenfunction(p.ell, p.beta, p.a, p.b, s1)
+    except FloatingPointError as exc:
+        raise NumericalError(f"eigenfunction at ell = {p.ell:g}, "
+                             f"beta = {p.beta:g}: {exc}") from exc
     return EigenResult(zeta1=zeta1, x=x, eigenfunction=phi)
 
 
@@ -191,7 +214,7 @@ def _bracketed_length_root(g, what: str) -> float:
         hi *= 2.0
         if hi > _LMAX:
             raise NumericalError(f"{what}: no sign change below L_max={_LMAX:g}")
-    root = brentq(g, lo, hi, xtol=1e-13, maxiter=200)
+    root = _root(g, lo, hi, 1e-13, what)
     if abs(g(root)) > 1e-10:
         raise NumericalError(f"{what}: residual {g(root):.3e} exceeds 1e-10")
     return root

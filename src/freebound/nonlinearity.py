@@ -96,9 +96,26 @@ def from_coefficients(coeffs) -> Nonlinearity:
         raise ValueError("coefficients must start with 0 (f(0) = 0)")
     if c[1] <= 0.0:
         raise ValueError("linear coefficient f'(0) must be positive")
-    poly = np.polynomial.Polynomial(c)
-    dpoly = poly.deriv()
-    return Nonlinearity(f=poly, fprime=dpoly, fp0=float(c[1]), kind="custom")
+    dc = c[1:] * np.arange(1, c.size)      # Polynomial(c).deriv().coef
+    return Nonlinearity(f=_horner(c), fprime=_horner(dc), fp0=float(c[1]),
+                        kind="custom")
+
+
+def _horner(coef):
+    """u -> sum coef[k] u^k, scalar or array, in numpy's polyval order: the
+    top coefficient plus u*0 (NaN for non-finite u), then c_k + v*u down
+    to c_0.  Equal to np.polynomial.Polynomial(coef)(u) up to the sign of
+    zero (Polynomial maps u to 0.0 + 1.0*u first), at a fraction of its
+    cost on Python floats."""
+    top, *rest = (float(v) for v in reversed(coef))
+
+    def p(u):
+        v = top + u * 0
+        for c in rest:
+            v = c + v * u
+        return v
+
+    return p
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,22 @@ and array overhead would dominate.  The tableau is held as float
 literals, checked against scipy.integrate.DOP853's by the tests, and the
 event roots come from _brentq, a Python-float port of scipy's brentq, so
 that importing the package loads neither scipy.integrate nor
-scipy.optimize.  A step's interpolant (three extra stages) is computed
-only where an event fires, or at every step of a dense shot, whose
-samples _sample then draws in one vectorized pass.
+scipy.optimize.
+
+A step is straight-line code: for each of the three fields (_FIELDS:
+backward, forward, and backward with the variational pair) _kernel
+generates a step function and a dense function from the tableau literals,
+with the field's expressions inlined, and compiles them on the first shot
+that needs them, never at import.  Every stage combination is written out
+as 0.0 + a0*k0 + a1*k1 + ..., left to right (a product with a zero
+coefficient adds nothing and is left out), which is what the builtin
+sum of the generic stage loop computed on 3.11 (tests/oracles.py keeps
+that loop as reference_rk_step; the generated code is bit-identical to
+it), and no shot calls the builtin sum, whose float result 3.12 changed.
+A step's interpolant (three extra stages) is computed only where an event
+fires, or at every step of a dense shot, whose samples _sample then draws
+in one vectorized pass.
+
 A profile picks the drift, launch, direction and events:
 
     semi-wave   g = c - beta < c0; backward from the saddle launch
@@ -44,7 +57,7 @@ variational pair (dq/dg, dq'/dg) returns s and ds/dg together (_slope).
 s(g) depends on neither beta nor mu, so every query samples one curve.
 Each variational shot adds (g, s, ds/dg) to a _SlopeCurve kept per
 Nonlinearity instance and max_step: made on first use (never at import),
-keyed by the instance's identity (Polynomial terms are unhashable, and
+keyed by the instance's identity (the curve belongs to one instance:
 equal terms need not share shots), and dropped when the instance is
 collected.  spreading_speed starts Newton inside the tightest stored sign
 bracket, at the root of its cubic Hermite interpolant, or at a stored
@@ -65,9 +78,8 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from math import inf, nan, nextafter, sqrt
-from operator import mul
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -246,8 +258,111 @@ class _Shot(NamedTuple):
     steps: list | None
 
 
+# The fields _shoot integrates in tau, each written once: its state names
+# and their tau-derivatives, in terms of the shot's f, fprime and g.
+# _kernel inlines them into the rhs, step and dense functions it generates.
+_FIELDS = {
+    "backward": (("q", "p"), ("-p", "float(f(q)) - g * p")),
+    "forward": (("q", "p"), ("p", "g * p - float(f(q))")),
+    # the backward field carrying the variational pair (dq/dg, dq'/dg)
+    "variational": (("q", "p", "q_g", "p_g"),
+                    ("-p", "float(f(q)) - g * p", "-p_g",
+                     "float(fprime(q)) * q_g - p - g * p_g")),
+}
+_F_NEW = len(_B)      # stage index of f(y_new), the first stage of the next step
+
+
+def _combination(row, j, keep=None) -> str:
+    """Source of sum(map(mul, row, K[j])) as Python 3.11 computes it,
+    0.0 + row[0]*k0_j + row[1]*k1_j + ..., left to right, with no builtin
+    sum (3.12's is compensated).  The accumulator is never -0.0, so adding
+    0.0*k is exact for finite k: products with a zero coefficient are left
+    out, except that of stage keep."""
+    src = "0.0"
+    for s, a in enumerate(row):
+        if a != 0.0 or s == keep:
+            src += f" {'-' if a < 0.0 else '+'} {abs(a)!r} * k{s}_{j}"
+    return src
+
+
+def _kernel_source(names, exprs) -> str:
+    """Source of make(f, fprime, g) -> (rhs, step, dense) for one field.
+
+    rhs(y) is the field.  step(y, fy, h) is one DOP853 step from y with
+    fy = rhs(y): (y_new, f_new, s5, s3, K), s5 and s3 the sums of squared
+    scaled 5th- and 3rd-order error estimates, K every stage component-major
+    (K[13*j + s] is stage s of y[j]).  dense(K, h, y_old, y) is the step's
+    interpolant coefficients F.  Every sum runs in the order of scipy's
+    stage loop, so each value is the one that loop gives on 3.11.
+    """
+    J = range(len(names))
+
+    def tup(items):
+        return "(" + "".join(f"{v}, " for v in items) + ")"
+
+    def stages(rows, first):
+        lines = []
+        for s, row in enumerate(rows, start=first):
+            lines += [f"{x} = y{j} + ({_combination(row, j)}) * h"
+                      for j, x in enumerate(names)]
+            lines += [f"k{s}_{j} = {e}" for j, e in enumerate(exprs)]
+        return lines
+
+    K = tup(f"k{s}_{j}" for j in J for s in range(_F_NEW + 1))
+    step = [f"{tup(f'y{j}' for j in J)} = y", f"{tup(f'k0_{j}' for j in J)} = fy"]
+    step += stages(_A, 1)
+    step += [f"yn{j} = y{j} + h * ({_combination(_B, j)})" for j in J]
+    step += [f"{x} = yn{j}" for j, x in enumerate(names)]
+    step += [f"k{_F_NEW}_{j} = {e}" for j, e in enumerate(exprs)]
+    for j in J:
+        # the zero-weight f_new term stays: a non-finite f(y_new) makes the
+        # error norm NaN
+        step += [f"a, b = abs(y{j}), abs(yn{j})",
+                 f"scale = {_ATOL!r} + (b if b > a else a) * {_RTOL!r}",
+                 f"e5_{j} = ({_combination(_E5, j, keep=_F_NEW)}) / scale",
+                 f"e3_{j} = ({_combination(_E3, j, keep=_F_NEW)}) / scale"]
+    step += ["s5 = 0.0" + "".join(f" + e5_{j} * e5_{j}" for j in J),
+             "s3 = 0.0" + "".join(f" + e3_{j} * e3_{j}" for j in J),
+             f"return [{', '.join(f'yn{j}' for j in J)}], "
+             f"[{', '.join(f'k{_F_NEW}_{j}' for j in J)}], s5, s3, {K}"]
+
+    dense = [f"{K} = K", f"{tup(f'y{j}' for j in J)} = y_old",
+             f"{tup(f'yn{j}' for j in J)} = y"]
+    dense += stages(_A_EXTRA, _F_NEW + 1)
+    dense += [f"dy{j} = yn{j} - y{j}" for j in J]
+    F = [tup(f"dy{j}" for j in J),
+         tup(f"h * k0_{j} - dy{j}" for j in J),
+         tup(f"2.0 * dy{j} - h * (k{_F_NEW}_{j} + k0_{j})" for j in J)]
+    F += [tup(f"h * ({_combination(d, j)})" for j in J) for d in _D]
+    dense += [f"return {tup(F)}"]
+
+    def body(lines):
+        return "".join(f"        {line}\n" for line in lines)
+
+    return (f"def make(f, fprime, g):\n"
+            f"    def rhs(y):\n"
+            f"        {tup(names)} = y\n"
+            f"        return [{', '.join(exprs)}]\n"
+            f"    def step(y, fy, h):\n{body(step)}"
+            f"    def dense(K, h, y_old, y):\n{body(dense)}"
+            f"    return rhs, step, dense\n")
+
+
+@cache
+def _kernel(field: str):
+    """The make(f, fprime, g) of _kernel_source for one field of _FIELDS,
+    compiled on the first shot that needs it (never at import)."""
+    namespace = {}
+    exec(compile(_kernel_source(*_FIELDS[field]), f"<waves: {field} kernel>",
+                 "exec"), namespace)
+    return namespace["make"]
+
+
 def _rms(v) -> float:
-    return sqrt(sum(x * x for x in v)) / sqrt(len(v))
+    s = 0.0
+    for x in v:
+        s += x * x
+    return sqrt(s) / sqrt(len(v))
 
 
 def _initial_step(rhs, y, fy, budget, max_step) -> float:
@@ -264,19 +379,6 @@ def _initial_step(rhs, y, fy, budget, max_step) -> float:
     else:
         h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
     return min(100.0 * h0, h1, budget, max_step)
-
-
-def _dense(rhs, K, h, y_old, y, f_old, f):
-    """The seventh-degree interpolant coefficients F of an accepted step:
-    three extra stages appended to the per-component stage lists K."""
-    for a in _A_EXTRA:
-        k = rhs([yj + sum(map(mul, a, kj)) * h for yj, kj in zip(y_old, K)])
-        for kj, v in zip(K, k):
-            kj.append(v)
-    dy = [a - b for a, b in zip(y, y_old)]
-    return ([dy, [h * a - b for a, b in zip(f_old, dy)],
-             [2 * a - h * (b + c) for a, b, c in zip(dy, f, f_old)]]
-            + [[h * sum(map(mul, d, kj)) for kj in K] for d in _D])
 
 
 def _interpolate(step, t) -> list:
@@ -302,21 +404,9 @@ def _shoot(g, n, y0, events, budget, max_step, *, backward, dense) -> _Shot:
     backward field.  events are _event triples.  An error norm that turns
     0/0 or NaN (a shot stalling in the origin) raises NumericalError.
     """
-    f, fprime = n.f, n.fprime
-    if len(y0) == 4:
-        def rhs(y):
-            q, p, q_g, p_g = y
-            return [-p, float(f(q)) - g * p, -p_g,
-                    float(fprime(q)) * q_g - p - g * p_g]
-    elif backward:
-        def rhs(y):
-            q, p = y
-            return [-p, float(f(q)) - g * p]
-    else:
-        def rhs(y):
-            q, p = y
-            return [p, g * p - float(f(q))]
-
+    field = ("variational" if len(y0) == 4 else
+             "backward" if backward else "forward")
+    rhs, rk_step, coefficients = _kernel(field)(n.f, n.fprime, g)
     y = [float(v) for v in y0]
     fy = rhs(y)
     t = 0.0
@@ -336,22 +426,7 @@ def _shoot(g, n, y0, events, budget, max_step, *, backward, dense) -> _Shot:
                     f"size is less than spacing between numbers")
             t_new = min(t + h_abs, budget)
             h = h_abs = t_new - t
-            # component-major stage lists: K[j][s] is stage s of y[j]
-            K = [[v] for v in fy]
-            for a in _A:
-                k = rhs([yj + sum(map(mul, a, kj)) * h for yj, kj in zip(y, K)])
-                for kj, v in zip(K, k):
-                    kj.append(v)
-            y_new = [yj + h * sum(map(mul, _B, kj)) for yj, kj in zip(y, K)]
-            f_new = rhs(y_new)
-            s5 = s3 = 0.0
-            for kj, fj, yj, ynj in zip(K, f_new, y, y_new):
-                kj.append(fj)
-                scale = _ATOL + max(abs(yj), abs(ynj)) * _RTOL
-                e5 = sum(map(mul, _E5, kj)) / scale
-                e3 = sum(map(mul, _E3, kj)) / scale
-                s5 += e5 * e5
-                s3 += e3 * e3
+            y_new, f_new, s5, s3, K = rk_step(y, fy, h)
             if s5 == 0.0 and s3 == 0.0:
                 err = 0.0
             else:
@@ -370,11 +445,11 @@ def _shoot(g, n, y0, events, budget, max_step, *, backward, dense) -> _Shot:
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
             rejected = True
 
-        t_old, y_old, f_old = t, y, fy
+        t_old, y_old = t, y
         t, y, fy = t_new, y_new, f_new
         step = None
         if dense:
-            step = (t_old, h, y_old, _dense(rhs, K, h, y_old, y, f_old, fy))
+            step = (t_old, h, y_old, coefficients(K, h, y_old, y))
             steps.append(step)
         if not events:
             continue
@@ -385,7 +460,7 @@ def _shoot(g, n, y0, events, budget, max_step, *, backward, dense) -> _Shot:
         if not hits:
             continue
         if step is None:
-            step = (t_old, h, y_old, _dense(rhs, K, h, y_old, y, f_old, fy))
+            step = (t_old, h, y_old, coefficients(K, h, y_old, y))
         found = [(brentq(lambda s, fn=events[i][0]: fn(_interpolate(step, s)),
                          t_old, t, xtol=_EVENT_TOL, rtol=_EVENT_TOL), i)
                  for i in hits]
@@ -546,7 +621,7 @@ class _SlopeCurve:
 
 
 # one _SlopeCurve per reaction term instance and max_step, keyed by id(n)
-# (Polynomial terms are unhashable) and dropped when the term is collected
+# (equal terms keep separate curves) and dropped when the term is collected
 _CURVES: dict = {}
 
 

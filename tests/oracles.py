@@ -10,8 +10,9 @@ plain semi-wave shot, without the Newton solve and the s(g) identity that
 replaced them, that Newton solve started from c = 0 on every call,
 without the slope curve's warm start, a mu_star/lambda_star bisection on
 full-horizon runs, without the early stops at the spreading and Vanishing
-certificates, and the Stefan substep loop as it stood before its
-per-call hoisting and in-place buffers.
+certificates, the Stefan substep loop as it stood before its per-call
+hoisting and in-place buffers, and the generic DOP853 stage loop the
+generated step functions of waves._kernel replaced.
 """
 
 from dataclasses import replace
@@ -25,7 +26,7 @@ import freebound as fb
 from freebound import waves
 from freebound.errors import InvariantViolation, NoSemiWave, NumericalError
 from freebound.stefan import CFL_SAFETY, CLAMP_FLOOR, FrontState
-from freebound.waves import _ATOL, _RTOL
+from freebound.waves import _A, _A_EXTRA, _ATOL, _B, _D, _E3, _E5, _RTOL
 
 
 def rk4_step(rhs, y, h):
@@ -405,3 +406,77 @@ def use_reference_kernel(monkeypatch):
 
     monkeypatch.setattr(waves, "_shoot", shoot)
     monkeypatch.setattr(waves, "_sample", reference_sample)
+
+
+def _dot(row, ks):
+    """sum(map(mul, row, ks)) as Python 3.11 computes it: from 0, left to
+    right, every product kept (3.12's float sum is compensated)."""
+    acc = 0.0
+    for a, k in zip(row, ks):
+        acc += a * k
+    return acc
+
+
+# the fields of waves._FIELDS, as _shoot wrote them before they were
+# generated: (f, fprime, g) -> rhs
+REFERENCE_FIELDS = {
+    "backward": lambda f, fprime, g: lambda y: [-y[1], float(f(y[0])) - g * y[1]],
+    "forward": lambda f, fprime, g: lambda y: [y[1], g * y[1] - float(f(y[0]))],
+    "variational": lambda f, fprime, g: lambda y: [
+        -y[1], float(f(y[0])) - g * y[1], -y[3],
+        float(fprime(y[0])) * y[2] - y[1] - g * y[3]],
+}
+
+
+def reference_rk_step(rhs, y, fy, h):
+    """One DOP853 step by the generic stage loop: (y_new, f_new, s5, s3,
+    K) as a generated step of waves._kernel returns them, K flattened
+    component-major.  waves' step functions must agree bit for bit."""
+    K = [[v] for v in fy]
+    for a in _A:
+        k = rhs([yj + _dot(a, kj) * h for yj, kj in zip(y, K)])
+        for kj, v in zip(K, k):
+            kj.append(v)
+    y_new = [yj + h * _dot(_B, kj) for yj, kj in zip(y, K)]
+    f_new = rhs(y_new)
+    s5 = s3 = 0.0
+    for kj, fj, yj, ynj in zip(K, f_new, y, y_new):
+        kj.append(fj)
+        scale = _ATOL + max(abs(yj), abs(ynj)) * _RTOL
+        e5 = _dot(_E5, kj) / scale
+        e3 = _dot(_E3, kj) / scale
+        s5 += e5 * e5
+        s3 += e3 * e3
+    return y_new, f_new, s5, s3, tuple(v for kj in K for v in kj)
+
+
+def reference_dense(rhs, K, h, y_old, y):
+    """The interpolant coefficients F of a step of reference_rk_step, from
+    its three extra stages, as the generated dense functions give them."""
+    stages = len(K) // len(y)
+    K = [list(K[j * stages:(j + 1) * stages]) for j in range(len(y))]
+    for a in _A_EXTRA:
+        k = rhs([yj + _dot(a, kj) * h for yj, kj in zip(y_old, K)])
+        for kj, v in zip(K, k):
+            kj.append(v)
+    dy = [a - b for a, b in zip(y, y_old)]
+    f_old = [kj[0] for kj in K]
+    f_new = [kj[stages - 1] for kj in K]
+    return ([dy, [h * a - b for a, b in zip(f_old, dy)],
+             [2 * a - h * (b + c) for a, b, c in zip(dy, f_new, f_old)]]
+            + [[h * _dot(d, kj) for kj in K] for d in _D])
+
+
+def reference_kernel(field):
+    """waves._kernel with the reference field, step and dense functions."""
+    def make(f, fprime, g):
+        rhs = REFERENCE_FIELDS[field](f, fprime, g)
+        return (rhs, lambda y, fy, h: reference_rk_step(rhs, y, fy, h),
+                lambda K, h, y_old, y: reference_dense(rhs, K, h, y_old, y))
+    return make
+
+
+def use_reference_step(monkeypatch):
+    """Make every shot of waves._shoot with reference_rk_step and
+    reference_dense for the rest of a test."""
+    monkeypatch.setattr(waves, "_kernel", reference_kernel)

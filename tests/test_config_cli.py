@@ -93,6 +93,23 @@ def test_eigen_json(capsys):
     assert payload["zeta1"] == pytest.approx(0.25 + np.pi**2 - 1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("ell, beta, why", [
+    # the bracket end (pi/2 + 1)/ell of the trigonometric branch overflows
+    ("1e-310", "5", "Failed to converge after 200 iterations"),
+    # s1 = -inf and beta^2/4 = inf
+    ("2", "1e308", "zeta1 = nan"),
+    # zeta1 = 3 is finite, the sampled eigenfunction overflows
+    ("1e308", "5", "overflow encountered"),
+])
+def test_eigen_out_of_double_range_exits_2(capsys, ell, beta, why):
+    assert main(["eigen", "--ell", ell, "--beta", beta, "--a", "1", "--b", "1",
+                 "--m", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and why in line
+
+
 def test_semiwave_domain_error_exit_code(capsys):
     assert main(["semiwave", "--beta", "-2.1", "--mu", "1"]) == 1
     assert "no spreading speed" in capsys.readouterr().err

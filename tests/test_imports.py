@@ -1,5 +1,6 @@
 """The package imports numpy and scipy.linalg's LAPACK, not scipy's heavy
-subpackages: every CLI command pays its import in a fresh interpreter."""
+subpackages, and compiles no shooting kernel: every CLI command pays its
+import in a fresh interpreter."""
 
 import os
 import subprocess
@@ -15,7 +16,11 @@ import freebound, freebound.cli
 heavy = ("scipy.optimize", "scipy.integrate", "scipy.interpolate")
 loaded = [m for m in heavy if m in sys.modules]
 assert not loaded, f"importing freebound loaded {loaded}"
+# the shooting kernel's step functions are compiled on first use
+kernels = freebound.waves._kernel.cache_info().currsize
+assert kernels == 0, f"importing freebound compiled {kernels} step functions"
 w = freebound.shoot_semi_wave(0.5, 0.0, freebound.logistic())
+assert freebound.waves._kernel.cache_info().currsize == 1
 q = freebound.profile_interpolator(w)(w.z)
 assert np.allclose(q, w.q, rtol=0.0, atol=1e-12)
 assert "scipy.interpolate" in sys.modules

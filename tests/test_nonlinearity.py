@@ -40,6 +40,31 @@ def test_polynomial_u_times_one_minus_u_squared():
     assert float(n.f(np.array(0.5))) == pytest.approx(0.375, abs=1e-15)
 
 
+@pytest.mark.parametrize("coefficients", [
+    [0.0, 1.0, 0.0, -1.0],
+    [0.0, 1.0, 0.5, -1.5],
+    [0.0, 2.0, -2.0],
+    [0.0, 1.0, -1.0, 0.0],             # zero top coefficient
+    [0.0, 0.7, 0.3, 1e-3, -1.001],
+])
+def test_from_coefficients_evaluates_like_numpy_polynomial(coefficients):
+    # Horner closures in polyval's order: equal to Polynomial.__call__ (up
+    # to the sign of zero) on validate's grid, on arrays and on floats
+    n = fb.from_coefficients(coefficients)
+    poly = np.polynomial.Polynomial(coefficients)
+    u = fb.validate(n).samples
+    u = np.concatenate([u, -u, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for mine, ref in ((n.f, poly), (n.fprime, poly.deriv())):
+            assert np.array_equal(mine(u), ref(u), equal_nan=True)
+            assert mine(np.array(0.5)) == ref(np.array(0.5))
+            for x in u.tolist():
+                v = mine(x)
+                assert type(v) is float
+                assert v == ref(x) or (v != v and ref(x) != ref(x))
+    assert hash(n) == hash(n)
+
+
 def test_linear_bound_violation_detected():
     # u(1-u)(1+1.5u) exceeds f'(0)*u near u = 0.2
     n = fb.from_coefficients([0.0, 1.0, 0.5, -1.5])

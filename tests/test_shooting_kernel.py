@@ -1,8 +1,11 @@
-"""The Python-float DOP853 shooting kernel: agreement with the solve_ivp
-kernel it replaced (oracles.reference_shoot), its tableau, and the lazily
-sampled semi-wave profile of spreading_speed."""
+"""The Python-float DOP853 shooting kernel: its generated step and dense
+functions against the generic stage loop (oracles.reference_rk_step), bit
+for bit; agreement with the solve_ivp kernel it replaced
+(oracles.reference_shoot); its tableau; and the lazily sampled semi-wave
+profile of spreading_speed."""
 
 import hashlib
+from math import nan, sqrt
 
 import numpy as np
 import pytest
@@ -11,7 +14,14 @@ from scipy.integrate import DOP853
 import freebound as fb
 from freebound import waves
 
-from oracles import reference_shoot, use_reference_kernel
+from oracles import (
+    REFERENCE_FIELDS,
+    reference_dense,
+    reference_rk_step,
+    reference_shoot,
+    use_reference_kernel,
+    use_reference_step,
+)
 
 # sha256 of DOP853's A, B, C, E3, E5, D, A_EXTRA, C_EXTRA as little-endian
 # doubles, as scipy 1.17.1 ships them
@@ -27,13 +37,14 @@ def n(logistic_n):
     return logistic_n
 
 
-def on_both_kernels(monkeypatch, compute, term=fb.logistic):
-    """compute(n) on the library's kernel, then on the reference kernel,
-    each with a fresh reaction term n = term(), so that no reference shot
-    enters a slope curve the library's shots use."""
+def on_both_kernels(monkeypatch, compute, term=fb.logistic,
+                    reference=use_reference_kernel):
+    """compute(n) on the library's kernel, then on the reference kernel
+    (default: solve_ivp's), each with a fresh reaction term n = term(), so
+    that no reference shot enters a slope curve the library's shots use."""
     new = compute(term())
     with monkeypatch.context() as patch:
-        use_reference_kernel(patch)
+        reference(patch)
         old = compute(term())
     return new, old
 
@@ -152,15 +163,18 @@ def test_interpolants_evaluate_like_ode_solution(n):
 
 # ------------------------------------------------------ agreement: errors
 
-def test_failed_shots_raise_like_reference(n, monkeypatch):
-    for compute in (
-        # stalls in the origin spiral: the error norm turns 0/0
-        lambda nl: fb.spreading_speed(-n.c0 + 1e-6, 1.0, nl),
-        lambda nl: fb.shoot_semi_wave(n.c0 - 3e-5, 0.0, nl, samples=False,
-                                      z_budget=2000.0),
-        # budget exhausted before q = 0
-        lambda nl: fb.shoot_semi_wave(1.0, 0.0, nl, samples=False, z_budget=5.0),
-    ):
+FAILING_SHOTS = (
+    # stalls in the origin spiral: the error norm turns 0/0
+    lambda nl: fb.spreading_speed(-nl.c0 + 1e-6, 1.0, nl),
+    lambda nl: fb.shoot_semi_wave(nl.c0 - 3e-5, 0.0, nl, samples=False,
+                                  z_budget=2000.0),
+    # budget exhausted before q = 0
+    lambda nl: fb.shoot_semi_wave(1.0, 0.0, nl, samples=False, z_budget=5.0),
+)
+
+
+def test_failed_shots_raise_like_reference(monkeypatch):
+    for compute in FAILING_SHOTS:
         new, old = on_both_kernels(monkeypatch, lambda nl: raised(compute, nl))
         assert new == old
         assert new[0] is fb.errors.NumericalError and "drift" in new[1]
@@ -180,6 +194,146 @@ def test_collapse_event_located_like_reference(n, monkeypatch):
     assert abs(new.t_events[1][0] - old.t_events[1][0]) <= 1e-10
     assert new.t == new.t_events[1][0]
     assert np.max(np.abs(np.subtract(new.y, old.y))) <= 1e-110
+
+
+# ------------------------------------------- generated step: bit for bit
+
+TERMS = {
+    "logistic": fb.logistic,
+    "cubic": lambda: fb.cubic_monostable(0.5),
+    "custom": lambda: fb.from_coefficients([0.0, 1.0, 0.0, -1.0]),
+}
+
+# state magnitudes 10**e: shots' own range; the origin spiral's floor, where
+# the error norm underflows to 0 or to 0/0; and f(q) overflowing, where it
+# turns NaN
+MAGNITUDES = {"typical": (-3.0, 1.0), "tiny": (-175.0, -160.0),
+              "overflow": (150.0, 160.0)}
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def error_norm(s5, s3, h, size):
+    """_shoot's error norm of a step, or why _shoot raises on it."""
+    if s5 == 0.0 and s3 == 0.0:
+        return 0.0
+    denom = s5 + 0.01 * s3
+    err = h * s5 / sqrt(denom * size) if denom > 0.0 else nan
+    if err != err:
+        return "0/0" if denom == 0.0 else "NaN"
+    return err
+
+
+@pytest.mark.parametrize("term", TERMS)
+@pytest.mark.parametrize("field", sorted(waves._FIELDS))
+def test_generated_step_and_dense_match_the_stage_loop_bitwise(field, term):
+    n = TERMS[term]()
+    size = len(waves._FIELDS[field][0])
+    rng = np.random.default_rng([sorted(waves._FIELDS).index(field),
+                                 list(TERMS).index(term)])
+    paths = {"0/0": 0, "NaN": 0}
+    for lo, hi in MAGNITUDES.values():
+        for _ in range(60):
+            g = float(rng.uniform(-3.0, 3.0))
+            y = [float(v) for v in
+                 rng.uniform(-1.5, 1.5, size) * 10.0 ** rng.uniform(lo, hi)]
+            h = float(10.0 ** rng.uniform(-4.0, 0.0))
+            rhs, step, dense = waves._kernel(field)(n.f, n.fprime, g)
+            ref_rhs = REFERENCE_FIELDS[field](n.f, n.fprime, g)
+            fy = rhs(y)
+            assert hexes(fy) == hexes(ref_rhs(y))
+            new = step(y, fy, h)
+            old = reference_rk_step(ref_rhs, y, fy, h)
+            err = error_norm(old[2], old[3], h, size)
+            assert error_norm(new[2], new[3], h, size) == err
+            if err in paths:
+                paths[err] += 1
+            if err == "NaN":
+                # a product 0.0*k with k non-finite, which the generated
+                # step leaves out, is NaN in the stage loop; either way
+                # the shot raises on this step
+                continue
+            y_new, f_new, s5, s3, K = new
+            assert hexes([*y_new, *f_new, s5, s3, *K]) == hexes(
+                [*old[0], *old[1], old[2], old[3], *old[4]])
+            F = dense(K, h, y, y_new)
+            F_ref = reference_dense(ref_rhs, old[4], h, y, old[0])
+            assert [hexes(row) for row in F] == [hexes(row) for row in F_ref]
+    assert paths["0/0"] > 0 and paths["NaN"] > 0
+
+
+@pytest.mark.parametrize("field", sorted(waves._FIELDS))
+def test_a_nan_f_of_y_new_alone_makes_the_error_norm_nan(field):
+    # f(y_new), the twelfth call of f in a step, has zero weight in y_new
+    # and in both error estimates; NaN there must still fail the step
+    size = len(waves._FIELDS[field][0])
+    y, h = [0.5, 0.3, 0.1, 0.2][:size], 0.01
+
+    def generated(f, fprime, g):
+        return waves._kernel(field)(f, fprime, g)[:2]
+
+    def stage_loop(f, fprime, g):
+        rhs = REFERENCE_FIELDS[field](f, fprime, g)
+        return rhs, lambda y, fy, h: reference_rk_step(rhs, y, fy, h)
+
+    for make in (generated, stage_loop):
+        calls = []
+
+        def f(u):
+            calls.append(u)
+            return nan if len(calls) == 13 else u * (1.0 - u)
+
+        rhs, step = make(f, lambda u: 1.0 - 2.0 * u, 0.5)
+        y_new, _, s5, s3, _ = step(y, rhs(y), h)
+        assert len(calls) == 13 and all(v == v for v in y_new)
+        assert error_norm(s5, s3, h, size) == "NaN"
+
+
+def profile_bits(w):
+    return ([getattr(w, name).tobytes() for name in ("z", "q", "qp")],
+            hexes([w.slope0, w.speed or 0.0, w.endpoint or 0.0]))
+
+
+@pytest.mark.parametrize("term", ["logistic", "custom"])
+def test_speeds_and_profiles_are_bit_identical_on_the_stage_loop(monkeypatch,
+                                                                   term):
+    def compute(n):
+        res = fb.spreading_speed(0.5, 1.0, n)
+        beta_star = fb.critical_advection(1.0, n)
+        speeds = [fb.spreading_speed(beta, mu, n)
+                  for beta, mu in ((-1.5, 0.5), (1.5, 2.0))]
+        inputs = {"ctilde": res.c_tilde, "beta_star": beta_star}
+        return (hexes([res.c_tilde, res.residual, beta_star]
+                      + [v for r in speeds for v in (r.c_tilde, r.residual)]),
+                [profile_bits(res.profile)]
+                + [profile_bits(make(n, inputs)) for make in PROFILES.values()])
+
+    new, old = on_both_kernels(monkeypatch, compute, TERMS[term],
+                               use_reference_step)
+    assert new == old
+
+
+def test_failed_shots_raise_like_the_stage_loop(monkeypatch):
+    for compute in FAILING_SHOTS:
+        new, old = on_both_kernels(monkeypatch, lambda nl: raised(compute, nl),
+                                   reference=use_reference_step)
+        assert new == old
+
+
+def test_shots_call_no_builtin_sum(monkeypatch):
+    # 3.12's sum() of floats is compensated, 3.11's is not: a shot that
+    # called it would give other bits on other interpreters
+    def no_sum(*args, **kwargs):
+        raise AssertionError("builtin sum called on the shot path")
+
+    monkeypatch.setattr(waves, "sum", no_sum, raising=False)
+    n = fb.logistic()
+    res = fb.spreading_speed(0.5, 1.0, n)
+    inputs = {"ctilde": res.c_tilde, "beta_star": fb.critical_advection(1.0, n)}
+    profiles = [res.profile] + [make(n, inputs) for make in PROFILES.values()]
+    assert len({w.kind for w in profiles}) == 6
 
 
 # ----------------------------------------------------------- lazy profile
