@@ -9,7 +9,11 @@ the front solver uses: once h(t) > l_star, spreading is guaranteed.
 
 For the Dirichlet boundary (b = 0) everything is explicit:
 zeta1 = beta^2/4 + pi^2/ell^2 - f'(0), l_star = 2 pi / sqrt(c0^2 - beta^2).
-The mixed boundary has no closed form; this script shows both.
+For the mixed boundary zeta1 needs a transcendental solve, but the
+critical lengths stay explicit: at zeta1 = 0 the transformed mode has
+wave number k = sqrt(c0^2 - beta^2)/2, and
+l_star = (pi/2 + atan2(a - b beta/2, b k)) / k (l_substar at a in place
+of a - b beta/2).  This script shows both.
 """
 
 import numpy as np
@@ -32,12 +36,17 @@ for beta in (0.0, 0.5, 1.0, 1.5, 1.9):
     closed = 2.0 * np.pi / np.sqrt(4.0 - beta * beta)
     print(f"  beta={beta:4.1f}: l_star = {ls:.8f}   (closed form {closed:.8f})")
 
-print("\nmixed boundary a=0.7, b=1.3 (no closed form): both lengths reported,")
-print("no ordering assumed between them:")
+print("\nmixed boundary a=0.7, b=1.3: both lengths reported, no ordering")
+print("assumed between them, each beside its closed form (pi/2 + atan2(A, b k))/k")
+print("with k = sqrt(c0^2 - beta^2)/2 and A = a - b beta/2 (A = a for l_substar):")
 for beta in (0.0, 0.8, 1.5):
     ls = fb.critical_length(beta, 0.7, 1.3, m)
     lsub = fb.critical_length_no_advection(beta, 0.7, 1.3, m)
-    print(f"  beta={beta:4.1f}: l_star = {ls:.6f},  l_substar = {lsub:.6f}")
+    k = np.sqrt(4.0 * m - beta * beta) / 2.0
+    closed = (np.pi / 2.0 + np.arctan2(0.7 - 1.3 * beta / 2.0, 1.3 * k)) / k
+    closed_sub = (np.pi / 2.0 + np.arctan2(0.7, 1.3 * k)) / k
+    print(f"  beta={beta:4.1f}: l_star = {ls:.6f} ({closed:.6f}),"
+          f"  l_substar = {lsub:.6f} ({closed_sub:.6f})")
 
 print("\nRobin case with strong drift (beta > 2a/b): the principal mode is")
 print("boundary-trapped (hyperbolic branch), pushing zeta1 below the")

@@ -2,16 +2,16 @@
 
 Rule order (finite-horizon proxies for the t -> infinity taxonomy):
 
-1. |beta| < c0 and h reached l_star + margin at any recorded time:
+1. |beta| < c0 and h reached l_star + MARGIN at any recorded time:
    Spreading.  This is the rigorous spreading certificate: a front beyond
    the critical length can never stop.
-2. sup u and h' both below their cutoffs, with h at most l_star + margin
+2. sup u and h' both below their cutoffs, with h at most l_star + MARGIN
    when l_star exists: Vanishing.  This is a heuristic read at the end of
    the run; vanishing_certificate is the rigorous test that backs it, and
    the threshold drivers stop their runs at it.
 3. beta >= c0: sample the final profile in a window moving at
-   c = (beta - c0 + c_tilde)/2.  Within eps_one of 1: VirtualSpreading.
-   Otherwise sup u < eps_van with the front still advancing at >= eps_h:
+   c = (beta - c0 + c_tilde)/2.  Within EPS_ONE of 1: VirtualSpreading.
+   Otherwise sup u < EPS_VAN with the front still advancing at >= EPS_H:
    VirtualVanishing.
 4. Anything else: Undetermined.
 
@@ -51,9 +51,7 @@ class Classification:
 
 def classify(traj: Trajectory, spec: ProblemSpec,
              lstar: float | None = None,
-             ctilde: float | None = None, *,
-             margin: float = MARGIN, eps_van: float = EPS_VAN,
-             eps_h: float = EPS_H, eps_one: float = EPS_ONE) -> Classification:
+             ctilde: float | None = None) -> Classification:
     c0 = spec.nonlinearity.c0
     beta = spec.beta
     h_end = float(traj.h[-1])
@@ -68,12 +66,12 @@ def classify(traj: Trajectory, spec: ProblemSpec,
         "rule": None,
     }
 
-    if abs(beta) < c0 and lstar is not None and np.any(traj.h >= lstar + margin):
+    if abs(beta) < c0 and lstar is not None and np.any(traj.h >= lstar + MARGIN):
         evidence["rule"] = "front-beyond-critical-length"
         return Classification("Spreading", evidence)
 
-    if (sup_end < eps_van and hp_end < eps_h
-            and (lstar is None or h_end <= lstar + margin)):
+    if (sup_end < EPS_VAN and hp_end < EPS_H
+            and (lstar is None or h_end <= lstar + MARGIN)):
         evidence["rule"] = "decayed-and-stalled"
         return Classification("Vanishing", evidence)
 
@@ -88,10 +86,10 @@ def classify(traj: Trajectory, spec: ProblemSpec,
             return Classification("Undetermined", evidence)
         xw = np.linspace(lo, hi, 101)
         uw = np.interp(xw, x_snap, u_snap)
-        if np.max(np.abs(uw - 1.0)) <= eps_one:
+        if np.max(np.abs(uw - 1.0)) <= EPS_ONE:
             evidence["rule"] = "moving-window-near-one"
             return Classification("VirtualSpreading", evidence)
-        if sup_end < eps_van and hp_end >= eps_h:
+        if sup_end < EPS_VAN and hp_end >= EPS_H:
             evidence["rule"] = "decayed-but-front-advancing"
             return Classification("VirtualVanishing", evidence)
 

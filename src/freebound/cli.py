@@ -6,15 +6,16 @@ double precision (17 significant digits) so downstream refinement checks
 lose nothing.  Exit status: 0 success, 1 domain error (the requested
 object does not exist), 2 numerical failure or malformed input.
 
-The classification hints l_star and c_tilde: simulate solves both eagerly
-and independently, because summary.json reports them (a hint that fails
-reads null, and its error type and message go into an added hint_errors
-field, written only then); sweep solves c_tilde lazily, only for a
-cell that reaches classify's rule 3 (beta >= c0 and rules 1-2 silent), the
-one rule that reads it.  A sweep row that fails reads Error; its reason
-goes to the sidecar <out>.errors.json, which also holds an entry, with an
-added "hint" key, for each cell classified without a hint it asked for
-because the hint's solve failed.  A sweep with neither writes no sidecar.
+The classification hints l_star and c_tilde: simulate and sweep classify
+alike, solving c_tilde only for a run that reaches classify's rule 3
+(beta >= c0 and rules 1-2 silent), the one rule that reads it.  simulate
+then solves whichever hint the verdict did not, each on its own, because
+summary.json reports both (a hint that fails reads null, and its error
+type and message go into an added hint_errors field, written only then).
+A sweep row that fails reads Error; its reason goes to the sidecar
+<out>.errors.json, which also holds an entry, with an added "hint" key,
+for each cell classified without a hint it asked for because the hint's
+solve failed.  A sweep with neither writes no sidecar.
 
 A sweep cuts its cells, in grid order, into contiguous chunks of at most
 ENSEMBLE_MAX, as many chunks as workers (--workers, else the CPU count) or
@@ -130,30 +131,6 @@ def _cmd_wave(args):
     return 0
 
 
-def _hint(errors, name, solve):
-    """solve(), or None with its FreeboundError recorded as errors[name]."""
-    try:
-        return solve()
-    except FreeboundError as exc:
-        errors[name] = {"type": type(exc).__name__, "message": str(exc)}
-        return None
-
-
-def _classification_hint(traj, spec, errors):
-    """(verdict, l_star, c_tilde), each hint solved on its own: one that
-    fails reads None, and its error goes into errors under its name."""
-    n = spec.nonlinearity
-    lstar = ctilde = None
-    if abs(spec.beta) < n.c0:
-        lstar = _hint(errors, "l_star",
-                      lambda: critical_length(spec.beta, spec.a, spec.b, n.fp0))
-    if spec.beta > -n.c0:
-        ctilde = _hint(errors, "c_tilde",
-                       lambda: spreading_speed(spec.beta, spec.mu, n).c_tilde)
-    verdict = classify(traj, spec, lstar=lstar, ctilde=ctilde)
-    return verdict, lstar, ctilde
-
-
 def _cmd_simulate(args):
     cfg = load_config(args.config)
     spec = spec_from_config(cfg)
@@ -170,8 +147,10 @@ def _cmd_simulate(args):
         _write_csv(outdir / name, "x,u", (x, u))
         snap_files.append({"t": t, "file": name})
 
-    hint_errors = {}
-    verdict, lstar, ctilde = _classification_hint(traj, spec, hint_errors)
+    hints, hint_errors = {}, {}
+    verdict = _verdict(traj, spec, hints, hint_errors)
+    lstar = _l_star(spec, hints, hint_errors)
+    ctilde = _c_tilde(spec, hints, hint_errors)
     summary = {
         "config": cfg,
         "h_final": float(traj.h[-1]),
@@ -286,46 +265,57 @@ def _memo(hints, key, solve, errors):
     """hints[key], solved on first use; a FreeboundError is kept as None,
     and recorded in errors under the hint's name for every cell that asks."""
     if key not in hints:
-        failed = {}
-        hints[key] = _hint(failed, key[0], solve), failed.get(key[0])
+        try:
+            hints[key] = solve(), None
+        except FreeboundError as exc:
+            hints[key] = None, {"type": type(exc).__name__, "message": str(exc)}
     value, error = hints[key]
     if error is not None:
         errors[key[0]] = error
     return value
 
 
-def _sweep_verdict(traj, spec, hints=None, errors=None):
-    """The verdict _classification_hint gives, with c_tilde solved only
-    when rule 3 is reached: rules 1-2 never read it.
+def _l_star(spec, hints, errors):
+    """l_star by beta, or None when |beta| >= c0 (there is none)."""
+    n = spec.nonlinearity
+    if abs(spec.beta) >= n.c0:
+        return None
+    return _memo(hints, ("l_star", spec.beta),
+                 lambda: critical_length(spec.beta, spec.a, spec.b, n.fp0), errors)
+
+
+def _c_tilde(spec, hints, errors):
+    """c_tilde by (beta, mu), or None when beta <= -c0 (there is none)."""
+    n = spec.nonlinearity
+    if spec.beta <= -n.c0:
+        return None
+    return _memo(hints, ("c_tilde", spec.beta, spec.mu),
+                 lambda: spreading_speed(spec.beta, spec.mu, n).c_tilde, errors)
+
+
+def _verdict(traj, spec, hints, errors):
+    """classify's verdict with c_tilde solved only when rule 3 is reached:
+    rules 1-2 never read it.
 
     hints, shared by cells with the same a, b and reaction term, holds
     l_star by beta and c_tilde by (beta, mu), each solved once.  A hint
     that fails leaves the cell classified without it, and its error goes
     into errors under its name.
     """
-    hints = {} if hints is None else hints
-    errors = {} if errors is None else errors
-    n = spec.nonlinearity
-    lstar = None
-    if abs(spec.beta) < n.c0:
-        lstar = _memo(hints, ("l_star", spec.beta),
-                      lambda: critical_length(spec.beta, spec.a, spec.b, n.fp0),
-                      errors)
+    lstar = _l_star(spec, hints, errors)
     verdict = classify(traj, spec, lstar=lstar)
-    if spec.beta >= n.c0 and verdict.evidence["rule"] == "no-rule-fired":
-        ctilde = _memo(hints, ("c_tilde", spec.beta, spec.mu),
-                       lambda: spreading_speed(spec.beta, spec.mu, n).c_tilde,
-                       errors)
+    if spec.beta >= spec.nonlinearity.c0 and verdict.evidence["rule"] == "no-rule-fired":
+        ctilde = _c_tilde(spec, hints, errors)
         if ctilde is not None:
             verdict = classify(traj, spec, lstar=lstar, ctilde=ctilde)
     return verdict
 
 
-def _sweep_result(index, cfg, traj, spec, hints=None):
+def _sweep_result(index, cfg, traj, spec, hints):
     """(index, CSV row, reasons): reasons lists the cell's dropped hints
     for the sidecar, or is None when there are none."""
     errors = {}
-    verdict = _sweep_verdict(traj, spec, hints, errors)
+    verdict = _verdict(traj, spec, hints, errors)
     row = verdict.verdict, float(traj.h[-1]), float(traj.supu[-1])
     reasons = [{"index": index, "config": cfg, "hint": name, **error}
                for name, error in errors.items()]
@@ -337,7 +327,7 @@ def _sweep_cell(payload):
     index, cfg = payload
     try:
         spec = spec_from_config(cfg)
-        return _sweep_result(index, cfg, simulate(spec), spec)
+        return _sweep_result(index, cfg, simulate(spec), spec, {})
     except FreeboundError as exc:
         reason = {"index": index, "config": cfg, "type": type(exc).__name__,
                   "message": str(exc)}

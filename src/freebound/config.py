@@ -31,9 +31,9 @@ from .stefan import ProblemSpec, default_initial_profile
 
 __all__ = ["parse_config", "load_config", "nonlinearity_from_config", "spec_from_config"]
 
-_FLOAT_KEYS = {"beta", "mu", "a", "b", "h0", "lambda", "dt", "tmax", "gamma", "tol"}
+_FLOAT_KEYS = {"beta", "mu", "a", "b", "h0", "lambda", "dt", "tmax", "gamma"}
 _INT_KEYS = {"nx"}
-_LIST_KEYS = {"coefficients", "snapshots"}
+_LIST_KEYS = {"coefficients"}
 _STR_KEYS = {"nonlinearity"}
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _LIST_KEYS | _STR_KEYS
 

@@ -22,7 +22,17 @@ The critical lengths are the zero crossings
     gamma1(l_substar) = -beta^2/4   (gamma1 = zeta1 at beta = 0),
 
 which exist for |beta| < c0 = 2*sqrt(m) because zeta1 is strictly
-decreasing in ell from +inf.  For b = 0 both equal 2*pi/sqrt(c0^2-beta^2).
+decreasing in ell from +inf.  Both fix s1 = m - beta^2/4 = k^2 with
+
+    k = sqrt((c0 - |beta|)(c0 + |beta|))/2 > 0,
+
+so no root search is needed: the principal mode b cos(kx) + (A/k) sin(kx)
+first vanishes at k*ell = pi/2 + atan2(A, b*k), which gives
+
+    l_star    = (pi/2 + atan2(a - b*beta/2, b*k)) / k,
+    l_substar = (pi/2 + atan2(a, b*k)) / k.
+
+For b = 0 both equal 2*pi/sqrt(c0^2 - beta^2).
 """
 
 from __future__ import annotations
@@ -43,7 +53,13 @@ __all__ = [
     "critical_length_no_advection",
 ]
 
-_LMAX = 1e4
+
+def _require_admissible(beta: float, a: float, b: float, m: float) -> None:
+    _require_finite(beta=beta, a=a, b=b, m=m)
+    if a < 0.0 or b < 0.0 or a + b <= 0.0:
+        raise ValueError("need a, b >= 0 with a + b > 0")
+    if m <= 0.0:
+        raise ValueError("m = f'(0) must be positive")
 
 
 @dataclass(frozen=True)
@@ -55,13 +71,10 @@ class EigenProblem:
     m: float
 
     def __post_init__(self):
-        _require_finite(ell=self.ell, beta=self.beta, a=self.a, b=self.b, m=self.m)
+        _require_finite(ell=self.ell)
         if self.ell <= 0.0:
             raise ValueError("ell must be positive")
-        if self.a < 0.0 or self.b < 0.0 or self.a + self.b <= 0.0:
-            raise ValueError("need a, b >= 0 with a + b > 0")
-        if self.m <= 0.0:
-            raise ValueError("m = f'(0) must be positive")
+        _require_admissible(self.beta, self.a, self.b, self.m)
 
 
 @dataclass(frozen=True)
@@ -145,11 +158,6 @@ def _transformed_s1(ell: float, A: float, b: float) -> float:
     return k1 * k1
 
 
-def _zeta1(ell: float, beta: float, a: float, b: float, m: float) -> float:
-    s1 = _transformed_s1(ell, a - b * beta / 2.0, b)
-    return s1 + beta * beta / 4.0 - m
-
-
 def _eigenfunction(ell, beta, a, b, s1, n_min=801):
     """Sampled positive eigenfunction, max-normalized.
 
@@ -203,31 +211,31 @@ def principal_eigenvalue(p: EigenProblem) -> EigenResult:
     return EigenResult(zeta1=zeta1, x=x, eigenfunction=phi)
 
 
-def _bracketed_length_root(g, what: str) -> float:
-    lo = 1e-3
-    if g(lo) <= 0.0:
-        lo = 1e-6
-        if g(lo) <= 0.0:
-            raise NumericalError(f"{what}: no positive value at the short end")
-    hi = max(1.0, 2.0 * lo)
-    while g(hi) >= 0.0:
-        hi *= 2.0
-        if hi > _LMAX:
-            raise NumericalError(f"{what}: no sign change below L_max={_LMAX:g}")
-    root = _root(g, lo, hi, 1e-13, what)
-    if abs(g(root)) > 1e-10:
-        raise NumericalError(f"{what}: residual {g(root):.3e} exceeds 1e-10")
-    return root
+def _critical_length(beta: float, a: float, b: float, m: float, drift: float,
+                     what: str) -> float:
+    """First zero ell of the transformed mode b cos(kx) + (A/k) sin(kx),
+    A = a - b*drift/2, at k = sqrt(m - beta^2/4) > 0 (s1 = k^2).
+
+    k*ell = pi/2 + atan2(A, b*k) = atan2(b*k, -A); the angle is taken with
+    both arguments divided by b, so that no product overflows, and b = 0
+    is the Dirichlet end, k*ell = pi.
+    """
+    _require_admissible(beta, a, b, m)
+    c0 = 2.0 * math.sqrt(m)
+    if abs(beta) >= c0:
+        raise NoCriticalLength(f"|beta|={abs(beta):g} >= c0={c0:g}: {what}")
+    # k = sqrt((c0 - |beta|)(c0 + |beta|))/2, with c0 and beta scaled by a
+    # power of two so that the product neither overflows nor underflows
+    e = math.frexp(c0)[1]
+    c, d = math.ldexp(c0, -e), math.ldexp(abs(beta), -e)
+    k = math.ldexp(math.sqrt((c - d) * (c + d)), e - 1)
+    angle = math.atan2(k, drift / 2.0 - a / b) if b > 0.0 else math.pi
+    return angle / k
 
 
 def critical_length(beta: float, a: float, b: float, m: float) -> float:
     """Length l_star with zeta1(l_star) = 0.  Needs |beta| < 2*sqrt(m)."""
-    _require_finite(beta=beta, a=a, b=b, m=m)
-    c0 = 2.0 * np.sqrt(m)
-    if abs(beta) >= c0:
-        raise NoCriticalLength(
-            f"|beta|={abs(beta):g} >= c0={c0:g}: zeta1 never crosses zero")
-    return _bracketed_length_root(lambda L: _zeta1(L, beta, a, b, m), "l_star")
+    return _critical_length(beta, a, b, m, beta, "zeta1 never crosses zero")
 
 
 def critical_length_no_advection(beta: float, a: float, b: float, m: float) -> float:
@@ -236,11 +244,4 @@ def critical_length_no_advection(beta: float, a: float, b: float, m: float) -> f
     gamma1 is the principal eigenvalue of the advection-free problem;
     the offset -beta^2/4 restores the drift contribution.
     """
-    _require_finite(beta=beta, a=a, b=b, m=m)
-    c0 = 2.0 * np.sqrt(m)
-    if abs(beta) >= c0:
-        raise NoCriticalLength(
-            f"|beta|={abs(beta):g} >= c0={c0:g}: gamma1 never reaches -beta^2/4")
-    shift = beta * beta / 4.0
-    return _bracketed_length_root(
-        lambda L: _zeta1(L, 0.0, a, b, m) + shift, "l_substar")
+    return _critical_length(beta, a, b, m, 0.0, "gamma1 never reaches -beta^2/4")

@@ -4,13 +4,15 @@ Everything here deliberately avoids the library's own solvers: fixed-step
 RK4 with bisection event location for the shooting problems, closed forms
 for the logistic comparison ODE and the b = 0 eigenvalues, a DOP853 shot
 on the untransformed eigenproblem, and the phase-plane first integral for
-the zero-speed slope.  The exceptions are the slow reference paths at the
-end: bracketing root-finds for c_tilde and beta_star over the library's
+the zero-speed slope.  The exceptions are the slow reference paths: the
+nested root search for the critical lengths that their closed form
+replaced, bracketing root-finds for c_tilde and beta_star over the library's
 plain semi-wave shot, without the Newton solve and the s(g) identity that
 replaced them, that Newton solve started from c = 0 on every call,
 without the slope curve's warm start, a mu_star/lambda_star bisection on
 full-horizon runs, without the early stops at the spreading and Vanishing
-certificates, the Stefan substep loop as it stood before its per-call
+certificates, the classification hints solved up front as simulate once
+solved them, the Stefan substep loop as it stood before its per-call
 hoisting and in-place buffers, and the generic DOP853 stage loop the
 generated step functions of waves._kernel replaced.
 """
@@ -24,7 +26,9 @@ from scipy.optimize import brentq
 
 import freebound as fb
 from freebound import waves
-from freebound.errors import InvariantViolation, NoSemiWave, NumericalError
+from freebound.eigen import _transformed_s1
+from freebound.errors import (FreeboundError, InvariantViolation, NoCriticalLength,
+                              NoSemiWave, NumericalError)
 from freebound.stefan import CFL_SAFETY, CLAMP_FLOOR, FrontState
 from freebound.waves import _A, _A_EXTRA, _ATOL, _B, _D, _E3, _E5, _RTOL
 
@@ -98,7 +102,8 @@ def zeta1_closed_form(ell, beta, m):
 
 
 def lstar_closed_form(beta, c0):
-    return 2.0 * np.pi / np.sqrt(c0 * c0 - beta * beta)
+    # c0^2 - beta^2 factored: it cancels to 8 digits at beta = c0 - 1e-8
+    return 2.0 * np.pi / np.sqrt((c0 - beta) * (c0 + beta))
 
 
 def principal_eigenvalue_shooting(p, *, rtol=1e-12, atol=1e-14):
@@ -139,6 +144,39 @@ def principal_eigenvalue_shooting(p, *, rtol=1e-12, atol=1e-14):
     else:
         raise NumericalError("no sign change found while marching zeta")
     return brentq(end_value, hi - step, hi, xtol=1e-12, maxiter=200)
+
+
+def zeta1(ell, beta, a, b, m):
+    """zeta1(ell) of the library's transcendental solve, without the
+    sampled eigenfunction that principal_eigenvalue adds."""
+    return _transformed_s1(ell, a - b * beta / 2.0, b) + beta * beta / 4.0 - m
+
+
+def reference_critical_length(beta, a, b, m, *, advection=True):
+    """l_star (l_substar when advection is False) by the nested solve the
+    closed form replaced: brentq on ell over a doubling bracket capped at
+    1e4, each zeta1(ell) a root-find of its own when b > 0."""
+    c0 = 2.0 * np.sqrt(m)
+    if abs(beta) >= c0:
+        raise NoCriticalLength(f"|beta|={abs(beta):g} >= c0={c0:g}")
+    if advection:
+        def g(L):
+            return zeta1(L, beta, a, b, m)
+    else:
+        def g(L):
+            return zeta1(L, 0.0, a, b, m) + beta * beta / 4.0
+
+    lo = 1e-3
+    if g(lo) <= 0.0:
+        lo = 1e-6
+        if g(lo) <= 0.0:
+            raise NumericalError("no positive value at the short end")
+    hi = max(1.0, 2.0 * lo)
+    while g(hi) >= 0.0:
+        hi *= 2.0
+        if hi > 1e4:
+            raise NumericalError("no sign change below L_max=10000")
+    return brentq(g, lo, hi, xtol=1e-13, maxiter=200)
 
 
 def spreading_speed_brentq(beta, mu, n, max_step=0.1):
@@ -288,6 +326,30 @@ def threshold_full_horizon(spec, parameter, value_range, tol, psi=None):
         else:
             lo = mid
     return lo, hi
+
+
+def _hint(errors, name, solve):
+    try:
+        return solve()
+    except FreeboundError as exc:
+        errors[name] = {"type": type(exc).__name__, "message": str(exc)}
+        return None
+
+
+def reference_classification_hint(traj, spec, errors):
+    """(verdict, l_star, c_tilde) with both hints solved up front, as
+    simulate once did: a hint that fails reads None, and its error goes
+    into errors under its name."""
+    n = spec.nonlinearity
+    lstar = ctilde = None
+    if abs(spec.beta) < n.c0:
+        lstar = _hint(errors, "l_star",
+                      lambda: fb.critical_length(spec.beta, spec.a, spec.b, n.fp0))
+    if spec.beta > -n.c0:
+        ctilde = _hint(errors, "c_tilde",
+                       lambda: fb.spreading_speed(spec.beta, spec.mu, n).c_tilde)
+    verdict = fb.classify(traj, spec, lstar=lstar, ctilde=ctilde)
+    return verdict, lstar, ctilde
 
 
 def _boundary_flux(w, dxi, h):

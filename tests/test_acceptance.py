@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 import freebound as fb
-from freebound.eigen import _zeta1
 
-from oracles import lstar_closed_form, zeta1_closed_form
+from oracles import lstar_closed_form, zeta1, zeta1_closed_form
 
 
 def report(num, text):
@@ -40,7 +39,7 @@ def test_criterion_1_eigenvalue_closed_form():
     worst = 0.0
     for beta in (-1.5, 0.0, 1.5):
         for ell in (0.5, 1.0, np.pi, 5.0):
-            zeta = _zeta1(ell, beta, 1.0, 0.0, 1.0)
+            zeta = zeta1(ell, beta, 1.0, 0.0, 1.0)
             worst = max(worst, abs(zeta - zeta1_closed_form(ell, beta, 1.0)))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-8

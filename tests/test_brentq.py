@@ -68,15 +68,6 @@ def test_transformed_s1_branches(twin, ell, A, b):
     assert twin
 
 
-@pytest.mark.parametrize("beta, a, b", [
-    (0.5, 1.0, 0.0), (0.0, 1.0, 0.0), (-1.2, 0.3, 1.0), (1.8, 0.2, 1.0),
-    (1.5, 0.5, 1.0)])
-def test_critical_lengths(twin, beta, a, b):
-    fb.critical_length(beta, a, b, 1.0)
-    fb.critical_length_no_advection(beta, a, b, 1.0)
-    assert len(twin) >= 2
-
-
 def test_semi_wave_event_root(twin):
     n = fb.logistic()
     for g in (-2.5, -0.5, 1.5):

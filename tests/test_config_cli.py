@@ -10,9 +10,11 @@ import pytest
 
 import freebound as fb
 from freebound import cli, config
-from freebound.cli import _classification_hint, _sweep_cell, main
+from freebound.cli import _sweep_cell, main
 from freebound.config import parse_config, nonlinearity_from_config, spec_from_config
-from freebound.errors import ConfigError
+from freebound.errors import ConfigError, NumericalError
+
+from oracles import reference_classification_hint
 
 BASE_CFG = """\
 # spreading run
@@ -37,8 +39,11 @@ def test_parse_config_roundtrip():
 
 
 def test_unknown_key_rejected_with_line_number():
-    with pytest.raises(ConfigError, match="line 2: unknown key 'betta'"):
-        parse_config("beta = 0.5\nbetta = 1.0\n")
+    # tol and snapshots are command-line options only: no command reads
+    # them from a config
+    for key, value in (("betta", "1.0"), ("tol", "0.01"), ("snapshots", "40, 80")):
+        with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
+            parse_config(f"beta = 0.5\n{key} = {value}\n")
 
 
 def test_duplicate_and_malformed_lines():
@@ -85,6 +90,29 @@ def test_eigen_find_lstar(capsys):
     out = capsys.readouterr().out
     val = float(out.splitlines()[0].split("=")[1])
     assert val == pytest.approx(np.pi, abs=1e-6)
+
+
+def test_eigen_find_lstar_just_below_c0(capsys):
+    # l_star = pi/1e-4 is about 31416
+    assert main(["eigen", "--find-lstar", "--beta", "1.99999999", "--a", "1",
+                 "--b", "0", "--m", "1", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["l_star"] == pytest.approx(np.pi / 1e-4, rel=1e-6)
+
+
+@pytest.mark.parametrize("a, b, m, why", [
+    ("-1", "0", "1", "need a, b >= 0 with a + b > 0"),
+    ("0", "0", "1", "need a, b >= 0 with a + b > 0"),
+    ("1", "-2", "1", "need a, b >= 0 with a + b > 0"),
+    ("1", "0", "-1", "m = f'(0) must be positive"),
+    ("1", "0", "0", "m = f'(0) must be positive"),
+])
+def test_eigen_find_lstar_bad_input_exits_2(capsys, a, b, m, why):
+    assert main(["eigen", "--find-lstar", "--beta", "0.5", "--a", a, "--b", b,
+                 "--m", m]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {why}"]
 
 
 def test_eigen_json(capsys):
@@ -278,7 +306,7 @@ def test_sweep_solves_c_tilde_only_when_rule_3_reads_it(monkeypatch):
         assert (index, reason) == (7, None)
         assert len(calls) == solves
         spec = spec_from_config(cfg)
-        eager, _, _ = _classification_hint(fb.simulate(spec), spec, {})
+        eager, _, _ = reference_classification_hint(fb.simulate(spec), spec, {})
         assert eager.evidence["rule"] == rule
         assert row[0] == eager.verdict
 
@@ -388,9 +416,14 @@ def test_sweep_with_a_failing_cell_writes_what_the_per_cell_path_writes(
             assert row == healthy_rows[i]
 
 
+def _l_star_fails(*args):
+    raise NumericalError("l_star: stubbed failure")
+
+
 def test_sweep_records_the_hints_it_dropped(tmp_path, monkeypatch, capsys):
-    # just below c0, critical_length finds no sign change below its L_max:
-    # each cell is classified without l_star, and the sidecar says so
+    # l_star's solve fails: each cell is classified without it, and the
+    # sidecar says so
+    monkeypatch.setattr(cli, "critical_length", _l_star_fails)
     cfg = tmp_path / "s.cfg"
     cfg.write_text(BASE_CFG.replace("tmax = 5", "tmax = 0.5"))
     argv = ["sweep", "--config", str(cfg), "--betas", "1.99999999",
@@ -408,7 +441,7 @@ def test_sweep_records_the_hints_it_dropped(tmp_path, monkeypatch, capsys):
     for f in failures:
         assert f["hint"] == "l_star" and f["config"]["beta"] == 1.99999999
         assert f["type"] == "NumericalError"
-        assert f["message"] == "l_star: no sign change below L_max=10000"
+        assert f["message"] == "l_star: stubbed failure"
     assert "(0 failed cells, 2 dropped hints)" in capsys.readouterr().out
 
 
@@ -439,7 +472,7 @@ def test_sweep_chunk_solves_each_hint_once(monkeypatch):
     for (index, cfg), (i, row, reason) in zip(chunk, rows, strict=True):
         spec = spec_from_config(cfg)
         traj = fb.simulate(spec)
-        verdict = cli._sweep_verdict(traj, spec)
+        verdict = cli._verdict(traj, spec, {}, {})
         assert (i, reason) == (index, None)
         assert row == (verdict.verdict, float(traj.h[-1]), float(traj.supu[-1]))
     # cell by cell, every beta = 0.5 cell solves l_star and every beta = 2.5
@@ -502,26 +535,24 @@ def test_semiwave_refuses_inadmissible_custom_term_before_any_shot(monkeypatch,
     assert "roots_at_0_and_1" in capsys.readouterr().err
 
 
-def test_simulate_keeps_c_tilde_when_l_star_fails(tmp_path, capsys):
-    # just below c0, critical_length finds no sign change below its L_max,
-    # while c_tilde still exists: each hint stands on its own
-    beta = 1.99999999
-    summaries = []
-    for text in (BASE_CFG, BASE_CFG.replace("beta = 0.5", f"beta = {beta!r}")
-                 .replace("tmax = 5", "tmax = 0.5")):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text)
-        out = tmp_path / f"o{len(summaries)}"
+def test_simulate_keeps_c_tilde_when_l_star_fails(tmp_path, monkeypatch, capsys):
+    # l_star's solve fails while c_tilde still exists: each hint stands on
+    # its own
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG)
+
+    def summary():
+        out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        summaries.append(json.loads((out / "summary.json").read_text()))
-    assert "hint_errors" not in summaries[0]
-    summary = summaries[1]
-    assert summary["l_star"] is None
-    n = fb.logistic()
-    assert summary["c_tilde"] == fb.spreading_speed(beta, 2.0, n).c_tilde
-    assert summary["hint_errors"] == {"l_star": {
-        "type": "NumericalError",
-        "message": "l_star: no sign change below L_max=10000"}}
+        return json.loads((out / "summary.json").read_text())
+
+    assert "hint_errors" not in summary()
+    monkeypatch.setattr(cli, "critical_length", _l_star_fails)
+    failed = summary()
+    assert failed["l_star"] is None
+    assert failed["c_tilde"] == fb.spreading_speed(0.5, 2.0, fb.logistic()).c_tilde
+    assert failed["hint_errors"] == {"l_star": {
+        "type": "NumericalError", "message": "l_star: stubbed failure"}}
 
 
 def test_run_directory_reload_matches_in_memory_run(tmp_path, capsys):
@@ -547,7 +578,7 @@ def test_run_directory_reload_matches_in_memory_run(tmp_path, capsys):
 
     spec = spec_from_config(parse_config(text))
     traj = fb.simulate(spec, snapshot_times=[10.0, 12.0])
-    verdict, _, _ = _classification_hint(traj, spec, {})
+    verdict, _, _ = reference_classification_hint(traj, spec, {})
     assert classified == json.loads(json.dumps(
         {"verdict": verdict.verdict, "evidence": verdict.evidence}))
     sr = fb.spreading_speed(spec.beta, spec.mu, spec.nonlinearity)

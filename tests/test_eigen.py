@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freebound as fb
-from freebound.eigen import _zeta1
 
-from oracles import lstar_closed_form, principal_eigenvalue_shooting
+from oracles import (lstar_closed_form, principal_eigenvalue_shooting,
+                     reference_critical_length, zeta1)
 
 
 def test_dirichlet_closed_form_examples():
@@ -41,23 +41,23 @@ def test_eigenfunction_invariants():
                                       (-1.2, 0.3, 1.0), (1.8, 0.2, 1.0)])
 def test_strict_monotonicity_in_ell(beta, a, b):
     ells = np.linspace(0.4, 12.0, 20)
-    z = [_zeta1(L, beta, a, b, 1.0) for L in ells]
+    z = [zeta1(L, beta, a, b, 1.0) for L in ells]
     assert np.all(np.diff(z) < 0.0)
 
 
 def test_limits_in_ell():
     # zeta1 -> +inf as ell -> 0, -> beta^2/4 - m as ell -> inf (b = 0)
-    assert _zeta1(1e-3, 0.7, 1.0, 0.0, 1.0) > 1e5
+    assert zeta1(1e-3, 0.7, 1.0, 0.0, 1.0) > 1e5
     limit = 0.7**2 / 4.0 - 1.0
-    assert _zeta1(500.0, 0.7, 1.0, 0.0, 1.0) == pytest.approx(limit, abs=1e-4)
-    assert _zeta1(500.0, 0.7, 1.0, 0.0, 1.0) > limit
+    assert zeta1(500.0, 0.7, 1.0, 0.0, 1.0) == pytest.approx(limit, abs=1e-4)
+    assert zeta1(500.0, 0.7, 1.0, 0.0, 1.0) > limit
 
 
 def test_gamma1_equals_zeta1_minus_quarter_beta_squared_when_b0():
     for ell in (0.7, 1.3, 3.0, 6.0):
         for beta in (-1.5, 0.5, 1.9):
-            z = _zeta1(ell, beta, 1.0, 0.0, 1.0)
-            g = _zeta1(ell, 0.0, 1.0, 0.0, 1.0)
+            z = zeta1(ell, beta, 1.0, 0.0, 1.0)
+            g = zeta1(ell, 0.0, 1.0, 0.0, 1.0)
             assert g == pytest.approx(z - beta**2 / 4.0, abs=1e-10)
 
 
@@ -80,7 +80,9 @@ def test_shooting_agreement_robin_hyperbolic_branch():
 
 
 def test_critical_length_closed_form():
-    for beta in (0.0, 1.0, 1.9):
+    # at beta = 1.99999999 l_star is about 31416, beyond any bracket a
+    # search over ell would have capped
+    for beta in (0.0, 1.0, 1.9, 1.99999999):
         expect = lstar_closed_form(beta, 2.0)
         assert fb.critical_length(beta, 1.0, 0.0, 1.0) == pytest.approx(expect, abs=1e-6)
         assert fb.critical_length_no_advection(beta, 1.0, 0.0, 1.0) == pytest.approx(
@@ -89,9 +91,40 @@ def test_critical_length_closed_form():
 
 def test_critical_length_zero_residual():
     ls = fb.critical_length(1.0, 1.0, 0.0, 1.0)
-    assert abs(_zeta1(ls, 1.0, 1.0, 0.0, 1.0)) < 1e-10
+    assert abs(zeta1(ls, 1.0, 1.0, 0.0, 1.0)) <= 1e-12
     lsub = fb.critical_length_no_advection(1.0, 0.5, 1.0, 1.0)
-    assert abs(_zeta1(lsub, 0.0, 0.5, 1.0, 1.0) + 0.25) < 1e-10
+    assert abs(zeta1(lsub, 0.0, 0.5, 1.0, 1.0) + 0.25) <= 1e-12
+
+
+def _seeded_cases(count=200, seed=20100):
+    """(beta, a, b, m): a = 0, b = 0, both signs of A = a - b*beta/2 and
+    |beta|/c0 up to 0.999."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        m = float(rng.uniform(0.2, 5.0))
+        beta = float(rng.uniform(-0.999, 0.999)) * 2.0 * np.sqrt(m)
+        a, b = (float(v) for v in rng.uniform(0.0, 3.0, 2))
+        if i % 4 == 1:
+            a = 0.0
+        elif i % 4 == 2:
+            b = 0.0
+        cases.append((beta, a, b, m))
+    return cases
+
+
+def test_critical_lengths_match_the_nested_solve():
+    cases = _seeded_cases()
+    signs = {np.sign(a - b * beta / 2.0) for beta, a, b, _ in cases}
+    assert signs == {-1.0, 1.0}
+    for beta, a, b, m in cases:
+        ls = fb.critical_length(beta, a, b, m)
+        lsub = fb.critical_length_no_advection(beta, a, b, m)
+        assert ls == pytest.approx(reference_critical_length(beta, a, b, m), rel=1e-12)
+        assert lsub == pytest.approx(
+            reference_critical_length(beta, a, b, m, advection=False), rel=1e-12)
+        assert abs(zeta1(ls, beta, a, b, m)) <= 1e-12
+        assert abs(zeta1(lsub, 0.0, a, b, m) + beta * beta / 4.0) <= 1e-12
 
 
 def test_no_critical_length_at_and_beyond_c0():
@@ -108,7 +141,7 @@ def test_robin_critical_lengths_exist_without_ordering_assumption():
     ls = fb.critical_length(0.8, 0.7, 1.3, 1.0)
     lsub = fb.critical_length_no_advection(0.8, 0.7, 1.3, 1.0)
     assert ls > 0.0 and lsub > 0.0
-    assert abs(_zeta1(ls, 0.8, 0.7, 1.3, 1.0)) < 1e-10
+    assert abs(zeta1(ls, 0.8, 0.7, 1.3, 1.0)) <= 1e-12
 
 
 def test_problem_validation():
@@ -124,4 +157,4 @@ def test_problem_validation():
        ell=st.floats(0.3, 8.0), factor=st.floats(1.05, 3.0))
 @settings(max_examples=25, deadline=None)
 def test_monotonicity_property(beta, a, b, ell, factor):
-    assert _zeta1(ell, beta, a, b, 1.0) > _zeta1(ell * factor, beta, a, b, 1.0)
+    assert zeta1(ell, beta, a, b, 1.0) > zeta1(ell * factor, beta, a, b, 1.0)
