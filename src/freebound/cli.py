@@ -6,12 +6,12 @@ double precision (17 significant digits) so downstream refinement checks
 lose nothing.  Exit status: 0 success, 1 domain error (the requested
 object does not exist), 2 numerical failure or malformed input.
 
-The classification hints l_star and c_tilde: simulate and sweep classify
-alike, solving c_tilde only for a run that reaches classify's rule 3
-(beta >= c0 and rules 1-2 silent), the one rule that reads it.  simulate
-then solves whichever hint the verdict did not, each on its own, because
-summary.json reports both (a hint that fails reads null, and its error
-type and message go into an added hint_errors field, written only then).
+The classification hints l_star and c_tilde: simulate, sweep and classify
+go through _verdict, which solves c_tilde only for a run that reaches rule
+3 (beta >= c0 and rules 1-2 silent), the one rule that reads it.  simulate
+then solves whichever hint the verdict did not, because summary.json
+reports both (a hint that fails reads null, and its error goes into an
+added hint_errors field); classify reuses them unless given --config.
 A sweep row that fails reads Error; its reason goes to the sidecar
 <out>.errors.json, which also holds an entry, with an added "hint" key,
 for each cell classified without a hint it asked for because the hint's
@@ -30,6 +30,7 @@ sweep writes them; every other row is bit-identical either way.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -45,7 +46,7 @@ from .classify import classify
 from .config import ConfigError, load_config, nonlinearity_from_config, spec_from_config
 from .eigen import EigenProblem, critical_length, critical_length_no_advection, principal_eigenvalue
 from .errors import DomainError, FreeboundError, NumericalError
-from .stefan import Trajectory, simulate, simulate_many
+from .stefan import Trajectory, default_initial_profile, simulate, simulate_many
 from .thresholds import lambda_threshold, mu_threshold
 from .waves import (
     finite_wave,
@@ -65,6 +66,24 @@ def _write_csv(path, header, columns):
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(FMT % v for v in row) + "\n")
+
+
+def _read_csv(path, header, min_rows):
+    """The rows of a CSV that _write_csv wrote under header, as a 2-D
+    array; anything else, or fewer than min_rows rows, is a ConfigError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if lines[:1] == [header] and len(lines) > min_rows:
+        data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+        if data.shape[1] == header.count(",") + 1:
+            return data
+    raise ConfigError(f"{path} does not hold the header {header} and {min_rows} "
+                      f"or more rows of its columns (rerun simulate)")
+
+
+def _write_json(path, payload):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
 
 
 def _emit(args, payload: dict, text: str):
@@ -112,13 +131,11 @@ def _cmd_semiwave(args):
 
 def _cmd_wave(args):
     n = _nonlinearity_from_args(args)
+    if args.kind in ("left", "right", "finite") and args.c is None:
+        raise ConfigError(f"wave --kind {args.kind} needs --c")
     if args.kind in ("left", "right"):
-        if args.c is None:
-            raise ConfigError(f"wave --kind {args.kind} needs --c")
         prof = traveling_wave(args.c, args.kind, n)
     elif args.kind == "finite":
-        if args.c is None:
-            raise ConfigError("wave --kind finite needs --c")
         prof = finite_wave(args.c, args.beta, args.mu, n)
     elif args.kind == "tadpole":
         prof = tadpole_wave(args.beta, args.mu, n)
@@ -137,48 +154,50 @@ def _cmd_simulate(args):
     snap_times = [float(s) for s in args.snapshots.split(",")] if args.snapshots else []
     traj = simulate(spec, snapshot_times=snap_times)
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(outdir / "trajectory.csv", "t,h,hprime,supu,eta",
-               (traj.times, traj.h, traj.hprime, traj.supu, traj.eta))
-    snap_files = []
-    for t, x, u in traj.snapshots:
-        name = f"snapshot_t{t:.6f}.csv"
-        _write_csv(outdir / name, "x,u", (x, u))
-        snap_files.append({"t": t, "file": name})
-
     hints, hint_errors = {}, {}
     verdict = _verdict(traj, spec, hints, hint_errors)
-    lstar = _l_star(spec, hints, hint_errors)
-    ctilde = _c_tilde(spec, hints, hint_errors)
     summary = {
         "config": cfg,
         "h_final": float(traj.h[-1]),
         "supu_final": float(traj.supu[-1]),
         "hprime_final": float(traj.hprime[-1]),
         "classification_hint": verdict.verdict,
-        "l_star": lstar,
-        "c_tilde": ctilde,
-        "snapshots": snap_files,
+        "l_star": _l_star(spec, hints, hint_errors),
+        "c_tilde": _c_tilde(spec, hints, hint_errors),
     }
     if hint_errors:
         summary["hint_errors"] = hint_errors
-    with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+    wrote = _save_run(args.out, traj, summary)
     _emit(args, summary,
           f"h({spec.tmax:g}) = {traj.h[-1]:.8g}, sup u = {traj.supu[-1]:.3e}, "
-          f"hint = {verdict.verdict}\nwrote {outdir}/trajectory.csv, summary.json, "
-          f"{len(snap_files)} snapshot(s)")
+          f"hint = {verdict.verdict}\n{wrote}")
     return 0
 
 
-def _load_run(trajectory_path, snapshot_dir):
-    """(Trajectory, summary) of a simulate output directory.
+def _save_run(outdir, traj, summary):
+    """Write trajectory.csv, one snapshot_t{t:.6f}.csv per snapshot and
+    summary.json (summary, given its snapshots list) to outdir; return the
+    line that says so."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    _write_csv(outdir / "trajectory.csv", "t,h,hprime,supu,eta",
+               (traj.times, traj.h, traj.hprime, traj.supu, traj.eta))
+    summary["snapshots"] = []
+    for t, x, u in traj.snapshots:
+        name = f"snapshot_t{t:.6f}.csv"
+        _write_csv(outdir / name, "x,u", (x, u))
+        summary["snapshots"].append({"t": t, "file": name})
+    _write_json(outdir / "summary.json", summary)
+    return (f"wrote {outdir}/trajectory.csv, summary.json, "
+            f"{len(traj.snapshots)} snapshot(s)")
 
-    summary.json sits next to trajectory.csv; the snapshot CSVs it lists
-    are read from snapshot_dir.
+
+def _load_run(trajectory_path, snapshot_dir):
+    """(Trajectory, summary) of a run directory _save_run wrote, refusing
+    anything else with a ConfigError.  summary.json sits next to
+    trajectory.csv; the snapshot CSVs it lists are read from snapshot_dir.
     """
-    data = np.loadtxt(trajectory_path, delimiter=",", skiprows=1)
+    data = _read_csv(trajectory_path, "t,h,hprime,supu,eta", 2)
     summary_path = Path(trajectory_path).parent / "summary.json"
     try:
         with open(summary_path, "r", encoding="utf-8") as fh:
@@ -186,34 +205,37 @@ def _load_run(trajectory_path, snapshot_dir):
     except OSError as exc:
         raise ConfigError(
             f"missing {summary_path} next to the trajectory (rerun simulate)") from exc
+    if not isinstance(summary, dict) or "config" not in summary:
+        raise ConfigError(f"{summary_path} holds no config (rerun simulate)")
     snapshots = []
     for entry in summary.get("snapshots", []):
-        snap = np.loadtxt(Path(snapshot_dir) / entry["file"], delimiter=",", skiprows=1)
+        snap = _read_csv(Path(snapshot_dir) / entry["file"], "x,u", 1)
         snapshots.append((entry["t"], snap[:, 0], snap[:, 1]))
-    traj = Trajectory(times=data[:, 0], h=data[:, 1], hprime=data[:, 2],
-                      supu=data[:, 3], eta=data[:, 4], snapshots=snapshots,
-                      spec=spec_from_config(summary["config"]))
-    return traj, summary
+    # the columns are Trajectory's first five fields, in order
+    return Trajectory(*data.T, snapshots=snapshots,
+                      spec=spec_from_config(summary["config"])), summary
 
 
 def _cmd_classify(args):
     traj, summary = _load_run(args.trajectory, Path(args.trajectory).parent)
-    spec = traj.spec if args.config is None else spec_from_config(load_config(args.config))
-    verdict = classify(traj, spec, lstar=summary.get("l_star"),
-                       ctilde=summary.get("c_tilde"))
+    spec = traj.spec
+    # the hints simulate solved for the run's spec, under _l_star's and
+    # _c_tilde's keys; a config's spec solves its own
+    hints = {("l_star", spec.beta): (summary.get("l_star"), None),
+             ("c_tilde", spec.beta, spec.mu): (summary.get("c_tilde"), None)}
+    if args.config is not None:
+        spec, hints = spec_from_config(load_config(args.config)), {}
+    verdict = _verdict(traj, spec, hints, {})
     _emit(args, {"verdict": verdict.verdict, "evidence": verdict.evidence},
           f"verdict = {verdict.verdict}")
     return 0
 
 
 def _cmd_threshold(args):
-    cfg = load_config(args.config)
-    spec = spec_from_config(cfg)
+    spec = spec_from_config(load_config(args.config))
     if args.param == "mu":
         res = mu_threshold(spec, (args.lo, args.hi), args.tol)
     else:
-        from .stefan import default_initial_profile
-
         psi = default_initial_profile(spec.h0, spec.a, spec.b)
         res = lambda_threshold(spec, psi, (args.lo, args.hi), args.tol)
     payload = {
@@ -236,11 +258,9 @@ def _cmd_asymptotics(args):
     sr = spreading_speed(spec.beta, spec.mu, n)
     fit = fit_speed(traj, sr.c_tilde)
     vt = stationary_increasing(spec.beta, spec.a, spec.b, n) if spec.a > 0 else None
-    errors = []
-    for snap in traj.snapshots:
-        if snap[0] >= fit.window[0]:
-            err = profile_error(snap, spec, sr.c_tilde, fit.H, vt, sr.profile)
-            errors.append({"t": snap[0], "sup_error": err})
+    errors = [{"t": snap[0],
+               "sup_error": profile_error(snap, spec, sr.c_tilde, fit.H, vt, sr.profile)}
+              for snap in traj.snapshots if snap[0] >= fit.window[0]]
     report = {
         "c_measured": fit.c_measured,
         "c_tilde": sr.c_tilde,
@@ -368,17 +388,10 @@ def _cmd_sweep(args):
     mus = _parse_grid(args.mus)
     lambdas = _parse_grid(args.lambdas)
     cells = []
-    for beta in betas:
-        for mu in mus:
-            for lam in lambdas:
-                cfg = dict(base)
-                if beta is not None:
-                    cfg["beta"] = beta
-                if mu is not None:
-                    cfg["mu"] = mu
-                if lam is not None:
-                    cfg["lambda"] = lam
-                cells.append(cfg)
+    for cell in itertools.product(betas, mus, lambdas):
+        cfg = dict(base)
+        cfg.update((k, v) for k, v in zip(("beta", "mu", "lambda"), cell) if v is not None)
+        cells.append(cfg)
     if len(cells) > 10000:
         raise ConfigError(f"sweep grid holds {len(cells)} cells, limit is 10000")
 
@@ -408,8 +421,7 @@ def _cmd_sweep(args):
     errors_path = Path(f"{args.out}.errors.json")
     errors_path.unlink(missing_ok=True)
     if failures:
-        with open(errors_path, "w", encoding="utf-8") as fh:
-            json.dump(failures, fh, indent=2, sort_keys=True)
+        _write_json(errors_path, failures)
         dropped = sum("hint" in f for f in failures)
         print(f"wrote {errors_path} ({len(failures) - dropped} failed cells"
               + (f", {dropped} dropped hints)" if dropped else ")"))

@@ -109,11 +109,7 @@ def spec_from_config(cfg: dict) -> ProblemSpec:
     b = cfg.get("b", DEFAULTS["b"])
     lam = cfg.get("lambda", DEFAULTS["lambda"])
     psi = default_initial_profile(cfg["h0"], a, b)
-    kwargs = {}
-    if "nx" in cfg:
-        kwargs["nx"] = cfg["nx"]
-    if "dt" in cfg:
-        kwargs["dt"] = cfg["dt"]
+    kwargs = {key: cfg[key] for key in ("nx", "dt") if key in cfg}
     try:
         return ProblemSpec(beta=cfg["beta"], mu=cfg["mu"], a=a, b=b,
                            h0=cfg["h0"], nonlinearity=n,

@@ -158,7 +158,7 @@ def _transformed_s1(ell: float, A: float, b: float) -> float:
     return k1 * k1
 
 
-def _eigenfunction(ell, beta, a, b, s1, n_min=801):
+def _eigenfunction(ell, beta, a, b, s1):
     """Sampled positive eigenfunction, max-normalized.
 
     The sample count is chosen so that the second-order finite-difference
@@ -169,7 +169,7 @@ def _eigenfunction(ell, beta, a, b, s1, n_min=801):
     rate = abs(beta) / 2.0 + np.sqrt(abs(s1))
     c_res = rate**4 / 12.0 + abs(beta) * rate**3 / 6.0 + 1.0
     dx = np.sqrt(2e-7 / c_res)
-    n = int(np.clip(np.ceil(ell / dx) + 1, n_min, 400001))
+    n = int(np.clip(np.ceil(ell / dx) + 1, 801, 400001))
     x = np.linspace(0.0, ell, n)
 
     if b == 0.0:

@@ -508,8 +508,7 @@ def _sample(shot, tau_end, n_samples, reverse):
 
 
 def shoot_semi_wave(c: float, beta: float, n: Nonlinearity, *,
-                    samples: bool = True, n_samples: int | None = None,
-                    z_budget: float | None = None,
+                    samples: bool = True, z_budget: float | None = None,
                     max_step: float = _MAX_STEP,
                     variational: bool = False) -> WaveProfile:
     """Half-line profile with q(0) = 0, q(+inf) = 1 for speed c.
@@ -550,7 +549,7 @@ def shoot_semi_wave(c: float, beta: float, n: Nonlinearity, *,
     dslope0 = float(y_cross[3] - g * y_cross[2]) if variational else None
 
     if samples:
-        tau, q, qp = _sample(shot, tau_star, n_samples, reverse=True)
+        tau, q, qp = _sample(shot, tau_star, None, reverse=True)
         z = tau_star - tau
         q[0] = 0.0
     else:
@@ -745,7 +744,6 @@ def critical_advection(mu: float, n: Nonlinearity) -> float:
 
 def finite_wave(c: float, beta: float, mu: float, n: Nonlinearity, *,
                 ctilde: float | None = None,
-                n_samples: int | None = None,
                 max_step: float = _MAX_STEP) -> WaveProfile:
     """Finite-length wave: q(0) = 0, mu*q'(0) = c_tilde, q'(z_c) = 0.
 
@@ -772,7 +770,7 @@ def finite_wave(c: float, beta: float, mu: float, n: Nonlinearity, *,
         raise NumericalError(f"finite-wave shot (c={c:g}) found no turning point "
                              f"within z-budget {budget:g}")
     z_c = shot.t_events[0][0]
-    z, q, qp = _sample(shot, z_c, n_samples, reverse=False)
+    z, q, qp = _sample(shot, z_c, None, reverse=False)
     q[0] = 0.0
     qp[-1] = 0.0
     return WaveProfile(kind="finite", z=z, q=q, qp=qp, speed=c,
@@ -780,8 +778,6 @@ def finite_wave(c: float, beta: float, mu: float, n: Nonlinearity, *,
 
 
 def traveling_wave(c: float, direction: str, n: Nonlinearity, *,
-                   n_samples: int | None = None,
-                   z_budget: float | None = None,
                    max_step: float = _MAX_STEP) -> WaveProfile:
     """Classical heteroclinic on the line, normalized so q(0) = 1/2.
 
@@ -796,9 +792,7 @@ def traveling_wave(c: float, direction: str, n: Nonlinearity, *,
         raise NoWave(f"right wave needs c >= c0 = {n.c0:g}, got {c:g}")
     if direction == "left" and c > -n.c0 + tol:
         raise NoWave(f"left wave needs c <= -c0 = {-n.c0:g}, got {c:g}")
-    if z_budget is None:
-        z_budget = 2.0 * _default_budget(n)
-
+    budget = 2.0 * _default_budget(n)
     right = direction == "right"
     y0 = _saddle_launch(c, float(n.fprime(1.0)), -1.0 if right else 1.0)
     events = [
@@ -807,15 +801,15 @@ def traveling_wave(c: float, direction: str, n: Nonlinearity, *,
         # precision (the tail cut itself is exponentially ill-conditioned)
         _event(lambda y: y[0] - 0.5, -1.0, terminal=False),
     ]
-    shot = _shoot(c, n, y0, events, z_budget, max_step, backward=right,
+    shot = _shoot(c, n, y0, events, budget, max_step, backward=right,
                   dense=True)
     if not shot.t_events[0]:
-        raise NumericalError(f"wave tail not reached within z-budget {z_budget:g}")
+        raise NumericalError(f"wave tail not reached within z-budget {budget:g}")
     tau_star = shot.t_events[0][0]
     tau_half = shot.t_events[1][0]
     slope_half = shot.y_events[1][0][1]
 
-    tau, q, qp = _sample(shot, tau_star, n_samples, reverse=right)
+    tau, q, qp = _sample(shot, tau_star, None, reverse=right)
     z = tau_half - tau if right else tau - tau_half
     return WaveProfile(kind=f"traveling-{direction}", z=z, q=q, qp=qp,
                        speed=c, slope0=slope_half)
@@ -823,7 +817,6 @@ def traveling_wave(c: float, direction: str, n: Nonlinearity, *,
 
 def tadpole_wave(beta: float, mu: float, n: Nonlinearity, *,
                  beta_star: float | None = None,
-                 n_samples: int | None = None,
                  max_step: float = _MAX_STEP) -> WaveProfile:
     """Front-anchored profile with a single hump and an infinite left tail.
 
@@ -853,7 +846,7 @@ def tadpole_wave(beta: float, mu: float, n: Nonlinearity, *,
         raise NumericalError(
             f"tadpole tail not below 1e-4 within z-budget {budget:g}")
 
-    tau, q, qp = _sample(shot, tau_end, n_samples, reverse=True)
+    tau, q, qp = _sample(shot, tau_end, None, reverse=True)
     z = -tau
     q[-1] = 0.0
     return WaveProfile(kind="tadpole", z=z, q=q, qp=qp,
@@ -861,7 +854,6 @@ def tadpole_wave(beta: float, mu: float, n: Nonlinearity, *,
 
 
 def stationary_increasing(beta: float, a: float, b: float, n: Nonlinearity, *,
-                          n_samples: int | None = None,
                           max_step: float = _MAX_STEP) -> WaveProfile:
     """Strictly increasing stationary profile on the half-line.
 
@@ -886,7 +878,7 @@ def stationary_increasing(beta: float, a: float, b: float, n: Nonlinearity, *,
             f"(a={a:g}, b={b:g}, beta={beta:g})")
     tau_star = shot.t_events[0][0]
     slope0 = shot.y_events[0][0][1]
-    tau, q, qp = _sample(shot, tau_star, n_samples, reverse=True)
+    tau, q, qp = _sample(shot, tau_star, None, reverse=True)
     z = tau_star - tau
     if b == 0.0:
         q[0] = 0.0

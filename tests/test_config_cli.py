@@ -593,6 +593,87 @@ def test_run_directory_reload_matches_in_memory_run(tmp_path, capsys):
          "drift": fit.drift, "profile_errors": errors}))
 
 
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    """A simulate run directory with one snapshot, made once per module."""
+    base = tmp_path_factory.mktemp("run")
+    cfg = base / "run.cfg"
+    cfg.write_text(BASE_CFG)
+    assert main(["simulate", "--config", str(cfg), "--snapshots", "2.5",
+                 "--out", str(base / "o")]) == 0
+    return base / "o"
+
+
+def _drop_config(out):
+    summary = json.loads((out / "summary.json").read_text())
+    del summary["config"]
+    (out / "summary.json").write_text(json.dumps(summary))
+
+
+def _keep_one_row(out):
+    path = out / "trajectory.csv"
+    path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
+
+
+def _keep_three_columns(out):
+    path = out / "trajectory.csv"
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + [",".join(r.split(",")[:3]) for r in rows]) + "\n")
+
+
+def _rename_columns(out):
+    path = out / "trajectory.csv"
+    header, rest = path.read_text().split("\n", 1)
+    path.write_text("time,front,speed,sup,eta\n" + rest)
+
+
+@pytest.mark.parametrize("spoil", [_drop_config, _keep_one_row,
+                                   _keep_three_columns, _rename_columns])
+def test_malformed_run_directory_exits_2_with_one_error_line(
+        run_dir, tmp_path, capsys, spoil):
+    out = tmp_path / "o"
+    shutil.copytree(run_dir, out)
+    spoil(out)
+    capsys.readouterr()
+    trajectory = str(out / "trajectory.csv")
+    for argv in (["classify", "--trajectory", trajectory],
+                 ["asymptotics", "--trajectory", trajectory, "--snapshots", str(out)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+
+def test_classify_config_uses_the_configs_own_hints(run_dir, tmp_path, capsys):
+    # the run is Dirichlet (b = 0); a config with b = 1 has its own l_star
+    trajectory = str(run_dir / "trajectory.csv")
+    cfg = tmp_path / "robin.cfg"
+    cfg.write_text(BASE_CFG.replace("b = 0", "b = 1"))
+    capsys.readouterr()
+    assert main(["classify", "--trajectory", trajectory, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["evidence"]["lstar"] == \
+        fb.critical_length(0.5, 1.0, 0.0, 1.0)
+    assert main(["classify", "--trajectory", trajectory, "--config", str(cfg),
+                 "--json"]) == 0
+    lstar = json.loads(capsys.readouterr().out)["evidence"]["lstar"]
+    assert lstar == fb.critical_length(0.5, 1.0, 1.0, 1.0)
+    assert lstar == pytest.approx(2.3030, abs=1e-4)
+
+
+def test_classify_reads_the_run_hints_without_solving_them(run_dir, monkeypatch,
+                                                           capsys):
+    # without --config, classify takes l_star and c_tilde from summary.json
+    argv = ["classify", "--trajectory", str(run_dir / "trajectory.csv"), "--json"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(cli, "critical_length", _l_star_fails)
+    monkeypatch.setattr(cli, "spreading_speed", _l_star_fails)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_threshold_json_says_why_each_run_stopped(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(BASE_CFG.replace("mu = 2.0", "mu = 1.0")
