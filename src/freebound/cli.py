@@ -205,10 +205,18 @@ def _load_run(trajectory_path, snapshot_dir):
     except OSError as exc:
         raise ConfigError(
             f"missing {summary_path} next to the trajectory (rerun simulate)") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{summary_path} is not JSON: {exc} (rerun simulate)") from exc
     if not isinstance(summary, dict) or "config" not in summary:
         raise ConfigError(f"{summary_path} holds no config (rerun simulate)")
+    entries = summary.get("snapshots", [])
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("t"), (int, float))
+            and isinstance(e.get("file"), str) for e in entries):
+        raise ConfigError(f"{summary_path} lists a snapshot that is not an object "
+                          f"with a number t and a file name (rerun simulate)")
     snapshots = []
-    for entry in summary.get("snapshots", []):
+    for entry in entries:
         snap = _read_csv(Path(snapshot_dir) / entry["file"], "x,u", 1)
         snapshots.append((entry["t"], snap[:, 0], snap[:, 1]))
     # the columns are Trajectory's first five fields, in order

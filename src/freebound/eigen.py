@@ -11,10 +11,19 @@ with m = f'(0).  Substituting phi = exp(beta*x/2) * psi removes the drift:
     (a - b*beta/2) * psi(0) = b * psi'(0),   psi(ell) = 0,
 
 so zeta1 = s1 + beta^2/4 - m where s1 is the principal value of the
-transformed Robin-Dirichlet problem.  s1 solves a transcendental equation
-with a trigonometric branch (s1 > 0) and, when the effective Robin weight
-A = a - b*beta/2 is negative, a hyperbolic branch (s1 < 0) carrying a
-boundary-trapped mode.  Both branches are handled.
+transformed Robin-Dirichlet problem.  For b = 0, s1 = (pi/ell)^2.  For
+b > 0 the principal mode is b cos(kx) + (A/k) sin(kx) with s1 = k^2, or,
+when the effective Robin weight A = a - b*beta/2 has ell*A < -b, the
+boundary-trapped b cosh(kx) + (A/k) sinh(kx) with s1 = -k^2.  s1 is the
+root of one of two secular equations, each divided by its wave number:
+
+    ell - atan2(b*k, -A)/k = 0     (trigonometric, ell*A >= -b),
+    tanh(k*ell)/k + b/A = 0        (hyperbolic, ell*A < -b).
+
+For A < 0 both take the value ell + b/A at k = 0, whose sign picks the
+equation and brackets its root; for A >= 0 the root lies in
+[pi/(2 ell), pi/ell].  No bracket search is needed, and s1 = 0 exactly
+where ell*A = -b.
 
 The critical lengths are the zero crossings
 
@@ -26,11 +35,10 @@ decreasing in ell from +inf.  Both fix s1 = m - beta^2/4 = k^2 with
 
     k = sqrt((c0 - |beta|)(c0 + |beta|))/2 > 0,
 
-so no root search is needed: the principal mode b cos(kx) + (A/k) sin(kx)
-first vanishes at k*ell = pi/2 + atan2(A, b*k), which gives
+so the trigonometric equation, read at that k, gives each in closed form:
 
-    l_star    = (pi/2 + atan2(a - b*beta/2, b*k)) / k,
-    l_substar = (pi/2 + atan2(a, b*k)) / k.
+    l_star    = atan2(b*k, b*beta/2 - a) / k,
+    l_substar = atan2(b*k, -a) / k.
 
 For b = 0 both equal 2*pi/sqrt(c0^2 - beta^2).
 """
@@ -95,67 +103,39 @@ def _root(g, lo, hi, xtol, what: str) -> float:
 
 
 def _transformed_s1(ell: float, A: float, b: float) -> float:
-    """Principal s of -psi'' = s*psi, A*psi(0) = b*psi'(0), psi(ell) = 0."""
+    """Principal s of -psi'' = s*psi, A*psi(0) = b*psi'(0), psi(ell) = 0,
+    from the divided secular equations of the module docstring."""
     if b == 0.0:
         k = np.pi / ell
         return k * k
 
-    if A == 0.0:
-        k = np.pi / (2.0 * ell)
-        return k * k
+    g0 = ell + b / A if A < 0.0 else -math.inf  # either equation at k -> 0
+    if g0 > 0.0:
+        def gh(k):
+            return (math.tanh(k * ell) + b * k / A) / k if k > 0.0 else g0
 
-    if A > 0.0:
-        # psi = b cos(kx) + (A/k) sin(kx) stays positive up to its first
-        # zero at k*ell = pi/2 + arctan(A/(b k)); the root lies in
-        # (pi/(2 ell), pi/ell).  arctan2 keeps the b*k -> 0 underflow limit
-        # exact (Dirichlet recovery).
-        def g(k):
-            return k * ell - np.pi / 2.0 - np.arctan2(A, b * k)
-
-        # right endpoint padded past pi/ell: for b -> 0 the root sits at
-        # pi/ell itself and rounding of k*ell can leave g(pi/ell) < 0
-        k1 = _root(g, np.pi / (2.0 * ell) * (1.0 - 1e-12),
-                   (np.pi + 1e-9) / ell, 1e-15, f"eigenvalue root at ell = {ell:g}")
-        return k1 * k1
-
-    # A < 0: boundary parameter pulls the mode down; hyperbolic when
-    # ell*|A| > b, linear exactly at ell*|A| = b, trigonometric below.
-    absA = -A
-    t = ell * absA / b
-    if abs(t - 1.0) < 1e-13:
-        return 0.0
-    if t > 1.0:
-        # tanh(kappa*ell) = b*kappa/|A| with kappa in (0, |A|/b).
-        def gh(kappa):
-            return np.tanh(kappa * ell) - b * kappa / absA
-
-        hi = absA / b * (1.0 - 1e-15)
+        hi = -A / b * (1.0 - 1e-15)
         if gh(hi) >= 0.0:
             # tanh saturated to 1 in double precision: the root sits within
             # ulps of |A|/b (the infinite-interval boundary-trapped mode)
-            kappa = absA / b
-            return -kappa * kappa
-        lo = min(1.0 / ell, absA / b) * 1e-3
-        while gh(lo) <= 0.0:
-            lo *= 0.1
-            if lo < 1e-300:
-                return 0.0
-        kappa = _root(gh, lo, hi, 1e-15, f"eigenvalue root at ell = {ell:g}")
-        return -kappa * kappa
+            k = -A / b
+            return -k * k
+        k = _root(gh, 0.0, hi, 1e-15, f"eigenvalue root at ell = {ell:g}")
+        return -k * k
 
-    # Trigonometric with first zero before the quarter period:
-    # k*ell = arctan(b*k/|A|).
-    def gt(k):
-        return k * ell - np.arctan2(b * k, absA)
+    # A bracket end that overflowed for an extreme ell sends the iterates to
+    # nan, which k > 0 reads as k = 0: that search fails to converge.
+    def g(k):
+        return ell - math.atan2(b * k, -A) / k if k > 0.0 else g0
 
-    hi = (np.pi / 2.0 + 1.0) / ell
-    lo = min(absA / b, 1.0 / ell) * 1e-3
-    while gt(lo) >= 0.0:
-        lo *= 0.1
-        if lo < 1e-300:
-            return 0.0
-    k1 = _root(gt, lo, hi, 1e-15, f"eigenvalue root at ell = {ell:g}")
-    return k1 * k1
+    if A < 0.0:
+        lo, hi = 0.0, (np.pi / 2.0 + 1.0) / ell
+    else:
+        # right end padded past pi/ell: for b -> 0 the root sits at pi/ell
+        # itself and rounding of k*ell can leave g(pi/ell) < 0
+        lo, hi = np.pi / (2.0 * ell) * (1.0 - 1e-12), (np.pi + 1e-9) / ell
+    k = _root(g, lo, hi, 1e-15, f"eigenvalue root at ell = {ell:g}")
+    return k * k
 
 
 def _eigenfunction(ell, beta, a, b, s1):

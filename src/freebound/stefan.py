@@ -279,8 +279,9 @@ def simulate(spec: ProblemSpec, snapshot_times: Sequence[float] = (),
     """Run to tmax, recording (t, h, h', sup u, eta) every nominal step.
 
     Profiles are snapshotted at the first step reaching each requested
-    time; the final profile is always included.  The ceiling
-    sup u <= eta + 1e-6 is enforced throughout.
+    time, once for all the times one step reaches; the final profile is
+    always included.  The ceiling sup u <= eta + 1e-6 is enforced
+    throughout.
 
     With stop set, the run ends after the first nominal step (recorded and
     snapshotted) whose state makes stop(state) true; at least one step is
@@ -320,9 +321,10 @@ def simulate(spec: ProblemSpec, snapshot_times: Sequence[float] = (),
             raise type(exc)(f"{exc} (while stepping to t = {i * spec.dt:.6g})") from exc
         eta = _eta_step(spec.nonlinearity, eta, spec.dt)
         record(i, state, eta)
-        while pending and state.t >= pending[0] - 1e-12:
+        if pending and state.t >= pending[0] - 1e-12:
+            # one snapshot covers every requested time this step reached
             snapshots.append((state.t, xi * state.h, state.w.copy()))
-            pending.pop(0)
+            pending = [t for t in pending if state.t < t - 1e-12]
         if stop is not None and stop(state):
             break
 

@@ -62,6 +62,8 @@ def twin(monkeypatch):
     (3.0, 1.0, 1e-30),            # A > 0 with b -> 0: the Dirichlet limit
     (5.0, -1.0, 1.0),             # A < 0, hyperbolic (ell*|A| > b)
     (0.5, -1.0, 1.0),             # A < 0, trigonometric (ell*|A| < b)
+    (2.0, 0.0, 1.0),              # A = 0: the Neumann quarter wave
+    (2.0, -0.5 * (1.0 - 1e-12), 1.0),  # A < 0 just below the crossover ell*|A| = b
 ])
 def test_transformed_s1_branches(twin, ell, A, b):
     _transformed_s1(ell, A, b)

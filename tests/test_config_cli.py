@@ -627,8 +627,15 @@ def _rename_columns(out):
     path.write_text("time,front,speed,sup,eta\n" + rest)
 
 
+def _snapshot_without_file(out):
+    summary = json.loads((out / "summary.json").read_text())
+    summary["snapshots"] = [{"t": 2.5}]
+    (out / "summary.json").write_text(json.dumps(summary))
+
+
 @pytest.mark.parametrize("spoil", [_drop_config, _keep_one_row,
-                                   _keep_three_columns, _rename_columns])
+                                   _keep_three_columns, _rename_columns,
+                                   _snapshot_without_file])
 def test_malformed_run_directory_exits_2_with_one_error_line(
         run_dir, tmp_path, capsys, spoil):
     out = tmp_path / "o"
@@ -643,6 +650,33 @@ def test_malformed_run_directory_exits_2_with_one_error_line(
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
+
+
+def test_summary_that_is_not_json_is_named_in_the_error(run_dir, tmp_path, capsys):
+    out = tmp_path / "o"
+    shutil.copytree(run_dir, out)
+    (out / "summary.json").write_text("nope")
+    capsys.readouterr()
+    trajectory = str(out / "trajectory.csv")
+    for argv in (["classify", "--trajectory", trajectory],
+                 ["asymptotics", "--trajectory", trajectory, "--snapshots", str(out)]):
+        assert main(argv) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and str(out / "summary.json") in line
+
+
+def test_simulate_takes_one_snapshot_per_step(tmp_path, capsys):
+    # three requested times inside one nominal step: one snapshot, and the
+    # final one at tmax
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG)
+    assert main(["simulate", "--config", str(cfg), "--snapshots", "2.5,2.5000001,2.5",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("2 snapshot(s)")
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    files = [entry["file"] for entry in summary["snapshots"]]
+    assert len(files) == len(set(files)) == 2
+    assert sorted(p.name for p in (tmp_path / "o").glob("snapshot_t*.csv")) == sorted(files)
 
 
 def test_classify_config_uses_the_configs_own_hints(run_dir, tmp_path, capsys):

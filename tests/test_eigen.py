@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 import freebound as fb
 
+from freebound.eigen import _transformed_s1
+
 from oracles import (lstar_closed_form, principal_eigenvalue_shooting,
                      reference_critical_length, zeta1)
 
@@ -77,6 +79,44 @@ def test_shooting_agreement_robin_hyperbolic_branch():
     assert z_analytic < 1.8**2 / 4.0 - 1.0  # below the b=0 large-ell limit
     z_shoot = principal_eigenvalue_shooting(p)
     assert z_shoot == pytest.approx(z_analytic, abs=1e-8)
+
+
+def _assert_eigenfunction_invariants(p, r):
+    phi, x = r.eigenfunction, r.x
+    assert phi[-1] == 0.0
+    assert np.all(phi[1:-1] > 0.0)
+    dx = x[1] - x[0]
+    res = (-(phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dx**2
+           + p.beta * (phi[2:] - phi[:-2]) / (2.0 * dx)
+           - (p.m + r.zeta1) * phi[1:-1])
+    assert np.max(np.abs(res)) < 1e-6
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+@pytest.mark.parametrize("d", [1e-14, 1e-13, 1e-12, 1e-8])
+def test_principal_mode_across_the_crossover(d, side):
+    # ell*|A| = b divides the trigonometric mode (s1 > 0) from the
+    # boundary-trapped one (s1 < 0); with t = ell*|A|/b near 1,
+    # s1 = 3(1 - t)/(t ell^2) to first order in 1 - t
+    ell, b = 2.0, 1.0
+    A = -(1.0 + side * d) * b / ell
+    t = ell * -A / b
+    s1 = _transformed_s1(ell, A, b)
+    assert np.sign(s1) == np.sign(b + A * ell) != 0.0
+    assert s1 == pytest.approx(3.0 * (1.0 - t) / (t * ell**2), rel=0.02)
+    # a = 0 and beta = -2A/b give back this A exactly
+    p = fb.EigenProblem(ell=ell, beta=-2.0 * A / b, a=0.0, b=b, m=1.0)
+    r = fb.principal_eigenvalue(p)
+    assert r.zeta1 == s1 + p.beta * p.beta / 4.0 - p.m
+    _assert_eigenfunction_invariants(p, r)
+
+
+def test_principal_mode_at_the_crossover_is_linear():
+    # ell*|A| = b exactly: psi = b + A*x, s1 = 0
+    p = fb.EigenProblem(ell=2.0, beta=1.0, a=0.0, b=1.0, m=1.0)
+    r = fb.principal_eigenvalue(p)
+    assert r.zeta1 == 1.0 / 4.0 - 1.0
+    _assert_eigenfunction_invariants(p, r)
 
 
 def test_critical_length_closed_form():
