@@ -93,9 +93,12 @@ class EigenResult:
 
 
 def _root(g, lo, hi, xtol, what: str) -> float:
-    """brentq's root of g in [lo, hi]; a search that does not converge in
-    200 iterations (a bracket end overflowed for an extreme ell) raises
-    NumericalError, not brentq's RuntimeError."""
+    """brentq's root of g in [lo, hi].  A bracket end that overflowed (the
+    ends scale as 1/ell) and a search that does not converge in 200
+    iterations raise NumericalError naming what, not brentq's bare error."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NumericalError(
+            f"{what}: the bracket [{lo:g}, {hi:g}] is out of double range")
     try:
         return brentq(g, lo, hi, xtol=xtol, maxiter=200)
     except RuntimeError as exc:
@@ -123,8 +126,6 @@ def _transformed_s1(ell: float, A: float, b: float) -> float:
         k = _root(gh, 0.0, hi, 1e-15, f"eigenvalue root at ell = {ell:g}")
         return -k * k
 
-    # A bracket end that overflowed for an extreme ell sends the iterates to
-    # nan, which k > 0 reads as k = 0: that search fails to converge.
     def g(k):
         return ell - math.atan2(b * k, -A) / k if k > 0.0 else g0
 

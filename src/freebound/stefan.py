@@ -7,50 +7,69 @@ xi = x / h(t), turning u(t, x) into w(t, xi) with
     a*w(t,0) - (b/h)*w_xi(t,0) = 0,     w(t,1) = 0,
     h'(t) = -mu * w_xi(t,1) / h.
 
-Each substep is one loop body in step: (1) boundary flux by the one-sided
-second-order formula (-4*w[n-1] + w[n-2]) / (2*dxi*h), and h'; (2) the
-advective limit dt <= 0.4*dxi*h/(|beta| + h') and the front update; (3)
-explicit advection, mesh drift and reaction with implicit diffusion, the
-mixed boundary folded into the first row, solved by LAPACK gtsv; a failed
-or non-finite solve raises NumericalError.
+Each substep is one loop body, in the private kernel _kernel that step and
+simulate both drive: (1) boundary flux by the one-sided second-order
+formula (-4*w[n-1] + w[n-2]) / (2*dxi*h), and h'; (2) the advective limit
+dt <= 0.4*dxi*h/(|beta| + h') and the front update; (3) explicit
+advection, mesh drift and reaction with implicit diffusion, the mixed
+boundary folded into the first row, solved by LAPACK gtsv; a failed or
+non-finite solve raises NumericalError.
 
 A substep is some twenty numpy and LAPACK calls on a few hundred entries,
-so call overhead, not arithmetic, sets its cost.  step therefore hoists
-what does not change within a call: the grid xi (built once per spec, in
-ProblemSpec.xi), beta, mu, a, b, |beta| and f.  It keeps its scalars in
-Python floats, builds the right-hand side in one buffer with in-place
-operations, fills np.empty arrays (half the cost of np.full at this size),
-lets gtsv overwrite the arrays made for that substep, and writes the new w
-into np.empty.  The order of every floating-point operation is
-load-bearing: trajectories are bit-identical to the plain loop kept as
-reference_step in tests/oracles.py, so dt/(h*h*dxi*dxi) may not become
-dt/(h*h*dxi2), and no sum or product may be regrouped.
+so call overhead, not arithmetic, sets its cost.  The kernel is built once
+per run (once per call of step) and hoists all that does not change
+within it: the grid xi (built once per spec, in ProblemSpec.xi), beta, mu,
+a, b, |beta|, f, and every array.  It owns the velocity buffer, one buffer
+whose two halves are gtsv's off-diagonals (one fill sets both), the
+diagonal, and two state buffers of nx + 1 entries whose interior and
+shifted views are made once.  A substep builds the right-hand side in the
+interior of the state buffer it is not reading, and gtsv solves it there
+in place, so the new w needs no copy; the two buffers then swap roles.
+One min and one max of the solution give every check: a non-finite entry
+makes one of them non-finite, the clamp test reads min(lo, w0), max(w, 0)
+runs only where some entry is <= 0, and sup w is max(0, hi, w0).  The
+contract of the reuse: the w the kernel returns is overwritten by its next
+advance, so simulate copies it into every snapshot and into every state it
+hands to stop, and step returns the buffer of a kernel it then drops.
+
+The order of every floating-point operation is load-bearing: steps are
+bit-identical to the plain loop kept as reference_step in tests/oracles.py,
+and runs to reference_simulate there, which drives that loop one nominal
+step at a time; dt/(h*h*dxi*dxi) may not become dt/(h*h*dxi2), and no sum
+or product may be regrouped.  At nx = 300 / 800 a nominal step of
+simulate costs 22.5 / 46.7 us, against 31.1 / 54.4 us when simulate
+called step once per nominal step and each substep made its own arrays
+(logistic, beta = 0.5, h0 = 3; the lowest of several alternating runs on
+a shared 2-core host); gtsv alone takes about 18 us at nx = 800.
 
 Runtime certificates maintained every step: h' > 0, w >= 0 (round-off
 below -1e-10 aborts), and sup w <= eta(t) + 1e-6 where eta solves the
 space-free comparison ODE eta' = f(eta), eta(0) = sup u0 + 1, by the RK4
-step that ode_upper_bound also uses.
+step that ode_upper_bound also uses; once eta is a fixed point of that
+step it is not stepped again.
 
 simulate_many runs K specs that share nx, dt, tmax, a, b and the reaction
 term as one lockstep ensemble, so a substep's thirty-odd numpy and LAPACK
 calls are made once for all K members instead of once per member.  Each
 nominal step, every member takes a substep together, then the members
 still short of their target take further substeps as a sub-ensemble; each
-member's dt, h and h' come from step's own expressions, evaluated
+member's dt, h and h' come from the kernel's own expressions, evaluated
 elementwise, and eta is stepped once per distinct eta(0).  The K
 tridiagonal systems go into one gtsv call (_stacked_system): every
 off-diagonal at a joint between members is exactly zero, so gtsv's
 multiplier there is zero, it takes the no-interchange branch, and each
 update across the joint subtracts an exact zero; every member's solution,
 and so its trajectory, is bit-identical to simulate(spec).  Every check of
-step and simulate runs for every member at the same point.  The saving is
-call overhead: at nx = 200 an ensemble substep costs about as much as
-three or four single ones for eight members, but a one-member ensemble
-costs twice what step does, so single runs stay on step.
+the kernel and simulate runs for every member at the same point.  The
+saving is call overhead: at nx = 200 an ensemble substep costs about as
+much as three or four single ones for eight members, but a one-member
+ensemble costs 70 / 85 / 104 us a nominal step at nx = 200 / 300 / 800,
+two to four times a step of simulate, so single runs stay on the kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -195,67 +214,104 @@ def _boundary_flux(w: np.ndarray, dxi: float, h: float) -> float:
     return (-4.0 * w.item(-2) + w.item(-3)) / (2.0 * dxi * h)
 
 
-def step(state: FrontState, spec: ProblemSpec) -> FrontState:
-    """Advance one nominal time step spec.dt, sub-stepping under the
-    advective limit dt <= 0.4*dxi*h/(|beta| + h')."""
+def _kernel(spec: ProblemSpec, state: FrontState):
+    """The substep loop of one run, on buffers made once, started at state.
+
+    Returns advance(target) -> (t, h, h', w, sup w), which takes substeps
+    until t reaches target.  The returned w is one of the kernel's two
+    state buffers and the next call overwrites it: a caller that keeps it
+    keeps a copy.  state itself is not modified.
+    """
     n = spec.nx
     dxi = 1.0 / n
+    two_dxi = 2.0 * dxi
+    cfl_dxi = CFL_SAFETY * dxi
     xi = spec.xi[1:-1]
     beta, mu, a, b = spec.beta, spec.mu, spec.a, spec.b
     abs_beta = abs(beta)
     f = spec.nonlinearity.f
-    t, h, w, hp = state.t, state.h, state.w, state.hprime
-    target = t + spec.dt
-    while t < target - 1e-15 * max(1.0, target):
-        hp = -mu * _boundary_flux(w, dxi, h)
-        if hp <= 0.0:
-            raise InvariantViolation(
-                f"front speed h' = {hp:.3e} <= 0 at t = {t:.6g}")
-        dt = min(target - t, CFL_SAFETY * dxi * h / (abs_beta + hp + 1e-30))
-        h_new = h + dt * hp
+    vel = np.empty(n - 1)
+    off = np.empty(2 * (n - 2))  # dl and du: one fill sets both
+    dl, du = off[:n - 2], off[n - 2:]
+    diag = np.empty(n - 1)
+    lowest, highest = np.minimum.reduce, np.maximum.reduce  # x.min(), x.max()
 
-        # rhs = w + dt*(vel*grad + f(w)) on w[1..n-1], built in one buffer
-        vel = xi * hp
-        vel -= beta
-        vel /= h
-        rhs = w[2:] - w[:-2]
-        rhs /= 2.0 * dxi
-        rhs *= vel
-        rhs += f(w[1:-1])
-        rhs *= dt
-        rhs += w[1:-1]
+    def views(w):  # the state, its interior and its two shifted interiors
+        return w, w[1:-1], w[2:], w[:-2]
 
-        # implicit diffusion on w[1..n-1]; w0 = a1*w1 + a2*w2 from
-        # a*w0 - (b/h)*(-3w0+4w1-w2)/(2 dxi) = 0 is folded into the first row
-        r = dt / (h_new * h_new * dxi * dxi)
-        sub = np.empty(n - 2)
-        sub.fill(-r)
-        sup = np.empty(n - 2)
-        sup.fill(-r)
-        diag = np.empty(n - 1)
-        diag.fill(1.0 + 2.0 * r)
-        if b > 0.0:  # for b = 0 the fold would subtract exact zeros
-            den = 2.0 * a * dxi * h_new + 3.0 * b
-            a1, a2 = 4.0 * b / den, -b / den
-            diag[0] -= r * a1
-            sup[0] -= r * a2
-        *_, x, info = dgtsv(sub, diag, sup, rhs, overwrite_dl=1, overwrite_d=1,
-                            overwrite_du=1, overwrite_b=1)
-        if info != 0 or not np.isfinite(x).all():
-            raise NumericalError(
-                f"tridiagonal solve gave a non-finite density at t = {t:.6g} "
-                f"(LAPACK info = {info})")
+    w = np.array(state.w, dtype=float)
+    cur, nxt = views(w), views(np.empty(n + 1))
+    t, h, hp, sup = state.t, state.h, state.hprime, float(w.max())
 
-        w = np.empty(n + 1)
-        w[1:-1] = x
-        w[-1] = 0.0
-        w[0] = a1 * x.item(0) + a2 * x.item(1) if b > 0.0 else 0.0
-        if w.min() < CLAMP_FLOOR:
-            raise NumericalError(
-                f"density {w.min():.3e} below clamp floor at "
-                f"t = {t:.6g}: reduce dt")
-        np.maximum(w, 0.0, out=w)
-        t, h = t + dt, h_new
+    def advance(target):
+        nonlocal cur, nxt, t, h, hp, sup
+        limit = target - 1e-15 * max(1.0, target)
+        while t < limit:
+            w, w_in, w_right, w_left = cur
+            hp = -mu * _boundary_flux(w, dxi, h)
+            if hp <= 0.0:
+                raise InvariantViolation(
+                    f"front speed h' = {hp:.3e} <= 0 at t = {t:.6g}")
+            dt = min(target - t, cfl_dxi * h / (abs_beta + hp + 1e-30))
+            h_new = h + dt * hp
+
+            # x = w + dt*(vel*grad + f(w)) on w[1..n-1], built in the next
+            # state's interior, which gtsv then overwrites with the solution;
+            # a ufunc's third argument is its output (out= costs a keyword)
+            new, x = nxt[0], nxt[1]
+            np.multiply(xi, hp, vel)
+            np.subtract(vel, beta, vel)
+            np.divide(vel, h, vel)
+            np.subtract(w_right, w_left, x)
+            x /= two_dxi
+            x *= vel
+            x += f(w_in)
+            x *= dt
+            x += w_in
+
+            # implicit diffusion on w[1..n-1]; w0 = a1*w1 + a2*w2 from
+            # a*w0 - (b/h)*(-3w0+4w1-w2)/(2 dxi) = 0 is folded into the first row
+            r = dt / (h_new * h_new * dxi * dxi)
+            off.fill(-r)
+            diag.fill(1.0 + 2.0 * r)
+            if b > 0.0:  # for b = 0 the fold would subtract exact zeros
+                den = 2.0 * a * dxi * h_new + 3.0 * b
+                a1, a2 = 4.0 * b / den, -b / den
+                diag[0] -= r * a1
+                du[0] -= r * a2
+            # overwrite_dl, _d, _du and _b, by position: f2py's keyword
+            # parsing would cost more than the rest of the call
+            info = dgtsv(dl, diag, du, x, 1, 1, 1, 1)[-1]
+            # min and max of x give every check: a non-finite entry makes
+            # one of them non-finite, and the new w is x, w0 and w[n] = 0
+            lo, hi = lowest(x), highest(x)
+            if info != 0 or not (math.isfinite(lo) and math.isfinite(hi)):
+                raise NumericalError(
+                    f"tridiagonal solve gave a non-finite density at t = {t:.6g} "
+                    f"(LAPACK info = {info})")
+            w0 = a1 * x.item(0) + a2 * x.item(1) if b > 0.0 else 0.0
+            new[0] = w0
+            new[-1] = 0.0
+            if lo <= 0.0 or w0 < 0.0:  # otherwise max(w, 0) is w itself
+                if min(lo, w0) < CLAMP_FLOOR:
+                    raise NumericalError(
+                        f"density {min(lo, w0):.3e} below clamp floor at "
+                        f"t = {t:.6g}: reduce dt")
+                np.maximum(new, 0.0, new)
+            # max(w, 0) leaves +0.0 where w <= 0, so 0.0 goes first
+            sup = max(0.0, hi, w0)
+            cur, nxt = nxt, cur
+            t, h = t + dt, h_new
+        return t, h, hp, cur[0], sup
+
+    return advance
+
+
+def step(state: FrontState, spec: ProblemSpec) -> FrontState:
+    """Advance one nominal time step spec.dt, sub-stepping under the
+    advective limit dt <= 0.4*dxi*h/(|beta| + h').  The new state owns its
+    w; state is not modified."""
+    t, h, hp, w, _ = _kernel(spec, state)(state.t + spec.dt)
     return FrontState(t=t, h=h, w=w, hprime=hp)
 
 
@@ -285,13 +341,16 @@ def simulate(spec: ProblemSpec, snapshot_times: Sequence[float] = (),
 
     With stop set, the run ends after the first nominal step (recorded and
     snapshotted) whose state makes stop(state) true; at least one step is
-    taken.  The recorded arrays then hold only the steps taken, a bitwise
-    prefix of the full-horizon run, and every per-step check has run on
-    each of them.
+    taken.  Each state passed to stop owns its w.  The recorded arrays then
+    hold only the steps taken, a bitwise prefix of the full-horizon run,
+    and every per-step check has run on each of them.
     """
     state = initial_state(spec)
-    n_steps = int(np.ceil(spec.tmax / spec.dt))
+    advance = _kernel(spec, state)
+    nominal = spec.dt
+    n_steps = int(np.ceil(spec.tmax / nominal))
     eta = float(np.max(spec.w0)) + 1.0
+    settled = False  # eta is a fixed point of the RK4 step: it stays put
 
     times = np.empty(n_steps + 1)
     hs = np.empty(n_steps + 1)
@@ -302,34 +361,34 @@ def simulate(spec: ProblemSpec, snapshot_times: Sequence[float] = (),
     pending = sorted(float(t) for t in snapshot_times)
     xi = spec.xi
 
-    def record(i, st, eta_now):
-        times[i] = st.t
-        hs[i] = st.h
-        hps[i] = st.hprime
-        sups[i] = float(np.max(st.w))
-        etas[i] = eta_now
-        if sups[i] > eta_now + CEILING_SLACK:
+    def record(i):
+        times[i], hs[i], hps[i], sups[i], etas[i] = t, h, hp, sup, eta
+        if sup > eta + CEILING_SLACK:
             raise InvariantViolation(
-                f"sup u = {sups[i]:.8g} exceeds eta = {eta_now:.8g} "
-                f"at t = {st.t:.6g}")
+                f"sup u = {sup:.8g} exceeds eta = {eta:.8g} at t = {t:.6g}")
 
-    record(0, state, eta)
+    t, h, hp, w = state.t, state.h, state.hprime, state.w
+    sup = float(np.max(w))
+    record(0)
     for i in range(1, n_steps + 1):
         try:
-            state = step(state, spec)
+            t, h, hp, w, sup = advance(t + nominal)
         except (InvariantViolation, NumericalError) as exc:
-            raise type(exc)(f"{exc} (while stepping to t = {i * spec.dt:.6g})") from exc
-        eta = _eta_step(spec.nonlinearity, eta, spec.dt)
-        record(i, state, eta)
-        if pending and state.t >= pending[0] - 1e-12:
+            raise type(exc)(f"{exc} (while stepping to t = {i * nominal:.6g})") from exc
+        if not settled:
+            nxt = _eta_step(spec.nonlinearity, eta, nominal)
+            settled = nxt == eta
+            eta = nxt
+        record(i)
+        if pending and t >= pending[0] - 1e-12:
             # one snapshot covers every requested time this step reached
-            snapshots.append((state.t, xi * state.h, state.w.copy()))
-            pending = [t for t in pending if state.t < t - 1e-12]
-        if stop is not None and stop(state):
+            snapshots.append((t, xi * h, w.copy()))
+            pending = [s for s in pending if t < s - 1e-12]
+        if stop is not None and stop(FrontState(t=t, h=h, w=w.copy(), hprime=hp)):
             break
 
-    if not snapshots or snapshots[-1][0] < state.t:
-        snapshots.append((state.t, xi * state.h, state.w.copy()))
+    if not snapshots or snapshots[-1][0] < t:
+        snapshots.append((t, xi * h, w.copy()))
 
     k = i + 1  # records taken; n_steps >= 1, so the loop ran
     return Trajectory(times=times[:k], h=hs[:k], hprime=hps[:k],

@@ -13,7 +13,8 @@ without the slope curve's warm start, a mu_star/lambda_star bisection on
 full-horizon runs, without the early stops at the spreading and Vanishing
 certificates, the classification hints solved up front as simulate once
 solved them, the Stefan substep loop as it stood before its per-call
-hoisting and in-place buffers, and the generic DOP853 stage loop the
+hoisting and in-place buffers, simulate driving that loop one nominal
+step at a time, and the generic DOP853 stage loop the
 generated step functions of waves._kernel replaced.
 """
 
@@ -29,7 +30,7 @@ from freebound import waves
 from freebound.eigen import _transformed_s1
 from freebound.errors import (FreeboundError, InvariantViolation, NoCriticalLength,
                               NoSemiWave, NumericalError)
-from freebound.stefan import CFL_SAFETY, CLAMP_FLOOR, FrontState
+from freebound.stefan import CEILING_SLACK, CFL_SAFETY, CLAMP_FLOOR, FrontState
 from freebound.waves import _A, _A_EXTRA, _ATOL, _B, _D, _E3, _E5, _RTOL
 
 
@@ -408,6 +409,50 @@ def reference_step(state, spec):
         np.maximum(w, 0.0, out=w)
         t, h = t + dt, h_new
     return FrontState(t=t, h=h, w=w, hprime=hp)
+
+
+def reference_simulate(spec, snapshot_times=(), stop=None):
+    """simulate as it stood when it drove reference_step one nominal step
+    at a time: a FrontState per step, sup u read from each step's new w,
+    and the RK4 ceiling step taken on every step.  Records, the ceiling,
+    snapshots and the stop rule are simulate's."""
+    w = spec.w0.copy()
+    state = FrontState(t=0.0, h=spec.h0, w=w,
+                       hprime=-spec.mu * _boundary_flux(w, 1.0 / spec.nx, spec.h0))
+    n_steps = int(np.ceil(spec.tmax / spec.dt))
+    eta = float(np.max(spec.w0)) + 1.0
+    xi = np.linspace(0.0, 1.0, spec.nx + 1)
+    rows, snapshots = [], []
+    pending = sorted(float(t) for t in snapshot_times)
+
+    def ceiling_rate(e):
+        return float(spec.nonlinearity.f(e))
+
+    def record(st):
+        sup = float(np.max(st.w))
+        if sup > eta + CEILING_SLACK:
+            raise InvariantViolation(
+                f"sup u = {sup:.8g} exceeds eta = {eta:.8g} at t = {st.t:.6g}")
+        rows.append((st.t, st.h, st.hprime, sup, eta))
+
+    record(state)
+    for i in range(1, n_steps + 1):
+        try:
+            state = reference_step(state, spec)
+        except (InvariantViolation, NumericalError) as exc:
+            raise type(exc)(f"{exc} (while stepping to t = {i * spec.dt:.6g})") from exc
+        eta = rk4_step(ceiling_rate, eta, spec.dt)
+        record(state)
+        if pending and state.t >= pending[0] - 1e-12:
+            snapshots.append((state.t, xi * state.h, state.w.copy()))
+            pending = [t for t in pending if state.t < t - 1e-12]
+        if stop is not None and stop(state):
+            break
+    if not snapshots or snapshots[-1][0] < state.t:
+        snapshots.append((state.t, xi * state.h, state.w.copy()))
+    times, h, hprime, supu, etas = (np.array(col) for col in zip(*rows))
+    return fb.Trajectory(times=times, h=h, hprime=hprime, supu=supu, eta=etas,
+                         snapshots=snapshots, spec=spec)
 
 
 def reference_shoot(g, n, y0, events, budget, max_step, *, backward, dense):

@@ -121,9 +121,20 @@ def test_eigen_json(capsys):
     assert payload["zeta1"] == pytest.approx(0.25 + np.pi**2 - 1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("beta", ["0", "2", "5"])
+def test_eigen_bracket_out_of_double_range_exits_2(capsys, beta):
+    # the root bracket's ends scale as 1/ell: at ell = 1e-310 the right end
+    # overflows for every A = a - b*beta/2 (here 1, 0 and -1.5)
+    assert main(["eigen", "--ell", "1e-310", "--beta", beta, "--a", "1",
+                 "--b", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: eigenvalue root at ell = 1e-310: the bracket [")
+    assert line.endswith(", inf] is out of double range")
+
+
 @pytest.mark.parametrize("ell, beta, why", [
-    # the bracket end (pi/2 + 1)/ell of the trigonometric branch overflows
-    ("1e-310", "5", "Failed to converge after 200 iterations"),
     # s1 = -inf and beta^2/4 = inf
     ("2", "1e308", "zeta1 = nan"),
     # zeta1 = 3 is finite, the sampled eigenfunction overflows

@@ -8,7 +8,7 @@ from scipy.linalg.lapack import dgtsv
 from freebound.stefan import (CFL_SAFETY, FrontState, _stacked_system, initial_state,
                                simulate_many, step)
 
-from oracles import logistic_eta, reference_step
+from oracles import logistic_eta, reference_simulate, reference_step
 
 
 @pytest.fixture(scope="module")
@@ -129,24 +129,66 @@ def test_step_is_bit_identical_to_reference_step(nx, beta, kind, a, b):
         _assert_same_state(s, ref)
 
 
+def _assert_same_trajectory(run, ref, snapshots=1):
+    for name in ("times", "h", "hprime", "supu", "eta"):
+        assert getattr(run, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert len(run.snapshots) == len(ref.snapshots) == snapshots
+    for (t1, x1, u1), (t2, x2, u2) in zip(run.snapshots, ref.snapshots):
+        assert _bits(t1) == _bits(t2)
+        assert x1.tobytes() == x2.tobytes() and u1.tobytes() == u2.tobytes()
+    assert run.spec is ref.spec
+
+
 @pytest.mark.parametrize("beta, a, b, kind, nx", [
     (0.5, 1.0, 0.0, "logistic", 200),
     (4.5, 1.0, 1.0, "cubic", 300),
+    (0.5, 0.0, 1.0, "logistic", 800),
 ])
-def test_simulate_is_bit_identical_on_reference_step(monkeypatch, beta, a, b,
-                                                     kind, nx):
+def test_simulate_is_bit_identical_on_reference_step(beta, a, b, kind, nx):
     n = fb.logistic() if kind == "logistic" else fb.cubic_monostable(0.5)
     spec = fb.ProblemSpec(beta=beta, mu=1.0, a=a, b=b, h0=2.0, nonlinearity=n,
                           nx=nx, dt=2e-3, tmax=2.0)
     fast = fb.simulate(spec, snapshot_times=(1.0,))
-    monkeypatch.setattr(fb.stefan, "step", reference_step)
-    slow = fb.simulate(spec, snapshot_times=(1.0,))
-    for name in ("times", "h", "hprime", "supu", "eta"):
-        assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
-    assert len(fast.snapshots) == len(slow.snapshots) == 2
-    for (t1, x1, u1), (t2, x2, u2) in zip(fast.snapshots, slow.snapshots):
-        assert _bits(t1) == _bits(t2)
-        assert x1.tobytes() == x2.tobytes() and u1.tobytes() == u2.tobytes()
+    _assert_same_trajectory(fast, reference_simulate(spec, snapshot_times=(1.0,)),
+                            snapshots=2)
+    # a stop hook on the state ends both runs at the same step, past 1.0
+    h_stop = fast.h[3 * len(fast.h) // 4]
+
+    def stop(state):
+        return state.h >= h_stop
+
+    stopped = fb.simulate(spec, snapshot_times=(1.0,), stop=stop)
+    assert 1.0 < stopped.times[-1] < spec.tmax
+    _assert_same_trajectory(
+        stopped, reference_simulate(spec, snapshot_times=(1.0,), stop=stop),
+        snapshots=2)
+
+
+def test_states_own_their_profiles(n):
+    # the stepper reuses its buffers; no state it hands out may share them
+    spec = fb.ProblemSpec(beta=0.5, mu=1.0, a=1.0, b=1.0, h0=2.0,
+                          nonlinearity=n, nx=100, tmax=1.0)
+    s = initial_state(spec)
+    for _ in range(3):
+        before = s.w.copy()
+        new = step(s, spec)
+        assert s.w.tobytes() == before.tobytes()
+        assert not np.shares_memory(new.w, s.w)
+        s = new
+
+    kept = []
+
+    def stop(state):
+        kept.append(state.w)
+        return False
+
+    traj = fb.simulate(spec, stop=stop)
+    assert len(kept) == len(traj.times) - 1
+    for gap in (1, 2):  # the stepper alternates between two buffers
+        for u, v in zip(kept, kept[gap:]):
+            assert not np.shares_memory(u, v)
+    assert np.array([w.max() for w in kept]).tobytes() == traj.supu[1:].tobytes()
+    assert kept[-1].tobytes() == traj.snapshots[-1][2].tobytes()
 
 
 def test_density_below_clamp_floor_raises(n):
@@ -193,16 +235,6 @@ def _ensemble_specs(a, b, reaction, nx, betas, lambdas=(0.5, 2.0), tmax=1.0):
                            u0=lambda x, lam=lam: lam * psi(x),
                            nx=nx, dt=2e-3, tmax=tmax)
             for beta in betas for lam in lambdas]
-
-
-def _assert_same_trajectory(run, ref):
-    for name in ("times", "h", "hprime", "supu", "eta"):
-        assert getattr(run, name).tobytes() == getattr(ref, name).tobytes(), name
-    assert len(run.snapshots) == len(ref.snapshots) == 1
-    (t1, x1, u1), (t2, x2, u2) = run.snapshots[0], ref.snapshots[0]
-    assert _bits(t1) == _bits(t2)
-    assert x1.tobytes() == x2.tobytes() and u1.tobytes() == u2.tobytes()
-    assert run.spec is ref.spec
 
 
 @pytest.mark.parametrize("name", ENSEMBLES)
