@@ -19,7 +19,8 @@ solve failed.  A sweep with neither writes no sidecar.
 
 A sweep cuts its cells, in grid order, into contiguous chunks of at most
 ENSEMBLE_MAX, as many chunks as workers (--workers, else the CPU count) or
-a multiple of that, and each pool worker runs a whole chunk: its cells
+a multiple of that, and each pool worker runs a whole chunk (the pool
+starts no more workers than there are chunks): its cells
 step together as one stefan.simulate_many ensemble and share their hints,
 l_star solved once per beta and c_tilde once per (beta, mu).  A chunk of
 one cell runs alone on simulate.  If an ensemble raises, each of its cells
@@ -45,7 +46,7 @@ from .asymptotics import fit_speed, profile_error
 from .classify import classify
 from .config import ConfigError, load_config, nonlinearity_from_config, spec_from_config
 from .eigen import EigenProblem, critical_length, critical_length_no_advection, principal_eigenvalue
-from .errors import DomainError, FreeboundError, NumericalError
+from .errors import DomainError, FreeboundError, NumericalError, _require_finite
 from .stefan import Trajectory, default_initial_profile, simulate, simulate_many
 from .thresholds import lambda_threshold, mu_threshold
 from .waves import (
@@ -280,13 +281,17 @@ def _cmd_asymptotics(args):
     return 0
 
 
-def _parse_grid(text):
+def _parse_grid(text, flag):
     if text is None:
         return [None]
     if ":" in text:
         lo, hi, num = text.split(":")
-        return list(np.linspace(float(lo), float(hi), int(num)))
-    return [float(v) for v in text.split(",") if v.strip()]
+        values = list(np.linspace(float(lo), float(hi), int(num)))
+    else:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    for v in values:
+        _require_finite(**{flag: float(v)})
+    return values
 
 
 def _memo(hints, key, solve, errors):
@@ -391,10 +396,12 @@ def _sweep_chunks(items, workers):
 
 
 def _cmd_sweep(args):
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     base = load_config(args.config)
-    betas = _parse_grid(args.betas)
-    mus = _parse_grid(args.mus)
-    lambdas = _parse_grid(args.lambdas)
+    betas = _parse_grid(args.betas, "--betas")
+    mus = _parse_grid(args.mus, "--mus")
+    lambdas = _parse_grid(args.lambdas, "--lambdas")
     cells = []
     for cell in itertools.product(betas, mus, lambdas):
         cfg = dict(base)
@@ -406,9 +413,11 @@ def _cmd_sweep(args):
     results = {}
     failures = []
     if cells:
-        chunks = _sweep_chunks(list(enumerate(cells)),
-                               max(1, args.workers or os.cpu_count() or 1))
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        workers = args.workers or os.cpu_count() or 1
+        chunks = _sweep_chunks(list(enumerate(cells)), workers)
+        # under fork every worker starts at the first submit: start no more
+        # than there are chunks
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             for rows in pool.map(_sweep_chunk, chunks):
                 for index, row, reasons in rows:
                     results[index] = row

@@ -49,22 +49,29 @@ step that ode_upper_bound also uses; once eta is a fixed point of that
 step it is not stepped again.
 
 simulate_many runs K specs that share nx, dt, tmax, a, b and the reaction
-term as one lockstep ensemble, so a substep's thirty-odd numpy and LAPACK
+term as one lockstep ensemble, so most of a substep's numpy and LAPACK
 calls are made once for all K members instead of once per member.  Each
-nominal step, every member takes a substep together, then the members
-still short of their target take further substeps as a sub-ensemble; each
-member's dt, h and h' come from the kernel's own expressions, evaluated
-elementwise, and eta is stepped once per distinct eta(0).  The K
-tridiagonal systems go into one gtsv call (_stacked_system): every
+nominal step is one joint substep: the kernel's loop body on the K states
+laid end to end, each member's dt, h and h' from the kernel's own
+expressions evaluated elementwise, on buffers made once per ensemble (two
+(K, nx+1) states that swap roles, the velocity, and gtsv's bands,
+_stacked_bands).  The K tridiagonal systems go into one gtsv call: every
 off-diagonal at a joint between members is exactly zero, so gtsv's
-multiplier there is zero, it takes the no-interchange branch, and each
-update across the joint subtracts an exact zero; every member's solution,
-and so its trajectory, is bit-identical to simulate(spec).  Every check of
-the kernel and simulate runs for every member at the same point.  The
-saving is call overhead: at nx = 200 an ensemble substep costs about as
-much as three or four single ones for eight members, but a one-member
-ensemble costs 70 / 85 / 104 us a nominal step at nx = 200 / 300 / 800,
-two to four times a step of simulate, so single runs stay on the kernel.
+multiplier there is zero, it takes the no-interchange branch, each update
+across the joint subtracts an exact zero, and no joint entry is written,
+so the joints are set once and only the interior is refilled.  A member
+the CFL limit leaves short of its target then finishes the nominal step
+alone on its own kernel (built once per ensemble and seated at its row
+with one copy), and eta is stepped once per distinct eta(0) until it
+settles.  Every member's trajectory is bit-identical to simulate(spec),
+and every check runs for every member at the same point.  At nx = 200 a
+nominal step with no member forced costs 58 / 70 / 130 / 202 us for K =
+1 / 2 / 8 / 16, against 106 / 94 / 183 / 275 us when the bands were
+rebuilt each substep and the members left behind were gathered into a
+stacked sub-ensemble of their own, and 26-35 us for a step of simulate
+(logistic, beta = 0.5, h0 = 3; the lowest of three alternating runs on a
+loaded 2-core host).  A lone run is cheaper on simulate; from about three
+members on, the ensemble is cheaper than its members run alone.
 """
 
 from __future__ import annotations
@@ -217,10 +224,13 @@ def _boundary_flux(w: np.ndarray, dxi: float, h: float) -> float:
 def _kernel(spec: ProblemSpec, state: FrontState):
     """The substep loop of one run, on buffers made once, started at state.
 
-    Returns advance(target) -> (t, h, h', w, sup w), which takes substeps
-    until t reaches target.  The returned w is one of the kernel's two
-    state buffers and the next call overwrites it: a caller that keeps it
-    keeps a copy.  state itself is not modified.
+    Returns (advance, seat).  advance(target) -> (t, h, h', w, sup w)
+    takes substeps until t reaches target.  The returned w is one of the
+    kernel's two state buffers and the next call overwrites it: a caller
+    that keeps it keeps a copy.  state itself is not modified.
+    seat(t, h, w) starts the next advance from (t, h, w) at the cost of
+    one copy of w; that advance must take a substep, which sets h' and
+    sup w anew.
     """
     n = spec.nx
     dxi = 1.0 / n
@@ -242,6 +252,11 @@ def _kernel(spec: ProblemSpec, state: FrontState):
     w = np.array(state.w, dtype=float)
     cur, nxt = views(w), views(np.empty(n + 1))
     t, h, hp, sup = state.t, state.h, state.hprime, float(w.max())
+
+    def seat(t_start, h_start, w_start):
+        nonlocal t, h
+        t, h = t_start, h_start
+        cur[0][...] = w_start
 
     def advance(target):
         nonlocal cur, nxt, t, h, hp, sup
@@ -297,21 +312,21 @@ def _kernel(spec: ProblemSpec, state: FrontState):
                     raise NumericalError(
                         f"density {min(lo, w0):.3e} below clamp floor at "
                         f"t = {t:.6g}: reduce dt")
-                np.maximum(new, 0.0, new)
+                np.maximum(new, 0.0, out=new)
             # max(w, 0) leaves +0.0 where w <= 0, so 0.0 goes first
             sup = max(0.0, hi, w0)
             cur, nxt = nxt, cur
             t, h = t + dt, h_new
         return t, h, hp, cur[0], sup
 
-    return advance
+    return advance, seat
 
 
 def step(state: FrontState, spec: ProblemSpec) -> FrontState:
     """Advance one nominal time step spec.dt, sub-stepping under the
     advective limit dt <= 0.4*dxi*h/(|beta| + h').  The new state owns its
     w; state is not modified."""
-    t, h, hp, w, _ = _kernel(spec, state)(state.t + spec.dt)
+    t, h, hp, w, _ = _kernel(spec, state)[0](state.t + spec.dt)
     return FrontState(t=t, h=h, w=w, hprime=hp)
 
 
@@ -346,7 +361,7 @@ def simulate(spec: ProblemSpec, snapshot_times: Sequence[float] = (),
     and every per-step check has run on each of them.
     """
     state = initial_state(spec)
-    advance = _kernel(spec, state)
+    advance, _ = _kernel(spec, state)
     nominal = spec.dt
     n_steps = int(np.ceil(spec.tmax / nominal))
     eta = float(np.max(spec.w0)) + 1.0
@@ -396,33 +411,43 @@ def simulate(spec: ProblemSpec, snapshot_times: Sequence[float] = (),
                       snapshots=snapshots, spec=spec)
 
 
-def _stacked_system(r, fold, n):
-    """(dl, d, du) of len(r) implicit-diffusion systems stacked for one
-    gtsv call, as step builds them for r = dt/(h*h*dxi*dxi), with the
-    Robin fold (a1, a2) in each first row when fold is given.
+def _stacked_bands(K, n):
+    """gtsv's bands for K implicit-diffusion systems stacked end to end,
+    made once per ensemble: (fill, dl, d, du).
 
     Member k owns rows k*(n+1) - 1 ... k*(n+1) + n - 1, the entries of its
     w less the very first and last of the stack: its n - 1 interior rows
-    are step's system, its boundary entries are identity rows, and every
-    off-diagonal that touches a boundary entry is zero.  gtsv's
-    elimination then multiplies by exactly zero across each joint, so
-    every member's solution is bit-identical to its own gtsv call.
+    are the kernel's system, its boundary entries are identity rows, and
+    every off-diagonal that touches a boundary entry is zero.  Those joint
+    entries are written here, once.  fill(r, fold) writes the interior
+    entries for r = dt/(h*h*dxi*dxi), with the Robin fold (a1, a2) in each
+    first row when fold is given, as the kernel writes its own; gtsv
+    overwrites the bands, so each solve needs a fill first.  gtsv's
+    elimination multiplies by exactly zero across each joint, so every
+    member's solution is bit-identical to its own gtsv call, and neither
+    of its branches changes a joint entry: across a joint it never
+    interchanges rows (|d| >= 0 = |dl|), the no-interchange branch writes
+    only the next diagonal entry (1 - 0*0 = 1) and dl (zero), and an
+    interchange inside a member, which the Robin fold can cause, writes a
+    joint entry at most as -fact*0, a zero.
     """
-    width = n + 1
-    off = (-r).repeat(width)
-    off[::width] = 0.0
-    off[n - 1::width] = 0.0
-    off[n::width] = 0.0
-    sup = off.copy()
-    diag = (1.0 + 2.0 * r).repeat(width)
-    diag[::width] = 1.0
-    diag[n::width] = 1.0
-    if fold is not None:
-        a1, a2 = fold
-        diag[1::width] -= r * a1
-        sup[1::width] -= r * a2
-    last = len(off) - 2
-    return off[1:last], diag[1:-1], sup[1:last]
+    # off[0, k, j] couples row j of member k to row j - 1 (dl), and
+    # off[1, k, j] couples row j - 1 to row j (du): one fill sets both
+    off = np.zeros((2, K, n + 1))
+    diag = np.ones((K, n + 1))
+    off_in, diag_in = off[:, :, 2:n], diag[:, 1:n]
+    first_diag, first_du = diag[:, 1], off[1, :, 2]
+
+    def fill(r, fold):
+        off_in[...] = -r[:, None]
+        diag_in[...] = (1.0 + 2.0 * r)[:, None]
+        if fold is not None:
+            a1, a2 = fold
+            first_diag[...] -= r * a1
+            first_du[...] -= r * a2
+
+    return (fill, off[0].reshape(-1)[2:-1], diag.reshape(-1)[1:-1],
+            off[1].reshape(-1)[2:-1])
 
 
 def simulate_many(specs: Sequence[ProblemSpec]) -> list[Trajectory]:
@@ -433,8 +458,8 @@ def simulate_many(specs: Sequence[ProblemSpec]) -> list[Trajectory]:
     same Nonlinearity); beta, mu, h0 and u0 may differ.  Only the final
     profile is snapshotted.  A check that fails in any member raises the
     error simulate would raise, its message prefixed with the member's
-    index (a non-finite solve cannot name one), and no trajectory is
-    returned.
+    index (a non-finite stacked solve cannot name one), and no trajectory
+    is returned.
     """
     specs = list(specs)
     if not specs:
@@ -445,83 +470,106 @@ def simulate_many(specs: Sequence[ProblemSpec]) -> list[Trajectory]:
         for name in shared:
             if getattr(s, name) != getattr(s0, name):
                 raise ValueError(f"ensemble members differ in {name}")
+    K = len(specs)
     n, a, b, f = s0.nx, s0.a, s0.b, s0.nonlinearity.f
     dxi = 1.0 / n
+    two_dxi = 2.0 * dxi
+    cfl_dxi = CFL_SAFETY * dxi
     xi = s0.xi
     beta = np.array([s.beta for s in specs])
+    beta_col = beta[:, None]
     abs_beta = np.abs(beta)
     neg_mu = -np.array([s.mu for s in specs])
+    lowest, highest = np.minimum.reduce, np.maximum.reduce
+    vel = np.empty((K, n + 1))
+    vel_in = vel.reshape(-1)[1:-1]
+    fill, *bands = _stacked_bands(K, n)
+    # a member the joint substep leaves short of its target finishes the
+    # nominal step alone, on its own kernel seated at its row
+    kernels = [_kernel(s, initial_state(s)) for s in specs]
 
-    def substep(W, t, h, target, ids):
-        """step's loop body for the members ids, whose rows of W, t, h
-        and target are given; W's rows end to end are one stacked system."""
-        K = len(ids)
-        hp = neg_mu[ids] * ((-4.0 * W[:, -2] + W[:, -3]) / (2.0 * dxi * h))
-        if hp.min() <= 0.0:
+    def views(W):  # the states, their rows end to end (the solve's), shifted
+        flat = W.reshape(-1)
+        return W, flat[1:-1], flat[2:], flat[:-2]
+
+    W = np.array([s.w0 for s in specs])
+    cur, nxt = views(W), views(W.copy())
+    t = np.zeros(K)
+    h = np.array([s.h0 for s in specs])
+    hp = neg_mu * ((-4.0 * W[:, -2] + W[:, -3]) / (two_dxi * h))
+    sup = W.max(axis=1)
+
+    def joint_substep(target):
+        """The kernel's loop body, once for every member as one stack."""
+        nonlocal cur, nxt, t, h, hp, sup
+        W, w_in, w_right, w_left = cur
+        new, x = nxt[:2]
+        hp = neg_mu * ((-4.0 * W[:, -2] + W[:, -3]) / (two_dxi * h))
+        if lowest(hp) <= 0.0:
             k = (hp <= 0.0).argmax()
             raise InvariantViolation(
-                f"ensemble member {ids[k]}: front speed h' = {hp[k]:.3e} <= 0 "
+                f"ensemble member {k}: front speed h' = {hp[k]:.3e} <= 0 "
                 f"at t = {t[k]:.6g}")
-        dt = np.minimum(target - t,
-                        CFL_SAFETY * dxi * h / (abs_beta[ids] + hp + 1e-30))
+        dt = np.minimum(target - t, cfl_dxi * h / (abs_beta + hp + 1e-30))
         h_new = h + dt * hp
 
-        # rhs as step builds it, on W's rows end to end: the boundary
-        # entries get finite values, which their identity rows pass through
-        vel = xi * hp[:, None]
-        vel -= beta[ids, None]
-        vel /= h[:, None]
-        rhs = np.empty((K, n + 1))
-        flat = rhs.reshape(-1)
-        np.subtract(W.reshape(-1)[2:], W.reshape(-1)[:-2], out=flat[1:-1])
-        flat[0] = flat[-1] = 0.0
-        rhs /= 2.0 * dxi
-        rhs *= vel
-        rhs[:, 1:-1] += f(W[:, 1:-1])  # f only where step evaluates it
-        rhs *= dt[:, None]
-        rhs += W
+        # the kernel's right-hand side, on the rows end to end (contiguous
+        # arrays cost a third of strided ones); each boundary entry gets a
+        # finite value, replaced by 1 for its identity row: the solve keeps
+        # it, so it moves neither check below
+        np.multiply(xi, hp[:, None], vel)
+        np.subtract(vel, beta_col, vel)
+        np.divide(vel, h[:, None], vel)
+        np.subtract(w_right, w_left, x)
+        x /= two_dxi
+        x *= vel_in
+        x += f(w_in)
+        new *= dt[:, None]
+        x += w_in
+        new[:, 0] = new[:, -1] = 1.0
 
         r = dt / (h_new * h_new * dxi * dxi)
         fold = None
         if b > 0.0:
             den = 2.0 * a * dxi * h_new + 3.0 * b
             fold = 4.0 * b / den, -b / den
-        *_, x, info = dgtsv(*_stacked_system(r, fold, n), flat[1:-1],
-                            overwrite_dl=1, overwrite_d=1, overwrite_du=1,
-                            overwrite_b=1)
-        if info != 0 or not np.isfinite(x).all():
+        fill(r, fold)
+        info = dgtsv(*bands, x, 1, 1, 1, 1)[-1]
+        # min and max of x give the checks, as in the kernel
+        lo, hi = lowest(x), highest(x)
+        if info != 0 or not (math.isfinite(lo) and math.isfinite(hi)):
             # 0*NaN carries a non-finite value across the joints, so the
             # member that caused it cannot be told from x
             raise NumericalError(
                 f"tridiagonal solve gave a non-finite density in an ensemble "
                 f"of {K} at t = {t.min():.6g} (LAPACK info = {info})")
+        w0 = fold[0] * new[:, 1] + fold[1] * new[:, 2] if fold else 0.0
+        new[:, 0] = w0
+        new[:, -1] = 0.0
+        if lo <= 0.0 or (fold and lowest(w0) < 0.0):
+            low = np.minimum(lowest(new[:, 1:-1], axis=1), w0)
+            if lowest(low) < CLAMP_FLOOR:
+                k = (low < CLAMP_FLOOR).argmax()
+                raise NumericalError(
+                    f"ensemble member {k}: density {low[k]:.3e} below clamp "
+                    f"floor at t = {t[k]:.6g}: reduce dt")
+            np.maximum(new, 0.0, out=new)
+        # each row holds w0 and w[n] = 0, so its max is the kernel's
+        # max(0, hi, w0), to the bit: no state holds a -0
+        sup = highest(new, axis=1)
+        cur, nxt = nxt, cur
+        t, h = t + dt, h_new
 
-        W = rhs
-        flat[1:-1] = x  # a no-op where dgtsv solved in place
-        W[:, -1] = 0.0
-        W[:, 0] = fold[0] * W[:, 1] + fold[1] * W[:, 2] if fold else 0.0
-        if W.min() < CLAMP_FLOOR:
-            low = W.min(axis=1)
-            k = (low < CLAMP_FLOOR).argmax()
-            raise NumericalError(
-                f"ensemble member {ids[k]}: density {low[k]:.3e} below clamp "
-                f"floor at t = {t[k]:.6g}: reduce dt")
-        np.maximum(W, 0.0, out=W)
-        return W, t + dt, h_new, hp
-
-    K = len(specs)
-    everyone = np.arange(K)
-    W = np.array([s.w0 for s in specs])
-    t = np.zeros(K)
-    h = np.array([s.h0 for s in specs])
-    hp = neg_mu * ((-4.0 * W[:, -2] + W[:, -3]) / (2.0 * dxi * h))
     nominal = s0.dt
     n_steps = int(np.ceil(s0.tmax / nominal))
-    # eta depends only on eta(0): step each distinct eta(0) once
+    # eta depends only on eta(0): step each distinct eta(0), until every
+    # one is a fixed point of the RK4 step, as simulate does
     eta0 = [float(np.max(s.w0)) + 1.0 for s in specs]
     levels = list(dict.fromkeys(eta0))
     level_of = np.array([levels.index(e) for e in eta0])
     eta = np.array(eta0)
+    ceiling = eta + CEILING_SLACK
+    settled = False
 
     # row i holds every member's record of nominal step i
     times = np.empty((n_steps + 1, K))
@@ -531,9 +579,8 @@ def simulate_many(specs: Sequence[ProblemSpec]) -> list[Trajectory]:
     etas = np.empty((n_steps + 1, K))
 
     def record(i):
-        times[i], hs[i], hps[i], etas[i] = t, h, hp, eta
-        sup = sups[i] = W.max(axis=1)
-        over = sup > eta + CEILING_SLACK
+        times[i], hs[i], hps[i], sups[i], etas[i] = t, h, hp, sup, eta
+        over = sup > ceiling
         if over.any():
             k = over.argmax()
             raise InvariantViolation(
@@ -545,22 +592,25 @@ def simulate_many(specs: Sequence[ProblemSpec]) -> list[Trajectory]:
         target = t + nominal
         limit = target - 1e-15 * np.maximum(1.0, target)
         try:
-            while True:  # step's substep loop, run by every member behind
-                behind = t < limit
-                if behind.all():
-                    W, t, h, hp = substep(W, t, h, target, everyone)
-                elif behind.any():
-                    ids = behind.nonzero()[0]
-                    W[ids], t[ids], h[ids], hp[ids] = substep(
-                        W[ids], t[ids], h[ids], target[ids], ids)
-                else:
-                    break
+            joint_substep(target)
+            for k in (t < limit).nonzero()[0]:
+                advance, seat = kernels[k]
+                seat(t.item(k), h.item(k), cur[0][k])
+                try:
+                    t[k], h[k], hp[k], cur[0][k], sup[k] = advance(target.item(k))
+                except (InvariantViolation, NumericalError) as exc:
+                    raise type(exc)(f"ensemble member {k}: {exc}") from exc
         except (InvariantViolation, NumericalError) as exc:
             raise type(exc)(f"{exc} (while stepping to t = {i * nominal:.6g})") from exc
-        levels = [_eta_step(s0.nonlinearity, e, nominal) for e in levels]
-        eta = np.array(levels)[level_of]
+        if not settled:
+            stepped = [_eta_step(s0.nonlinearity, e, nominal) for e in levels]
+            settled = stepped == levels
+            levels = stepped
+            eta = np.array(levels)[level_of]
+            ceiling = eta + CEILING_SLACK
         record(i)
 
+    W = cur[0]
     return [Trajectory(times=times[:, k].copy(), h=hs[:, k].copy(),
                        hprime=hps[:, k].copy(), supu=sups[:, k].copy(),
                        eta=etas[:, k].copy(),

@@ -370,6 +370,62 @@ class _InProcessPool:
         return map(fn, items)
 
 
+class _SpyPool(_InProcessPool):
+    """_InProcessPool that records the max_workers each pool was given."""
+
+    started = []
+
+    def __init__(self, max_workers=None):
+        self.started.append(max_workers)
+
+
+@pytest.mark.parametrize("betas, workers, cpus, started", [
+    ("0.5", "3", 8, 1),       # one chunk: one worker, not three
+    ("0.5,1.5", "3", 8, 2),
+    ("0.5,1.5,2.5", "2", 8, 2),
+    ("0.5", None, 3, 1),      # without --workers: the CPU count, capped
+    ("0.5,1.5", None, 1, 1),
+])
+def test_sweep_starts_no_more_workers_than_chunks(tmp_path, monkeypatch, capsys,
+                                                  betas, workers, cpus, started):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(BASE_CFG.replace("tmax = 5", "tmax = 0.1"))
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SpyPool)
+    monkeypatch.setattr(_SpyPool, "started", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    argv = ["sweep", "--config", str(cfg), "--betas", betas,
+            "--out", str(tmp_path / "sweep.csv")]
+    if workers is not None:
+        argv += ["--workers", workers]
+    assert main(argv) == 0
+    assert _SpyPool.started == [started]
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a solve started")
+
+
+@pytest.mark.parametrize("flag, value, why", [
+    ("--workers", "0", "--workers must be at least 1, got 0"),
+    ("--workers", "-2", "--workers must be at least 1, got -2"),
+    ("--betas", "nan", "--betas must be finite, got nan"),
+    ("--betas", "0.5,inf", "--betas must be finite, got inf"),
+    ("--mus", "nan:2:3", "--mus must be finite, got nan"),
+    ("--lambdas", "1,-inf", "--lambdas must be finite, got -inf"),
+])
+def test_sweep_refuses_bad_flags_before_any_solve(tmp_path, monkeypatch, capsys,
+                                                  flag, value, why):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(BASE_CFG)
+    for name in ("ProcessPoolExecutor", "simulate", "simulate_many"):
+        monkeypatch.setattr(cli, name, _no_solve)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), f"{flag}={value}",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {why}"]
+    assert not out.exists()
+
+
 def _sweep_files(argv, out):
     assert main([*argv, "--out", str(out)]) == 0
     sidecar = Path(f"{out}.errors.json")

@@ -1,11 +1,15 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 import freebound as fb
 from scipy.linalg.lapack import dgtsv
 
-from freebound.stefan import (CFL_SAFETY, FrontState, _stacked_system, initial_state,
+from freebound import stefan
+from freebound.config import spec_from_config
+from freebound.stefan import (CFL_SAFETY, FrontState, _stacked_bands, initial_state,
                                simulate_many, step)
 
 from oracles import logistic_eta, reference_simulate, reference_step
@@ -204,6 +208,18 @@ def test_density_below_clamp_floor_raises(n):
     assert str(new.value) == str(ref.value)  # the same minimum is reported
 
 
+def test_entries_below_zero_are_clamped_as_reference_step_clamps_them(n):
+    # above the clamp floor, so the step clamps them to zero and goes on
+    spec = fb.ProblemSpec(beta=0.5, mu=1.0, a=1.0, b=0.0, h0=2.0,
+                          nonlinearity=n, nx=100, dt=1e-6, tmax=1.0)
+    w = spec.w0.copy()
+    w[1:40] = -1e-12
+    state = replace(initial_state(spec), w=w)
+    new = step(state, spec)
+    assert np.count_nonzero(new.w[1:40] == 0.0) > 0
+    _assert_same_state(new, reference_step(state, spec))
+
+
 def test_non_positive_front_speed_raises(n):
     spec = fb.ProblemSpec(beta=0.0, mu=1.0, a=1.0, b=0.0, h0=2.0,
                           nonlinearity=n, nx=100, tmax=1.0)
@@ -259,29 +275,42 @@ def test_one_member_ensemble_is_bit_identical_to_simulate():
 
 @pytest.mark.parametrize("fold", [False, True])
 def test_stacked_gtsv_equals_separate_calls(fold):
-    # step's system for each member, with the Robin fold in the first row
+    # the kernel's system for each member, with the Robin fold in the first
+    # row, solved three times on one set of bands that gtsv overwrites
     rng = np.random.default_rng(7)
     n, K = 40, 5
-    r = rng.uniform(0.5, 30.0, K)   # r > 3 pivots in the folded first row
-    a1, a2 = (rng.uniform(1.0, 1.4, K), -rng.uniform(0.2, 0.4, K)) if fold else (None, None)
-    w = rng.uniform(0.0, 2.0, (K, n + 1))
-    separate = []
-    for k in range(K):
-        sub = np.full(n - 2, -r[k])
-        sup = np.full(n - 2, -r[k])
-        diag = np.full(n - 1, 1.0 + 2.0 * r[k])
-        if fold:
-            diag[0] -= r[k] * a1[k]
-            sup[0] -= r[k] * a2[k]
-        *_, x, info = dgtsv(sub, diag, sup, w[k, 1:-1].copy())
+    fill, dl, d, du = _stacked_bands(K, n)
+    # the joint entries: off-diagonals that touch a boundary entry, and the
+    # boundary entries' diagonal; flat index q of a band is (k, j) = divmod(q, n + 1)
+    off_joint = np.isin(np.arange(2, K * (n + 1) - 1) % (n + 1), (0, 1, n))
+    diag_joint = np.isin(np.arange(1, K * (n + 1) - 1) % (n + 1), (0, n))
+    for _ in range(3):
+        r = rng.uniform(0.5, 30.0, K)   # r > 3 pivots in the folded first row
+        a1, a2 = (rng.uniform(1.0, 1.4, K), -rng.uniform(0.2, 0.4, K)) if fold else (None, None)
+        w = rng.uniform(0.0, 2.0, (K, n + 1))
+        separate = []
+        for k in range(K):
+            sub = np.full(n - 2, -r[k])
+            sup = np.full(n - 2, -r[k])
+            diag = np.full(n - 1, 1.0 + 2.0 * r[k])
+            if fold:
+                diag[0] -= r[k] * a1[k]
+                sup[0] -= r[k] * a2[k]
+            *_, x, info = dgtsv(sub, diag, sup, w[k, 1:-1].copy())
+            assert info == 0
+            separate.append(x)
+        fill(r, (a1, a2) if fold else None)
+        stack = w.reshape(-1)[1:-1]
+        info = dgtsv(dl, d, du, stack, 1, 1, 1, 1)[-1]  # in place, as simulate_many calls it
         assert info == 0
-        separate.append(x)
-    *_, x, info = dgtsv(*_stacked_system(r, (a1, a2) if fold else None, n),
-                        w.reshape(-1)[1:-1].copy())
-    assert info == 0
-    stacked = np.concatenate([[0.0], x, [0.0]]).reshape(K, n + 1)
-    for k in range(K):
-        assert stacked[k, 1:-1].tobytes() == separate[k].tobytes()
+        for k in range(K):
+            assert w[k, 1:-1].tobytes() == separate[k].tobytes()
+        if fold:  # an interchange leaves a nonzero in dl, where no-interchange writes 0
+            assert dl[~off_joint].any()
+        # neither gtsv branch wrote a joint entry, so the next fill needs none
+        for band, joint, value in ((dl, off_joint, 0.0), (du, off_joint, 0.0),
+                                   (d, diag_joint, 1.0)):
+            assert np.all(band[joint] == value) and not np.signbit(band[joint]).any()
 
 
 def test_simulate_many_refuses_specs_it_cannot_stack(n):
@@ -302,6 +331,58 @@ def test_simulate_many_names_the_member_that_failed(n):
         simulate_many(specs)
     assert type(ensemble.value) is type(alone.value)
     assert str(ensemble.value) == f"ensemble member 1: {alone.value}"
+
+
+@pytest.mark.parametrize("beta, amplitude, error, what", [
+    (-3.5, 1000.0, fb.errors.NumericalError, "below clamp floor"),
+    (4.5, 3000.0, fb.errors.InvariantViolation, "front speed"),
+])
+def test_a_failure_while_catching_up_names_the_member(n, beta, amplitude, error, what):
+    # at this amplitude h' is so large that the CFL limit cuts the first
+    # substep to a few 1e-6, and the member fails in its second substep,
+    # the one it takes alone on its kernel
+    specs = _ensemble_specs(1.0, 0.0, n, 100, (beta,), lambdas=(1.0, amplitude))
+    with pytest.raises(error) as alone:
+        fb.simulate(specs[1])
+    assert what in str(alone.value)
+    t_fail = float(re.search(r"at t = ([-+.e0-9]+)", str(alone.value)).group(1))
+    assert 0.0 < t_fail < specs[1].dt
+    with pytest.raises(error) as ensemble:
+        simulate_many(specs)
+    assert type(ensemble.value) is type(alone.value)
+    assert str(ensemble.value) == f"ensemble member 1: {alone.value}"
+
+
+def test_sweep_cells_step_as_they_step_alone():
+    # the 16 seed-0 cells of the sweep-16 benchmark, cut to tmax = 2: the
+    # CFL limit leaves some members behind after every joint substep, some
+    # after a few, and some never
+    n = fb.logistic()
+    specs = [replace(spec_from_config({"beta": float(beta), "mu": 1.0, "h0": 2.0,
+                                       "nx": 200, "dt": 2e-3, "tmax": 2.0,
+                                       "lambda": lam}), nonlinearity=n)
+             for beta in np.linspace(-2.5, 4.5, 8) for lam in (0.5, 2.0)]
+    behind = [0] * len(specs)
+    kernel = stefan._kernel
+
+    def counted(spec, state):  # count the nominal steps each member finishes alone
+        advance, seat = kernel(spec, state)
+        k = [s is spec for s in specs].index(True)
+
+        def finish(target):
+            behind[k] += 1
+            return advance(target)
+
+        return finish, seat
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stefan, "_kernel", counted)
+        runs = simulate_many(specs)
+    steps = len(runs[0].times) - 1
+    assert steps in behind and 0 in behind
+    assert any(0 < c < steps for c in behind)
+    for run, spec in zip(runs, specs):
+        _assert_same_trajectory(run, fb.simulate(spec))
 
 
 # ------------------------------------------------------------------ simulate
