@@ -281,14 +281,31 @@ def _cmd_asymptotics(args):
     return 0
 
 
+MAX_CELLS = 10000
+
+
 def _parse_grid(text, flag):
+    """A sweep axis: None when the flag is absent, no values when it is
+    blank, else lo:hi:num (num >= 1) or a comma list of finite numbers."""
     if text is None:
         return [None]
-    if ":" in text:
-        lo, hi, num = text.split(":")
-        values = list(np.linspace(float(lo), float(hi), int(num)))
-    else:
-        values = [float(v) for v in text.split(",") if v.strip()]
+    if not text.strip():
+        return []
+    try:
+        if ":" in text:
+            lo, hi, num = text.split(":")
+            lo, hi, num = float(lo), float(hi), int(num)
+            # more values than cells allowed: refused before np.linspace
+            # allocates them
+            values = (list(np.linspace(lo, hi, num))
+                      if 1 <= num <= MAX_CELLS else [])
+        else:
+            values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise ConfigError(f"{flag} must be lo:hi:num with 1 <= num <= "
+                          f"{MAX_CELLS} or a comma list of numbers, got {text!r}")
     for v in values:
         _require_finite(**{flag: float(v)})
     return values
@@ -407,8 +424,8 @@ def _cmd_sweep(args):
         cfg = dict(base)
         cfg.update((k, v) for k, v in zip(("beta", "mu", "lambda"), cell) if v is not None)
         cells.append(cfg)
-    if len(cells) > 10000:
-        raise ConfigError(f"sweep grid holds {len(cells)} cells, limit is 10000")
+    if len(cells) > MAX_CELLS:
+        raise ConfigError(f"sweep grid holds {len(cells)} cells, limit is {MAX_CELLS}")
 
     results = {}
     failures = []

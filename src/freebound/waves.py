@@ -886,23 +886,96 @@ def stationary_increasing(beta: float, a: float, b: float, n: Nonlinearity, *,
                        speed=None, slope0=slope0)
 
 
+def _pchip_end(h0, h1, m0, m1):
+    # Moler's one-sided three-point slope at an end knot (pchiptx.m), kept
+    # within the shape of the data
+    d = ((2*h0 + h1)*m0 - h0*m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.*abs(m0):
+        return 3.*m0
+    return d
+
+
+def _pchip_slopes(hk, mk):
+    """Fritsch-Butland PCHIP slopes at the knots of strictly increasing x,
+    from hk = x[1:] - x[:-1] and the secants mk = (y[1:] - y[:-1]) / hk,
+    in the operations and order of scipy's PchipInterpolator."""
+    if len(hk) == 1:
+        return np.array([mk[0], mk[0]])
+    smk = np.sign(mk)
+    condition = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+    w1 = 2*hk[1:] + hk[:-1]
+    w2 = hk[1:] + 2*hk[:-1]
+    # where a division by zero occurs, condition holds and the slope is 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1/mk[:-1] + w2/mk[1:]) / (w1 + w2)
+        inner = np.where(condition, 0.0, 1.0 / whmean)
+    return np.concatenate(([_pchip_end(hk[0], hk[1], mk[0], mk[1])], inner,
+                           [_pchip_end(hk[-1], hk[-2], mk[-1], mk[-2])]))
+
+
+_WINDOW = np.arange(-1, 3)   # the knots seg-1 ... seg+2 a segment's cubic reads
+
+
 def profile_interpolator(profile: WaveProfile):
-    """Monotone-cubic evaluator of q(z), flat-extended beyond the samples.
+    """Monotone-cubic (PCHIP) evaluator of q(z), flat-extended beyond the
+    samples.
 
     Monotone interpolation keeps q within its sample range, so composite
     sup-norm comparisons cannot pick up interpolation overshoot.
-    """
-    # imported here, not with the module: scipy.interpolate loads
-    # scipy.optimize too, and only the asymptotics read profiles this way
-    from scipy.interpolate import PchipInterpolator
 
-    pchip = PchipInterpolator(profile.z, profile.q, extrapolate=False)
-    lo, hi = profile.z[0], profile.z[-1]
-    q_lo, q_hi = profile.q[0], profile.q[-1]
+    A call reads only the knots seg-1 ... seg+2 around each query's
+    segment seg (found as scipy's PPoly finds it) and runs scipy's PCHIP
+    formulas on that short sequence.  The cubic on seg reads the slopes at
+    its two knots, and each slope reads only its two neighbours (the end
+    slopes: the first or last three knots, gathered whenever an end
+    segment is queried).  A gap between gathered windows changes only
+    the slopes at window-edge knots, which no query reads.  So the values
+    are bit for bit those of PchipInterpolator(z, q) on all the samples,
+    evaluated in PPoly's Horner order, without building the cubic on every
+    sample or importing scipy.interpolate.
+    """
+    z_all = np.asarray(profile.z, dtype=float)
+    q_all = np.asarray(profile.q, dtype=float)
+    if z_all.ndim != 1 or len(z_all) < 2 or q_all.shape != z_all.shape:
+        raise ValueError("a profile needs at least 2 samples of z and q "
+                         "of one length")
+    if not (np.all(np.isfinite(z_all)) and np.all(np.isfinite(q_all))):
+        raise ValueError("profile samples must be finite")
+    if np.any(z_all[1:] <= z_all[:-1]):
+        raise ValueError("profile z must be strictly increasing")
+    lo, hi = z_all[0], z_all[-1]
+    q_lo, q_hi = q_all[0], q_all[-1]
+    last = len(z_all) - 2
 
     def evaluate(z):
         z = np.asarray(z, dtype=float)
-        out = pchip(np.clip(z, lo, hi))
+        zc = np.clip(z, lo, hi).ravel()
+        if zc.size == 0:
+            return np.empty(z.shape)
+        seg = np.clip(np.searchsorted(z_all, zc, side="right") - 1, 0, last)
+        knots = np.unique(np.clip(seg[:, None] + _WINDOW, 0, last + 1))
+        x, y = z_all[knots], q_all[knots]
+        hk = x[1:] - x[:-1]
+        mk = (y[1:] - y[:-1]) / hk
+        d = _pchip_slopes(hk, mk)
+        # each query's segment among the gathered knots, and its Hermite
+        # cubic as CubicHermiteSpline writes it
+        i = np.searchsorted(knots, seg)
+        h, slope = hk[i], mk[i]
+        t = (d[i] + d[i + 1] - 2 * slope) / h
+        c0, c1, c2, c3 = t / h, (slope - d[i]) / h - t, d[i], y[i]
+        # PPoly's evaluate_poly1 sums 0.0 + c3 + c2*s + c1*(s*s)
+        # + c0*((s*s)*s) left to right (its prefactor 1 is exact), and
+        # returns nan for a nan query
+        s = zc - x[i]
+        ss = s * s
+        out = 0.0 + c3
+        out = out + c2 * s
+        out = out + c1 * ss
+        out = out + c0 * (ss * s)
+        out = np.where(np.isnan(zc), np.nan, out).reshape(z.shape)
         out = np.where(z < lo, q_lo, out)
         out = np.where(z > hi, q_hi, out)
         return out

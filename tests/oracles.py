@@ -14,8 +14,10 @@ full-horizon runs, without the early stops at the spreading and Vanishing
 certificates, the classification hints solved up front as simulate once
 solved them, the Stefan substep loop as it stood before its per-call
 hoisting and in-place buffers, simulate driving that loop one nominal
-step at a time, and the generic DOP853 stage loop the
-generated step functions of waves._kernel replaced.
+step at a time, the generic DOP853 stage loop the
+generated step functions of waves._kernel replaced, and scipy's
+PchipInterpolator on every sample of a profile, which
+waves.profile_interpolator replaced.
 """
 
 from dataclasses import replace
@@ -587,3 +589,27 @@ def use_reference_step(monkeypatch):
     """Make every shot of waves._shoot with reference_rk_step and
     reference_dense for the rest of a test."""
     monkeypatch.setattr(waves, "_kernel", reference_kernel)
+
+
+def reference_profile_interpolator(profile):
+    """Monotone-cubic evaluator of q(z), flat-extended beyond the samples.
+
+    Monotone interpolation keeps q within its sample range, so composite
+    sup-norm comparisons cannot pick up interpolation overshoot.
+    """
+    # imported here, not with the module: scipy.interpolate loads
+    # scipy.optimize too, and only the asymptotics read profiles this way
+    from scipy.interpolate import PchipInterpolator
+
+    pchip = PchipInterpolator(profile.z, profile.q, extrapolate=False)
+    lo, hi = profile.z[0], profile.z[-1]
+    q_lo, q_hi = profile.q[0], profile.q[-1]
+
+    def evaluate(z):
+        z = np.asarray(z, dtype=float)
+        out = pchip(np.clip(z, lo, hi))
+        out = np.where(z < lo, q_lo, out)
+        out = np.where(z > hi, q_hi, out)
+        return out
+
+    return evaluate

@@ -426,6 +426,33 @@ def test_sweep_refuses_bad_flags_before_any_solve(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--betas", "0:1:x"),
+    ("--betas", "0:1:-1"),
+    ("--betas", "0:1:0"),
+    ("--betas", "0:1:2.5"),
+    ("--betas", "0:1"),
+    ("--betas", "a,b"),
+    ("--betas", ","),
+    ("--mus", "0:1:3:4"),
+    ("--mus", "1:2:10001"),
+    ("--lambdas", "0.5,,x"),
+])
+def test_sweep_refuses_grids_that_do_not_parse(tmp_path, monkeypatch, capsys,
+                                               flag, value):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(BASE_CFG)
+    for name in ("ProcessPoolExecutor", "simulate", "simulate_many"):
+        monkeypatch.setattr(cli, name, _no_solve)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), f"{flag}={value}",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {flag} must be lo:hi:num with 1 <= num <= 10000 or a comma "
+        f"list of numbers, got {value!r}"]
+    assert not out.exists()
+
+
 def _sweep_files(argv, out):
     assert main([*argv, "--out", str(out)]) == 0
     sidecar = Path(f"{out}.errors.json")
