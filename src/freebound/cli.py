@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -152,8 +153,7 @@ def _cmd_wave(args):
 def _cmd_simulate(args):
     cfg = load_config(args.config)
     spec = spec_from_config(cfg)
-    snap_times = [float(s) for s in args.snapshots.split(",")] if args.snapshots else []
-    traj = simulate(spec, snapshot_times=snap_times)
+    traj = simulate(spec, snapshot_times=_parse_snapshots(args.snapshots))
 
     hints, hint_errors = {}, {}
     verdict = _verdict(traj, spec, hints, hint_errors)
@@ -173,6 +173,19 @@ def _cmd_simulate(args):
           f"h({spec.tmax:g}) = {traj.h[-1]:.8g}, sup u = {traj.supu[-1]:.3e}, "
           f"hint = {verdict.verdict}\n{wrote}")
     return 0
+
+
+def _parse_snapshots(text):
+    """--snapshots: a comma list of finite times >= 0, none when absent."""
+    try:
+        times = [float(v) for v in text.split(",")] if text else []
+        valid = all(0.0 <= t < math.inf for t in times)
+    except ValueError:
+        valid = False
+    if not valid:
+        raise ConfigError(f"--snapshots must be a comma list of finite times "
+                          f">= 0, got {text!r}")
+    return times
 
 
 def _save_run(outdir, traj, summary):
@@ -432,6 +445,10 @@ def _cmd_sweep(args):
     if cells:
         workers = args.workers or os.cpu_count() or 1
         chunks = _sweep_chunks(list(enumerate(cells)), workers)
+        # the Stefan kernel's LAPACK, bound here once: forked workers
+        # inherit it instead of each importing scipy.linalg
+        import scipy.linalg.lapack  # noqa: F401
+
         # under fork every worker starts at the first submit: start no more
         # than there are chunks
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:

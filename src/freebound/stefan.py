@@ -42,6 +42,14 @@ called step once per nominal step and each substep made its own arrays
 (logistic, beta = 0.5, h0 = 3; the lowest of several alternating runs on
 a shared 2-core host); gtsv alone takes about 18 us at nx = 800.
 
+gtsv is scipy.linalg.lapack.dgtsv, imported inside _kernel and
+simulate_many, the two places that build a run's buffers, rather than at
+the top of this module.  Importing scipy.linalg costs about 0.35 s on a
+2-core host, most of the package's import, and eigen and waves never
+need it; so importing freebound loads numpy only, and a process pays for
+LAPACK on its first Stefan run.  The import statement a run then repeats
+finds the module loaded and costs about a microsecond.
+
 Runtime certificates maintained every step: h' > 0, w >= 0 (round-off
 below -1e-10 aborts), and sup w <= eta(t) + 1e-6 where eta solves the
 space-free comparison ODE eta' = f(eta), eta(0) = sup u0 + 1, by the RK4
@@ -81,7 +89,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import InvariantViolation, NumericalError, _require_finite
 from .nonlinearity import Nonlinearity
@@ -101,6 +108,9 @@ __all__ = [
 CLAMP_FLOOR = -1e-10
 CEILING_SLACK = 1e-6
 CFL_SAFETY = 0.4
+# most nominal steps a run may take: its records, ceil(tmax/dt) + 1 float64s,
+# must fit numpy's index range in bytes
+MAX_STEPS = np.iinfo(np.intp).max // np.dtype(float).itemsize - 1
 
 
 def default_initial_profile(h0: float, a: float, b: float) -> Callable:
@@ -158,6 +168,11 @@ class ProblemSpec:
                         h0=self.h0, dt=self.dt, tmax=self.tmax)
         if self.dt <= 0.0 or self.tmax <= 0.0:
             raise ValueError("dt and tmax must be positive")
+        # refused here, before simulate allocates its records
+        steps = self.tmax / self.dt
+        if not steps < MAX_STEPS:
+            raise ValueError(f"tmax / dt = {self.tmax!r} / {self.dt!r} gives {steps:.3g} "
+                             f"steps, more than an array can hold: raise dt or lower tmax")
         # u0 = None stays None so dataclasses.replace(spec, h0=...) re-resolves
         # the default profile for the new front position
         u0 = self.u0 if self.u0 is not None else default_initial_profile(
@@ -232,6 +247,8 @@ def _kernel(spec: ProblemSpec, state: FrontState):
     one copy of w; that advance must take a substep, which sets h' and
     sup w anew.
     """
+    from scipy.linalg.lapack import dgtsv  # bound on the first kernel, not on import
+
     n = spec.nx
     dxi = 1.0 / n
     two_dxi = 2.0 * dxi
@@ -359,7 +376,14 @@ def simulate(spec: ProblemSpec, snapshot_times: Sequence[float] = (),
     taken.  Each state passed to stop owns its w.  The recorded arrays then
     hold only the steps taken, a bitwise prefix of the full-horizon run,
     and every per-step check has run on each of them.
+
+    Raises ValueError for a snapshot time that is not finite or is
+    negative.
     """
+    requested = [float(t) for t in snapshot_times]
+    if not all(0.0 <= t < math.inf for t in requested):
+        raise ValueError(f"snapshot times must be finite and >= 0, got {requested!r}")
+    pending = sorted(requested)
     state = initial_state(spec)
     advance, _ = _kernel(spec, state)
     nominal = spec.dt
@@ -373,7 +397,6 @@ def simulate(spec: ProblemSpec, snapshot_times: Sequence[float] = (),
     sups = np.empty(n_steps + 1)
     etas = np.empty(n_steps + 1)
     snapshots = []
-    pending = sorted(float(t) for t in snapshot_times)
     xi = spec.xi
 
     def record(i):
@@ -461,6 +484,8 @@ def simulate_many(specs: Sequence[ProblemSpec]) -> list[Trajectory]:
     index (a non-finite stacked solve cannot name one), and no trajectory
     is returned.
     """
+    from scipy.linalg.lapack import dgtsv
+
     specs = list(specs)
     if not specs:
         return []

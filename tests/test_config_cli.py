@@ -174,6 +174,50 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1,nan,inf,-3", "-3", "abc", "2,"])
+def test_simulate_refuses_bad_snapshot_times(tmp_path, capsys, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG)
+    assert main(["simulate", "--config", str(cfg), f"--snapshots={value}",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --snapshots must be a comma list of finite times >= 0, got {value!r}"]
+    assert not (tmp_path / "o").exists()
+
+
+# tmax / dt overflows to inf, and 1e20 steps is past numpy's index range:
+# both are refused before anything is allocated
+HUGE_RUNS = ["dt = 1e-300\ntmax = 1e300\n", "dt = 1e-10\ntmax = 1e10\n"]
+
+
+@pytest.mark.parametrize("horizon", HUGE_RUNS)
+def test_step_counts_no_array_holds_exit_2(tmp_path, capsys, horizon):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beta = 0.5\nmu = 2\nh0 = 4.2\nnx = 100\n" + horizon)
+    for argv in (["simulate", "--out", str(tmp_path / "o")],
+                 ["threshold", "--param", "mu", "--tol", "0.1"]):
+        assert main([*argv, "--config", str(cfg)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: tmax / dt = ")
+        assert line.endswith("more than an array can hold: raise dt or lower tmax")
+
+
+@pytest.mark.parametrize("horizon", HUGE_RUNS)
+def test_sweep_writes_error_rows_for_step_counts_no_array_holds(tmp_path, capsys,
+                                                                 horizon):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("beta = 0.5\nmu = 2\nh0 = 4.2\nnx = 100\n" + horizon)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--betas", "0.5,1", "--workers", "1",
+                 "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[3:] for row in rows] == [["Error", "nan", "nan"]] * 2
+    failures = json.loads(Path(f"{out}.errors.json").read_text())
+    assert [f["index"] for f in failures] == [0, 1]
+    assert all(f["type"] == "ConfigError" and "more than an array can hold"
+               in f["message"] for f in failures)
+
+
 def test_simulate_outputs_and_determinism(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(BASE_CFG)

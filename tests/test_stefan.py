@@ -65,6 +65,26 @@ def test_spec_validation(n):
     assert spec.dt == pytest.approx(2e-4 * 4.0)
 
 
+@pytest.mark.parametrize("dt, tmax", [
+    (1e-300, 1e300),                         # tmax / dt overflows to inf
+    (1e-10, 1e10),                           # 1e20 steps: past numpy's index range
+    (1.0, float(stefan.MAX_STEPS + 1)),      # just past the bound
+])
+def test_spec_refuses_step_counts_no_array_holds(n, dt, tmax):
+    # refused in ProblemSpec, before simulate allocates its records
+    with pytest.raises(ValueError, match=r"^tmax / dt = .* more than an array can hold"):
+        fb.ProblemSpec(beta=0.0, mu=1.0, a=1.0, b=0.0, h0=2.0, nonlinearity=n,
+                       dt=dt, tmax=tmax)
+
+
+@pytest.mark.parametrize("times", [(1.0, float("nan")), (float("inf"),), (2.0, -3.0)])
+def test_simulate_refuses_bad_snapshot_times(n, times):
+    spec = fb.ProblemSpec(beta=0.0, mu=1.0, a=1.0, b=0.0, h0=2.0, nonlinearity=n,
+                          nx=50, tmax=0.1)
+    with pytest.raises(ValueError, match="snapshot times must be finite and >= 0"):
+        fb.simulate(spec, snapshot_times=times)
+
+
 # ------------------------------------------------------------------ stepping
 
 def test_small_data_growth_matches_linearization(n):
