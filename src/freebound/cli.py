@@ -20,12 +20,13 @@ solve failed.  A sweep with neither writes no sidecar.
 A sweep cuts its cells, in grid order, into contiguous chunks of at most
 ENSEMBLE_MAX, as many chunks as workers (--workers, else the CPU count) or
 a multiple of that, and each pool worker runs a whole chunk (the pool
-starts no more workers than there are chunks): its cells
-step together as one stefan.simulate_many ensemble and share their hints,
-l_star solved once per beta and c_tilde once per (beta, mu).  A chunk of
-one cell runs alone on simulate.  If an ensemble raises, each of its cells
-runs again alone, so Error rows and the sidecar read as a cell-by-cell
-sweep writes them; every other row is bit-identical either way.
+starts no more workers than there are chunks).  Every chunk, of one cell
+or many, runs one way: its cells step together as one
+stefan.simulate_many ensemble and share their hints, l_star solved once
+per beta and c_tilde once per (beta, mu); an ensemble of one is simulate.
+If an ensemble of two or more raises, each of its cells runs again as a
+chunk of one, so Error rows and the sidecar read as a cell-by-cell sweep
+writes them; every other row is bit-identical either way.
 """
 
 from __future__ import annotations
@@ -385,26 +386,14 @@ def _sweep_result(index, cfg, traj, spec, hints):
     return index, row, reasons or None
 
 
-def _sweep_cell(payload):
-    """_sweep_result for one cell, or (index, Error row, [reason])."""
-    index, cfg = payload
-    try:
-        spec = spec_from_config(cfg)
-        return _sweep_result(index, cfg, simulate(spec), spec, {})
-    except FreeboundError as exc:
-        reason = {"index": index, "config": cfg, "type": type(exc).__name__,
-                  "message": str(exc)}
-        return index, ("Error", float("nan"), float("nan")), [reason]
-
-
 def _sweep_chunk(chunk):
-    """_sweep_cell's result for each (index, cfg) of chunk.
+    """(index, CSV row, reasons) for each (index, cfg) of chunk: its cells
+    step as one simulate_many ensemble and share their hints.
 
-    Two or more cells run as one simulate_many ensemble and share their
-    hints; if that raises, each cell runs again alone through _sweep_cell.
+    On a FreeboundError a chunk of two or more runs each cell again as a
+    chunk of one, and a chunk of one gives its Error row, with the error
+    as its one reason.
     """
-    if len(chunk) < 2:
-        return [_sweep_cell(item) for item in chunk]
     try:
         specs = [spec_from_config(cfg) for _, cfg in chunk]
         # the cells of a sweep differ only in beta, mu and lambda
@@ -412,8 +401,13 @@ def _sweep_chunk(chunk):
         hints = {}
         return [_sweep_result(index, cfg, traj, spec, hints)
                 for (index, cfg), traj, spec in zip(chunk, simulate_many(specs), specs)]
-    except (FreeboundError, ValueError):
-        return [_sweep_cell(item) for item in chunk]
+    except FreeboundError as exc:
+        if len(chunk) > 1:
+            return [row for item in chunk for row in _sweep_chunk([item])]
+        (index, cfg), = chunk
+        reason = {"index": index, "config": cfg, "type": type(exc).__name__,
+                  "message": str(exc)}
+        return [(index, ("Error", float("nan"), float("nan")), [reason])]
 
 
 def _sweep_chunks(items, workers):

@@ -7,13 +7,12 @@ xi = x / h(t), turning u(t, x) into w(t, xi) with
     a*w(t,0) - (b/h)*w_xi(t,0) = 0,     w(t,1) = 0,
     h'(t) = -mu * w_xi(t,1) / h.
 
-Each substep is one loop body, in the private kernel _kernel that step and
-simulate both drive: (1) boundary flux by the one-sided second-order
-formula (-4*w[n-1] + w[n-2]) / (2*dxi*h), and h'; (2) the advective limit
-dt <= 0.4*dxi*h/(|beta| + h') and the front update; (3) explicit
-advection, mesh drift and reaction with implicit diffusion, the mixed
-boundary folded into the first row, solved by LAPACK gtsv; a failed or
-non-finite solve raises NumericalError.
+Each substep is one loop body, in the private kernel _kernel: (1) boundary
+flux by the one-sided second-order formula (-4*w[n-1] + w[n-2]) /
+(2*dxi*h), and h'; (2) the advective limit dt <= 0.4*dxi*h/(|beta| + h')
+and the front update; (3) explicit advection, mesh drift and reaction with
+implicit diffusion, the mixed boundary folded into the first row, solved
+by LAPACK gtsv; a failed or non-finite solve raises NumericalError.
 
 A substep is some twenty numpy and LAPACK calls on a few hundred entries,
 so call overhead, not arithmetic, sets its cost.  The kernel is built once
@@ -29,26 +28,23 @@ One min and one max of the solution give every check: a non-finite entry
 makes one of them non-finite, the clamp test reads min(lo, w0), max(w, 0)
 runs only where some entry is <= 0, and sup w is max(0, hi, w0).  The
 contract of the reuse: the w the kernel returns is overwritten by its next
-advance, so simulate copies it into every snapshot and into every state it
-hands to stop, and step returns the buffer of a kernel it then drops.
+advance, so the run driver copies it into every snapshot and into every
+state it hands to stop, and step returns the buffer of a kernel it then
+drops.  gtsv alone takes about 18 us of a substep at nx = 800.
 
 The order of every floating-point operation is load-bearing: steps are
 bit-identical to the plain loop kept as reference_step in tests/oracles.py,
 and runs to reference_simulate there, which drives that loop one nominal
 step at a time; dt/(h*h*dxi*dxi) may not become dt/(h*h*dxi2), and no sum
-or product may be regrouped.  At nx = 300 / 800 a nominal step of
-simulate costs 22.5 / 46.7 us, against 31.1 / 54.4 us when simulate
-called step once per nominal step and each substep made its own arrays
-(logistic, beta = 0.5, h0 = 3; the lowest of several alternating runs on
-a shared 2-core host); gtsv alone takes about 18 us at nx = 800.
+or product may be regrouped.
 
-gtsv is scipy.linalg.lapack.dgtsv, imported inside _kernel and
-simulate_many, the two places that build a run's buffers, rather than at
-the top of this module.  Importing scipy.linalg costs about 0.35 s on a
-2-core host, most of the package's import, and eigen and waves never
-need it; so importing freebound loads numpy only, and a process pays for
-LAPACK on its first Stefan run.  The import statement a run then repeats
-finds the module loaded and costs about a microsecond.
+gtsv is scipy.linalg.lapack.dgtsv, imported inside _kernel and _lockstep,
+the two places that build a run's buffers, rather than at the top of this
+module.  Importing scipy.linalg costs about 0.35 s on a 2-core host, most
+of the package's import, and eigen and waves never need it; so importing
+freebound loads numpy only, and a process pays for LAPACK on its first
+Stefan run.  The import statement a run then repeats finds the module
+loaded and costs about a microsecond.
 
 Runtime certificates maintained every step: h' > 0, w >= 0 (round-off
 below -1e-10 aborts), and sup w <= eta(t) + 1e-6 where eta solves the
@@ -56,30 +52,44 @@ space-free comparison ODE eta' = f(eta), eta(0) = sup u0 + 1, by the RK4
 step that ode_upper_bound also uses; once eta is a fixed point of that
 step it is not stepped again.
 
-simulate_many runs K specs that share nx, dt, tmax, a, b and the reaction
-term as one lockstep ensemble, so most of a substep's numpy and LAPACK
-calls are made once for all K members instead of once per member.  Each
-nominal step is one joint substep: the kernel's loop body on the K states
-laid end to end, each member's dt, h and h' from the kernel's own
-expressions evaluated elementwise, on buffers made once per ensemble (two
-(K, nx+1) states that swap roles, the velocity, and gtsv's bands,
-_stacked_bands).  The K tridiagonal systems go into one gtsv call: every
-off-diagonal at a joint between members is exactly zero, so gtsv's
-multiplier there is zero, it takes the no-interchange branch, each update
-across the joint subtracts an exact zero, and no joint entry is written,
-so the joints are set once and only the interior is refilled.  A member
-the CFL limit leaves short of its target then finishes the nominal step
-alone on its own kernel (built once per ensemble and seated at its row
-with one copy), and eta is stepped once per distinct eta(0) until it
-settles.  Every member's trajectory is bit-identical to simulate(spec),
-and every check runs for every member at the same point.  At nx = 200 a
-nominal step with no member forced costs 58 / 70 / 130 / 202 us for K =
-1 / 2 / 8 / 16, against 106 / 94 / 183 / 275 us when the bands were
-rebuilt each substep and the members left behind were gathered into a
-stacked sub-ensemble of their own, and 26-35 us for a step of simulate
-(logistic, beta = 0.5, h0 = 3; the lowest of three alternating runs on a
-loaded 2-core host).  A lone run is cheaper on simulate; from about three
-members on, the ensemble is cheaper than its members run alone.
+One private driver, _run, runs K >= 1 specs that share nx, dt, tmax, a, b
+and the reaction term: simulate is its one-member case and simulate_many
+its K-member one.  It owns what every run does once: the checks on the
+snapshot times and the shared fields, the one statement that allocates
+every member's records (a count no memory holds is refused there with a
+ConfigError), eta stepped once per distinct eta(0) until every level is
+settled, each member's records, ceiling check and snapshots, simulate's
+stop hook, the final snapshot, and the "(while stepping to t = ...)"
+context of a failure.  Only the substep engine is picked by member
+count.  A lone
+member steps on its kernel with its state in Python floats.  Two or more
+step on _lockstep: each nominal step is one joint substep, the kernel's
+loop body on the K states laid end to end, each member's dt, h and h'
+from the kernel's own expressions evaluated elementwise, on buffers made
+once per ensemble (two (K, nx+1) states that swap roles, the velocity,
+and gtsv's bands, _stacked_bands).  The K tridiagonal systems go into one
+gtsv call: every off-diagonal at a joint between members is exactly zero,
+so gtsv's multiplier there is zero, it takes the no-interchange branch,
+each update across the joint subtracts an exact zero, and no joint entry
+is written, so the joints are set once and only the interior is refilled.
+A member the CFL limit leaves short of its target then finishes the
+nominal step alone on its own kernel (built once per ensemble and seated
+at its row with one copy).  Every member's trajectory is bit-identical to
+simulate(spec), a failure in one names it ("ensemble member k: ") when
+there are two or more, and a one-member ensemble is simulate, error text
+included.
+
+The two substep bodies stay because each wins on a workload the benchmark
+runs: threshold-mu and front-800 step one member, sweep-16 two ensembles
+of eight.  One body for m stacked members, m = 1 for a lone run, was
+bit-identical but made a lone step 30-40 % slower at nx = 300 (23.1-24.1
+against 30.1-33.6 us) and 8-18 % slower at nx = 800, since each stacked
+or strided numpy call costs 0.3-0.5 us more than its 1-D form; on
+length-1 arrays the records and the ceiling test alone cost 4.1 us a
+step against 0.6 us in Python floats (a noisy 2-core host).  At nx = 200
+an ensemble's nominal step costs about 70 / 130 / 202 us for K = 2 / 8 /
+16 against 26-35 us for a lone run, so from about three members on the
+ensemble is cheaper than its members run alone.
 """
 
 from __future__ import annotations
@@ -90,7 +100,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation, NumericalError, _require_finite
+from .errors import ConfigError, InvariantViolation, NumericalError, _require_finite
 from .nonlinearity import Nonlinearity
 
 __all__ = [
@@ -109,7 +119,8 @@ CLAMP_FLOOR = -1e-10
 CEILING_SLACK = 1e-6
 CFL_SAFETY = 0.4
 # most nominal steps a run may take: its records, ceil(tmax/dt) + 1 float64s,
-# must fit numpy's index range in bytes
+# must fit numpy's index range in bytes; a count below it whose records fit
+# in no memory is refused where they are allocated
 MAX_STEPS = np.iinfo(np.intp).max // np.dtype(float).itemsize - 1
 
 
@@ -168,18 +179,22 @@ class ProblemSpec:
                         h0=self.h0, dt=self.dt, tmax=self.tmax)
         if self.dt <= 0.0 or self.tmax <= 0.0:
             raise ValueError("dt and tmax must be positive")
-        # refused here, before simulate allocates its records
+        # refused here, before a run allocates its records
         steps = self.tmax / self.dt
         if not steps < MAX_STEPS:
             raise ValueError(f"tmax / dt = {self.tmax!r} / {self.dt!r} gives {steps:.3g} "
                              f"steps, more than an array can hold: raise dt or lower tmax")
+        try:
+            xi = np.linspace(0.0, 1.0, self.nx + 1)
+        except (MemoryError, ValueError) as exc:  # ValueError: past numpy's index range
+            raise ValueError(f"nx = {self.nx!r} gives a grid of nx + 1 points that does "
+                             f"not fit in memory: lower nx") from exc
+        xi.flags.writeable = False
         # u0 = None stays None so dataclasses.replace(spec, h0=...) re-resolves
         # the default profile for the new front position
         u0 = self.u0 if self.u0 is not None else default_initial_profile(
             self.h0, self.a, self.b)
         object.__setattr__(self, "w0", self._sample_initial(u0))
-        xi = np.linspace(0.0, 1.0, self.nx + 1)
-        xi.flags.writeable = False
         object.__setattr__(self, "xi", xi)
 
     def _sample_initial(self, u0) -> np.ndarray:
@@ -378,60 +393,129 @@ def simulate(spec: ProblemSpec, snapshot_times: Sequence[float] = (),
     and every per-step check has run on each of them.
 
     Raises ValueError for a snapshot time that is not finite or is
-    negative.
+    negative, and ConfigError when the records of tmax / dt steps do not
+    fit in memory.
     """
+    return _run([spec], snapshot_times, stop)[0]
+
+
+def simulate_many(specs: Sequence[ProblemSpec]) -> list[Trajectory]:
+    """simulate(spec) for each spec, the runs stepped as one lockstep
+    ensemble; each trajectory is bit-identical to simulate(spec)'s.
+
+    The specs must share nx, dt, tmax, a, b and one reaction term (the
+    same Nonlinearity); beta, mu, h0 and u0 may differ.  Only the final
+    profile is snapshotted.  A check that fails in any member raises the
+    error simulate would raise, its message prefixed with the member's
+    index when there are two or more (a non-finite stacked solve cannot
+    name one), and no trajectory is returned.  One spec is simulate(spec),
+    error text included.
+    """
+    return _run(specs)
+
+
+def _run(specs, snapshot_times=(), stop=None) -> list[Trajectory]:
+    """The one run driver: every spec stepped to tmax, a lone spec on its
+    kernel and two or more on _lockstep, each member recorded, checked
+    against its ceiling and snapshotted as simulate says.  stop is
+    simulate's and comes only with a lone spec."""
     requested = [float(t) for t in snapshot_times]
     if not all(0.0 <= t < math.inf for t in requested):
         raise ValueError(f"snapshot times must be finite and >= 0, got {requested!r}")
-    pending = sorted(requested)
-    state = initial_state(spec)
-    advance, _ = _kernel(spec, state)
-    nominal = spec.dt
-    n_steps = int(np.ceil(spec.tmax / nominal))
-    eta = float(np.max(spec.w0)) + 1.0
-    settled = False  # eta is a fixed point of the RK4 step: it stays put
+    specs = list(specs)
+    if not specs:
+        return []
+    s0 = specs[0]
+    for s in specs[1:]:
+        for name in ("nx", "dt", "tmax", "a", "b", "nonlinearity"):
+            if getattr(s, name) != getattr(s0, name):
+                raise ValueError(f"ensemble members differ in {name}")
+    K = len(specs)
+    nominal = s0.dt
+    n_steps = int(np.ceil(s0.tmax / nominal))
+    try:
+        # t, h, h', sup u and eta: row k of each is member k's, a column a
+        # nominal step
+        records = [np.empty((K, n_steps + 1)) for _ in range(5)]
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's index range
+        raise ConfigError(
+            f"tmax / dt = {s0.tmax!r} / {nominal!r} gives {n_steps} steps, whose "
+            f"records do not fit in memory: raise dt or lower tmax") from exc
+    states = [initial_state(s) for s in specs]
+    for k, st in enumerate(states):
+        sup = float(np.max(st.w))
+        for series, value in zip(records, (st.t, st.h, st.hprime, sup, sup + 1.0)):
+            series[k, 0] = value
+    # eta depends only on eta(0): each distinct eta(0) is one level
+    eta0 = records[4][:, 0].tolist()
+    levels = list(dict.fromkeys(eta0))
+    level_of = [levels.index(e) for e in eta0]
+    snapshots = [[] for _ in specs]
 
-    times = np.empty(n_steps + 1)
-    hs = np.empty(n_steps + 1)
-    hps = np.empty(n_steps + 1)
-    sups = np.empty(n_steps + 1)
-    etas = np.empty(n_steps + 1)
-    snapshots = []
-    xi = spec.xi
+    def recorder(k):
+        """record(i, t, h, hp, sup, eta, w) -> done: member k's nominal step
+        i, done when it is the last, by stop or at tmax."""
+        times, hs, hps, sups, etas = (series[k] for series in records)
+        xi, snaps = specs[k].xi, snapshots[k]
+        who = f"ensemble member {k}: " if K > 1 else ""
+        pending = sorted(requested)
 
-    def record(i):
-        times[i], hs[i], hps[i], sups[i], etas[i] = t, h, hp, sup, eta
-        if sup > eta + CEILING_SLACK:
-            raise InvariantViolation(
-                f"sup u = {sup:.8g} exceeds eta = {eta:.8g} at t = {t:.6g}")
+        def record(i, t, h, hp, sup, eta, w):
+            nonlocal pending
+            times[i], hs[i], hps[i], sups[i], etas[i] = t, h, hp, sup, eta
+            if sup > eta + CEILING_SLACK:
+                raise InvariantViolation(
+                    f"{who}sup u = {sup:.8g} exceeds eta = {eta:.8g} at t = {t:.6g}")
+            done = (stop is not None and stop(FrontState(t=t, h=h, w=w.copy(), hprime=hp))
+                    or i == n_steps)
+            # one snapshot covers every requested time this step reached, and
+            # the last step's
+            if done or pending and t >= pending[0] - 1e-12:
+                snaps.append((t, xi * h, w.copy()))
+                pending = [s for s in pending if t < s - 1e-12]
+            return done
 
-    t, h, hp, w = state.t, state.h, state.hprime, state.w
-    sup = float(np.max(w))
-    record(0)
+        return record
+
+    # the engine by member count: a lone member's state is Python floats and
+    # its w, an ensemble's vectors and its rows, and eta one level or all
+    f = s0.nonlinearity
+    if K == 1:
+        advance, _ = _kernel(s0, states[0])
+        record = recorder(0)
+        t, eta = 0.0, levels[0]
+
+        def step_eta(eta):
+            return _eta_step(f, eta, nominal)
+    else:
+        advance = _lockstep(specs, states)
+        members = [recorder(k) for k in range(K)]
+        t, eta = np.zeros(K), levels
+
+        def record(i, t, h, hp, sup, levels, rows):
+            for rec, tk, hk, hpk, supk, level, w in zip(
+                    members, t.tolist(), h.tolist(), hp.tolist(), sup.tolist(),
+                    level_of, rows):
+                rec(i, tk, hk, hpk, supk, levels[level], w)
+
+        def step_eta(levels):
+            return [_eta_step(f, e, nominal) for e in levels]
+
+    settled = False  # every level is a fixed point of the RK4 step: it stays put
     for i in range(1, n_steps + 1):
         try:
             t, h, hp, w, sup = advance(t + nominal)
         except (InvariantViolation, NumericalError) as exc:
             raise type(exc)(f"{exc} (while stepping to t = {i * nominal:.6g})") from exc
         if not settled:
-            nxt = _eta_step(spec.nonlinearity, eta, nominal)
-            settled = nxt == eta
-            eta = nxt
-        record(i)
-        if pending and t >= pending[0] - 1e-12:
-            # one snapshot covers every requested time this step reached
-            snapshots.append((t, xi * h, w.copy()))
-            pending = [s for s in pending if t < s - 1e-12]
-        if stop is not None and stop(FrontState(t=t, h=h, w=w.copy(), hprime=hp)):
+            stepped = step_eta(eta)
+            settled = stepped == eta
+            eta = stepped
+        if record(i, t, h, hp, sup, eta, w):
             break
-
-    if not snapshots or snapshots[-1][0] < t:
-        snapshots.append((t, xi * h, w.copy()))
-
-    k = i + 1  # records taken; n_steps >= 1, so the loop ran
-    return Trajectory(times=times[:k], h=hs[:k], hprime=hps[:k],
-                      supu=sups[:k], eta=etas[:k],
-                      snapshots=snapshots, spec=spec)
+    return [Trajectory(*(series[k, :i + 1] for series in records),
+                       snapshots=snapshots[k], spec=s)
+            for k, s in enumerate(specs)]
 
 
 def _stacked_bands(K, n):
@@ -473,29 +557,19 @@ def _stacked_bands(K, n):
             off[1].reshape(-1)[2:-1])
 
 
-def simulate_many(specs: Sequence[ProblemSpec]) -> list[Trajectory]:
-    """simulate(spec) for each spec, the runs stepped as one lockstep
-    ensemble; each trajectory is bit-identical to simulate(spec)'s.
+def _lockstep(specs, states):
+    """The substep engine of two or more members, started at states.
 
-    The specs must share nx, dt, tmax, a, b and one reaction term (the
-    same Nonlinearity); beta, mu, h0 and u0 may differ.  Only the final
-    profile is snapshotted.  A check that fails in any member raises the
-    error simulate would raise, its message prefixed with the member's
-    index (a non-finite stacked solve cannot name one), and no trajectory
-    is returned.
+    Returns advance(target) -> (t, h, h', rows, sup w), target and all but
+    rows vectors over the members: one joint substep for all of them, then
+    each member it leaves short of its target finishes alone on its own
+    kernel, seated at its row.  rows are the members' w, views of a state
+    buffer that the next call overwrites.  A failure names its member.
     """
     from scipy.linalg.lapack import dgtsv
 
-    specs = list(specs)
-    if not specs:
-        return []
-    s0 = specs[0]
-    shared = ("nx", "dt", "tmax", "a", "b", "nonlinearity")
-    for s in specs[1:]:
-        for name in shared:
-            if getattr(s, name) != getattr(s0, name):
-                raise ValueError(f"ensemble members differ in {name}")
     K = len(specs)
+    s0 = specs[0]
     n, a, b, f = s0.nx, s0.a, s0.b, s0.nonlinearity.f
     dxi = 1.0 / n
     two_dxi = 2.0 * dxi
@@ -509,25 +583,22 @@ def simulate_many(specs: Sequence[ProblemSpec]) -> list[Trajectory]:
     vel = np.empty((K, n + 1))
     vel_in = vel.reshape(-1)[1:-1]
     fill, *bands = _stacked_bands(K, n)
-    # a member the joint substep leaves short of its target finishes the
-    # nominal step alone, on its own kernel seated at its row
-    kernels = [_kernel(s, initial_state(s)) for s in specs]
+    kernels = [_kernel(s, st) for s, st in zip(specs, states)]
 
-    def views(W):  # the states, their rows end to end (the solve's), shifted
+    def views(W):  # the states, their rows end to end (the solve's), shifted, each row
         flat = W.reshape(-1)
-        return W, flat[1:-1], flat[2:], flat[:-2]
+        return W, flat[1:-1], flat[2:], flat[:-2], list(W)
 
-    W = np.array([s.w0 for s in specs])
+    W = np.array([st.w for st in states])
     cur, nxt = views(W), views(W.copy())
     t = np.zeros(K)
-    h = np.array([s.h0 for s in specs])
-    hp = neg_mu * ((-4.0 * W[:, -2] + W[:, -3]) / (two_dxi * h))
-    sup = W.max(axis=1)
+    h = np.array([st.h for st in states])
 
-    def joint_substep(target):
-        """The kernel's loop body, once for every member as one stack."""
-        nonlocal cur, nxt, t, h, hp, sup
-        W, w_in, w_right, w_left = cur
+    def advance(target):
+        """The kernel's loop body, once for every member as one stack, then
+        each member it leaves short of target alone on its kernel."""
+        nonlocal cur, nxt, t, h
+        W, w_in, w_right, w_left, _ = cur
         new, x = nxt[:2]
         hp = neg_mu * ((-4.0 * W[:, -2] + W[:, -3]) / (two_dxi * h))
         if lowest(hp) <= 0.0:
@@ -585,63 +656,18 @@ def simulate_many(specs: Sequence[ProblemSpec]) -> list[Trajectory]:
         cur, nxt = nxt, cur
         t, h = t + dt, h_new
 
-    nominal = s0.dt
-    n_steps = int(np.ceil(s0.tmax / nominal))
-    # eta depends only on eta(0): step each distinct eta(0), until every
-    # one is a fixed point of the RK4 step, as simulate does
-    eta0 = [float(np.max(s.w0)) + 1.0 for s in specs]
-    levels = list(dict.fromkeys(eta0))
-    level_of = np.array([levels.index(e) for e in eta0])
-    eta = np.array(eta0)
-    ceiling = eta + CEILING_SLACK
-    settled = False
-
-    # row i holds every member's record of nominal step i
-    times = np.empty((n_steps + 1, K))
-    hs = np.empty((n_steps + 1, K))
-    hps = np.empty((n_steps + 1, K))
-    sups = np.empty((n_steps + 1, K))
-    etas = np.empty((n_steps + 1, K))
-
-    def record(i):
-        times[i], hs[i], hps[i], sups[i], etas[i] = t, h, hp, sup, eta
-        over = sup > ceiling
-        if over.any():
-            k = over.argmax()
-            raise InvariantViolation(
-                f"ensemble member {k}: sup u = {sup[k]:.8g} exceeds "
-                f"eta = {eta[k]:.8g} at t = {t[k]:.6g}")
-
-    record(0)
-    for i in range(1, n_steps + 1):
-        target = t + nominal
+        rows = cur[4]
         limit = target - 1e-15 * np.maximum(1.0, target)
-        try:
-            joint_substep(target)
-            for k in (t < limit).nonzero()[0]:
-                advance, seat = kernels[k]
-                seat(t.item(k), h.item(k), cur[0][k])
-                try:
-                    t[k], h[k], hp[k], cur[0][k], sup[k] = advance(target.item(k))
-                except (InvariantViolation, NumericalError) as exc:
-                    raise type(exc)(f"ensemble member {k}: {exc}") from exc
-        except (InvariantViolation, NumericalError) as exc:
-            raise type(exc)(f"{exc} (while stepping to t = {i * nominal:.6g})") from exc
-        if not settled:
-            stepped = [_eta_step(s0.nonlinearity, e, nominal) for e in levels]
-            settled = stepped == levels
-            levels = stepped
-            eta = np.array(levels)[level_of]
-            ceiling = eta + CEILING_SLACK
-        record(i)
+        for k in (t < limit).nonzero()[0]:
+            finish, seat = kernels[k]
+            seat(t.item(k), h.item(k), rows[k])
+            try:
+                t[k], h[k], hp[k], rows[k][...], sup[k] = finish(target.item(k))
+            except (InvariantViolation, NumericalError) as exc:
+                raise type(exc)(f"ensemble member {k}: {exc}") from exc
+        return t, h, hp, rows, sup
 
-    W = cur[0]
-    return [Trajectory(times=times[:, k].copy(), h=hs[:, k].copy(),
-                       hprime=hps[:, k].copy(), supu=sups[:, k].copy(),
-                       eta=etas[:, k].copy(),
-                       snapshots=[(t.item(k), s.xi * h.item(k), W[k].copy())],
-                       spec=s)
-            for k, s in enumerate(specs)]
+    return advance
 
 
 def ode_upper_bound(n: Nonlinearity, eta0: float, t: float) -> float:

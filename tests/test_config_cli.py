@@ -10,7 +10,7 @@ import pytest
 
 import freebound as fb
 from freebound import cli, config
-from freebound.cli import _sweep_cell, main
+from freebound.cli import main
 from freebound.config import parse_config, nonlinearity_from_config, spec_from_config
 from freebound.errors import ConfigError, NumericalError
 
@@ -218,6 +218,50 @@ def test_sweep_writes_error_rows_for_step_counts_no_array_holds(tmp_path, capsys
                in f["message"] for f in failures)
 
 
+# counts inside every bound whose arrays fit in no memory: the records of
+# 1.2e15 steps (5e15 at threshold's horizon of 50) and a grid of 1e15
+# points, all past the address space, so each allocation fails at once
+# without touching memory
+OVERSIZE_RUNS = [
+    ("nx = 100\ndt = 1e-14\ntmax = 12\n",
+     r"tmax / dt = [0-9.]+ / 1e-14 gives [0-9]+ steps, whose records do not fit "
+     r"in memory: raise dt or lower tmax"),
+    ("nx = 1000000000000000\ntmax = 12\n",
+     r"nx = 1000000000000000 gives a grid of nx \+ 1 points that does not fit in "
+     r"memory: lower nx"),
+]
+
+
+@pytest.mark.parametrize("size, why", OVERSIZE_RUNS)
+def test_runs_that_fit_no_memory_exit_2(tmp_path, capsys, size, why):
+    cfg = tmp_path / "run.cfg"
+    # h0 below l_star, so threshold simulates
+    cfg.write_text("beta = 0.5\nmu = 2\nh0 = 1\n" + size)
+    for argv in (["simulate", "--out", str(tmp_path / "o")],
+                 ["threshold", "--param", "mu", "--tol", "0.1"]):
+        assert main([*argv, "--config", str(cfg)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(f"error: {why}", line), line
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("size, why", OVERSIZE_RUNS)
+def test_sweep_writes_error_rows_for_runs_that_fit_no_memory(tmp_path, capsys,
+                                                             size, why):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("beta = 0.5\nmu = 2\nh0 = 1\n" + size)
+    out = tmp_path / "sweep.csv"
+    # one worker: the two cells are refused as an ensemble, then each alone
+    assert main(["sweep", "--config", str(cfg), "--betas", "0.5,1", "--workers", "1",
+                 "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[3:] for row in rows] == [["Error", "nan", "nan"]] * 2
+    failures = json.loads(Path(f"{out}.errors.json").read_text())
+    assert [(f["index"], f["type"]) for f in failures] == [(0, "ConfigError"),
+                                                           (1, "ConfigError")]
+    assert all(re.fullmatch(why, f["message"]) for f in failures)
+
+
 def test_simulate_outputs_and_determinism(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(BASE_CFG)
@@ -357,7 +401,7 @@ def test_sweep_solves_c_tilde_only_when_rule_3_reads_it(monkeypatch):
         cfg = dict(base, beta=beta, h0=h0, tmax=tmax)
         cfg["lambda"] = lam
         calls.clear()
-        index, row, reason = _sweep_cell((7, cfg))
+        (index, row, reason), = cli._sweep_chunk([(7, cfg)])
         assert (index, reason) == (7, None)
         assert len(calls) == solves
         spec = spec_from_config(cfg)
@@ -520,7 +564,8 @@ def test_sweep_with_a_failing_cell_writes_what_the_per_cell_path_writes(
         try:
             return ensemble(specs)
         except fb.errors.FreeboundError as exc:
-            raised.append(exc)
+            if len(specs) > 1:  # a chunk of one is the per-cell path
+                raised.append(exc)
             raise
 
     monkeypatch.setattr(cli, "simulate_many", recorded)

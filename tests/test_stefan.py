@@ -77,6 +77,29 @@ def test_spec_refuses_step_counts_no_array_holds(n, dt, tmax):
                        dt=dt, tmax=tmax)
 
 
+def test_spec_refuses_a_grid_that_fits_no_memory(n):
+    # 1e15 points, past the address space: the allocation fails at once
+    with pytest.raises(ValueError, match=r"^nx = 1000000000000000 gives a grid .* lower nx$"):
+        fb.ProblemSpec(beta=0.0, mu=1.0, a=1.0, b=0.0, h0=2.0, nonlinearity=n,
+                       nx=10**15, tmax=1.0)
+
+
+@pytest.mark.parametrize("dt, tmax", [
+    (1e-10, 1e5),   # 1e15 steps: records past the address space
+    (1.0, 1e18),    # within MAX_STEPS; two members' records are past numpy's index range
+])
+def test_runs_whose_records_fit_no_memory_are_refused(n, dt, tmax):
+    spec = fb.ProblemSpec(beta=0.0, mu=1.0, a=1.0, b=0.0, h0=2.0, nonlinearity=n,
+                          nx=50, dt=dt, tmax=tmax)
+    why = (f"tmax / dt = {tmax!r} / {dt!r} gives {int(np.ceil(tmax / dt))} steps, "
+           f"whose records do not fit in memory: raise dt or lower tmax")
+    for run in (lambda: fb.simulate(spec),
+                lambda: simulate_many([spec, replace(spec, beta=1.0)])):
+        with pytest.raises(fb.errors.ConfigError) as refused:
+            run()
+        assert str(refused.value) == why
+
+
 @pytest.mark.parametrize("times", [(1.0, float("nan")), (float("inf"),), (2.0, -3.0)])
 def test_simulate_refuses_bad_snapshot_times(n, times):
     spec = fb.ProblemSpec(beta=0.0, mu=1.0, a=1.0, b=0.0, h0=2.0, nonlinearity=n,
@@ -347,10 +370,12 @@ def test_simulate_many_names_the_member_that_failed(n):
     specs = _ensemble_specs(1.0, 0.0, n, 100, (0.0,), lambdas=(0.5, 1000.0))
     with pytest.raises(fb.errors.NumericalError) as alone:
         fb.simulate(specs[1])
-    with pytest.raises(fb.errors.NumericalError) as ensemble:
-        simulate_many(specs)
-    assert type(ensemble.value) is type(alone.value)
-    assert str(ensemble.value) == f"ensemble member 1: {alone.value}"
+    # a one-member ensemble is simulate, error text included
+    for members, prefix in ((specs, "ensemble member 1: "), ([specs[1]], "")):
+        with pytest.raises(fb.errors.NumericalError) as ensemble:
+            simulate_many(members)
+        assert type(ensemble.value) is type(alone.value)
+        assert str(ensemble.value) == f"{prefix}{alone.value}"
 
 
 @pytest.mark.parametrize("beta, amplitude, error, what", [
