@@ -49,7 +49,7 @@ from .classify import classify
 from .config import ConfigError, load_config, nonlinearity_from_config, spec_from_config
 from .eigen import EigenProblem, critical_length, critical_length_no_advection, principal_eigenvalue
 from .errors import DomainError, FreeboundError, NumericalError, _require_finite
-from .stefan import Trajectory, default_initial_profile, simulate, simulate_many
+from .stefan import Trajectory, _lapack, default_initial_profile, simulate, simulate_many
 from .thresholds import lambda_threshold, mu_threshold
 from .waves import (
     finite_wave,
@@ -439,9 +439,9 @@ def _cmd_sweep(args):
     if cells:
         workers = args.workers or os.cpu_count() or 1
         chunks = _sweep_chunks(list(enumerate(cells)), workers)
-        # the Stefan kernel's LAPACK, bound here once: forked workers
-        # inherit it instead of each importing scipy.linalg
-        import scipy.linalg.lapack  # noqa: F401
+        # the Stefan kernel's LAPACK extension, loaded here once: forked
+        # workers inherit it instead of each loading it
+        _lapack()
 
         # under fork every worker starts at the first submit: start no more
         # than there are chunks

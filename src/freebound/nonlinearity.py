@@ -140,7 +140,10 @@ def _sample_grid(samples: int, u_max: float) -> np.ndarray:
     geo = np.geomspace(1e-12, u_max, n_geo)
     uni = np.linspace(u_max / samples, u_max, samples - n_geo)
     near_one = 1.0 + np.array([-1e-3, -1e-6, 1e-6, 1e-3])
-    grid = np.unique(np.concatenate([geo, uni, near_one]))
+    # np.unique's values by a sort and a mask of unequal neighbours: numpy
+    # 2.4's np.unique imports numpy.ma
+    grid = np.sort(np.concatenate([geo, uni, near_one]))
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     return grid[(grid > 0.0) & (grid <= u_max)]
 
 

@@ -38,13 +38,18 @@ and runs to reference_simulate there, which drives that loop one nominal
 step at a time; dt/(h*h*dxi*dxi) may not become dt/(h*h*dxi2), and no sum
 or product may be regrouped.
 
-gtsv is scipy.linalg.lapack.dgtsv, imported inside _kernel and _lockstep,
-the two places that build a run's buffers, rather than at the top of this
-module.  Importing scipy.linalg costs about 0.35 s on a 2-core host, most
-of the package's import, and eigen and waves never need it; so importing
-freebound loads numpy only, and a process pays for LAPACK on its first
-Stefan run.  The import statement a run then repeats finds the module
-loaded and costs about a microsecond.
+gtsv is LAPACK's dgtsv from scipy.linalg._flapack, the f2py extension
+that scipy.linalg.lapack.dgtsv itself is taken from: the same function
+object, so every solve gives the same bits at the same cost per call.
+_lapack loads that one extension on the first kernel (_kernel and
+_lockstep, the two places that build a run's buffers): it finds scipy's
+directory without running scipy's __init__, runs the extension alone and
+registers it in sys.modules under its own name, where a later import of
+scipy.linalg finds and reuses it.  Importing scipy.linalg.lapack instead
+loads 85 scipy modules, about 23 MB of resident memory and 0.3 s on a
+2-core host, for this one function; the extension alone takes about 5 ms
+and one module.  Importing freebound loads numpy only, and a run after
+the first finds the extension in sys.modules.
 
 Runtime certificates maintained every step: h' > 0, w >= 0 (round-off
 below -1e-10 aborts), and sup w <= eta(t) + 1e-6 where eta solves the
@@ -184,6 +189,9 @@ class ProblemSpec:
         if not steps < MAX_STEPS:
             raise ValueError(f"tmax / dt = {self.tmax!r} / {self.dt!r} gives {steps:.3g} "
                              f"steps, more than an array can hold: raise dt or lower tmax")
+        if steps == 0.0:  # the quotient underflows: a run would take no step
+            raise ValueError(f"tmax / dt = {self.tmax!r} / {self.dt!r} underflows to 0 "
+                             f"steps: lower dt or raise tmax")
         try:
             xi = np.linspace(0.0, 1.0, self.nx + 1)
         except (MemoryError, ValueError) as exc:  # ValueError: past numpy's index range
@@ -251,6 +259,30 @@ def _boundary_flux(w: np.ndarray, dxi: float, h: float) -> float:
     return (-4.0 * w.item(-2) + w.item(-3)) / (2.0 * dxi * h)
 
 
+def _lapack():
+    """scipy.linalg._flapack, loaded alone on first use: its dgtsv is
+    scipy.linalg.lapack.dgtsv, without the rest of scipy.linalg."""
+    import sys
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    import importlib.machinery
+    import importlib.util
+    import os
+    # find_spec of a top-level name locates scipy without importing it
+    scipy = importlib.util.find_spec("scipy")
+    spec = None if scipy is None else importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(d, "linalg") for d in scipy.submodule_search_locations])
+    if spec is None:
+        raise ImportError("Stefan runs need scipy, whose LAPACK extension "
+                          f"{name} was not found")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
 def _kernel(spec: ProblemSpec, state: FrontState):
     """The substep loop of one run, on buffers made once, started at state.
 
@@ -262,7 +294,7 @@ def _kernel(spec: ProblemSpec, state: FrontState):
     one copy of w; that advance must take a substep, which sets h' and
     sup w anew.
     """
-    from scipy.linalg.lapack import dgtsv  # bound on the first kernel, not on import
+    dgtsv = _lapack().dgtsv
 
     n = spec.nx
     dxi = 1.0 / n
@@ -566,7 +598,7 @@ def _lockstep(specs, states):
     kernel, seated at its row.  rows are the members' w, views of a state
     buffer that the next call overwrites.  A failure names its member.
     """
-    from scipy.linalg.lapack import dgtsv
+    dgtsv = _lapack().dgtsv
 
     K = len(specs)
     s0 = specs[0]

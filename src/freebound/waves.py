@@ -31,7 +31,7 @@ that loop as reference_rk_step; the generated code is bit-identical to
 it), and no shot calls the builtin sum, whose float result 3.12 changed.
 A step's interpolant (three extra stages) is computed only where an event
 fires, or at every step of a dense shot, whose samples _sample then draws
-in one vectorized pass.
+in vectorized blocks.
 
 A profile picks the drift, launch, direction and events:
 
@@ -113,6 +113,7 @@ TAIL_CUT = 1e-7        # where heteroclinic tails are truncated
 _RTOL = 1e-12
 _ATOL = 1e-14
 _MAX_STEP = 0.1
+_SAMPLE_BLOCK = 4096   # samples of a dense shot evaluated at a time
 
 
 @dataclass(frozen=True)
@@ -484,26 +485,33 @@ def _sample(shot, tau_end, n_samples, reverse):
     2001 to 500001) of a dense shot on [0, tau_end]; reverse returns them in
     descending tau, which is ascending z for a backward shot.
 
-    All steps' interpolants are evaluated in one vectorized pass, in the
-    order of _interpolate: bit for bit what scipy's OdeSolution gives on
-    the same steps."""
+    The steps' interpolants are evaluated _SAMPLE_BLOCK samples at a time,
+    straight into q and q' (a reversed block into its mirrored slots), so
+    no temporary spans all the samples.  Each sample takes the operations
+    of _interpolate in its order: bit for bit what scipy's OdeSolution
+    gives on the same steps."""
     if n_samples is None:
         n_samples = int(np.clip(np.ceil(tau_end / 2e-4) + 1, 2001, 500001))
     tau = np.linspace(0.0, tau_end, n_samples)
     t_old = np.array([s[0] for s in shot.steps])
     h = np.array([s[1] for s in shot.steps])
-    seg = np.searchsorted(t_old[1:], tau, side="left")
-    x = (tau - t_old[seg]) / h[seg]
-    x_pair = (x, 1 - x)
-    out = []
-    for j in (0, 1):
-        F = np.array([[Fk[j] for Fk in s[3]] for s in shot.steps])
-        v = np.zeros_like(x)
-        for i in range(F.shape[1]):
-            v += F[seg, -1 - i]
-            v *= x_pair[i % 2]
-        v += np.array([s[2][j] for s in shot.steps])[seg]
-        out.append(v[::-1].copy() if reverse else v)
+    # per component: each step's interpolant coefficients and y_old
+    tables = [(np.array([[Fk[j] for Fk in s[3]] for s in shot.steps]),
+               np.array([s[2][j] for s in shot.steps])) for j in (0, 1)]
+    out = np.empty(n_samples), np.empty(n_samples)
+    for lo in range(0, n_samples, _SAMPLE_BLOCK):
+        hi = min(lo + _SAMPLE_BLOCK, n_samples)
+        block = tau[lo:hi]
+        seg = np.searchsorted(t_old[1:], block, side="left")
+        x = (block - t_old[seg]) / h[seg]
+        x_pair = (x, 1 - x)
+        for (F, y_old), q in zip(tables, out):
+            v = q[n_samples - hi:n_samples - lo][::-1] if reverse else q[lo:hi]
+            v.fill(0.0)
+            for i in range(F.shape[1]):
+                v += F[seg, -1 - i]
+                v *= x_pair[i % 2]
+            v += y_old[seg]
     return (tau[::-1] if reverse else tau), out[0], out[1]
 
 
@@ -955,7 +963,10 @@ def profile_interpolator(profile: WaveProfile):
         if zc.size == 0:
             return np.empty(z.shape)
         seg = np.clip(np.searchsorted(z_all, zc, side="right") - 1, 0, last)
-        knots = np.unique(np.clip(seg[:, None] + _WINDOW, 0, last + 1))
+        # the distinct knots in order, as np.unique gives them without
+        # importing numpy.ma
+        knots = np.sort(np.clip(seg[:, None] + _WINDOW, 0, last + 1), axis=None)
+        knots = knots[np.concatenate(([True], knots[1:] != knots[:-1]))]
         x, y = z_all[knots], q_all[knots]
         hk = x[1:] - x[:-1]
         mk = (y[1:] - y[:-1]) / hk

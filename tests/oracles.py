@@ -15,9 +15,10 @@ certificates, the classification hints solved up front as simulate once
 solved them, the Stefan substep loop as it stood before its per-call
 hoisting and in-place buffers, simulate driving that loop one nominal
 step at a time, the generic DOP853 stage loop the
-generated step functions of waves._kernel replaced, and scipy's
+generated step functions of waves._kernel replaced, scipy's
 PchipInterpolator on every sample of a profile, which
-waves.profile_interpolator replaced.
+waves.profile_interpolator replaced, and the one-pass sampling of a dense
+shot that waves._sample's blocks replaced.
 """
 
 from dataclasses import replace
@@ -485,7 +486,7 @@ def reference_shoot(g, n, y0, events, budget, max_step, *, backward, dense):
     return sol
 
 
-def reference_sample(shot, tau_end, n_samples, reverse):
+def reference_ivp_sample(shot, tau_end, n_samples, reverse):
     """The samples of a reference shot, through solve_ivp's OdeSolution."""
     if n_samples is None:
         n_samples = int(np.clip(np.ceil(tau_end / 2e-4) + 1, 2001, 500001))
@@ -498,7 +499,7 @@ def reference_sample(shot, tau_end, n_samples, reverse):
 
 def use_reference_kernel(monkeypatch):
     """Route every wave profile of the library through reference_shoot and
-    reference_sample for the rest of a test."""
+    reference_ivp_sample for the rest of a test."""
     def shoot(g, n, y0, events, budget, max_step, *, backward, dense):
         ivp_events = []
         for fn, direction, terminal in events:
@@ -514,7 +515,30 @@ def use_reference_kernel(monkeypatch):
             t=float(sol.t[-1]), y=list(sol.y[:, -1]), steps=sol)
 
     monkeypatch.setattr(waves, "_shoot", shoot)
-    monkeypatch.setattr(waves, "_sample", reference_sample)
+    monkeypatch.setattr(waves, "_sample", reference_ivp_sample)
+
+
+def reference_sample(shot, tau_end, n_samples, reverse):
+    """waves._sample as one vectorized pass over all the samples, every
+    temporary at full length, before it evaluated them in blocks."""
+    if n_samples is None:
+        n_samples = int(np.clip(np.ceil(tau_end / 2e-4) + 1, 2001, 500001))
+    tau = np.linspace(0.0, tau_end, n_samples)
+    t_old = np.array([s[0] for s in shot.steps])
+    h = np.array([s[1] for s in shot.steps])
+    seg = np.searchsorted(t_old[1:], tau, side="left")
+    x = (tau - t_old[seg]) / h[seg]
+    x_pair = (x, 1 - x)
+    out = []
+    for j in (0, 1):
+        F = np.array([[Fk[j] for Fk in s[3]] for s in shot.steps])
+        v = np.zeros_like(x)
+        for i in range(F.shape[1]):
+            v += F[seg, -1 - i]
+            v *= x_pair[i % 2]
+        v += np.array([s[2][j] for s in shot.steps])[seg]
+        out.append(v[::-1].copy() if reverse else v)
+    return (tau[::-1] if reverse else tau), out[0], out[1]
 
 
 def _dot(row, ks):

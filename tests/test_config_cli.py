@@ -218,6 +218,33 @@ def test_sweep_writes_error_rows_for_step_counts_no_array_holds(tmp_path, capsys
                in f["message"] for f in failures)
 
 
+NO_STEP = "beta = 0.5\nmu = 2\nh0 = 1\nnx = 100\ndt = 1e300\ntmax = 1e-300\n"
+NO_STEP_WHY = "tmax / dt = 1e-300 / 1e+300 underflows to 0 steps: lower dt or raise tmax"
+
+
+def test_runs_with_no_step_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(NO_STEP)
+    for argv in (["simulate", "--out", str(tmp_path / "o")],
+                 ["threshold", "--param", "mu", "--tol", "0.1"]):
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {NO_STEP_WHY}"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_writes_error_rows_for_runs_with_no_step(tmp_path):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(NO_STEP)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--betas", "0.5,1", "--workers", "1",
+                 "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[3:] for row in rows] == [["Error", "nan", "nan"]] * 2
+    failures = json.loads(Path(f"{out}.errors.json").read_text())
+    assert [(f["index"], f["type"], f["message"]) for f in failures] == [
+        (0, "ConfigError", NO_STEP_WHY), (1, "ConfigError", NO_STEP_WHY)]
+
+
 # counts inside every bound whose arrays fit in no memory: the records of
 # 1.2e15 steps (5e15 at threshold's horizon of 50) and a grid of 1e15
 # points, all past the address space, so each allocation fails at once

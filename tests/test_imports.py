@@ -2,13 +2,17 @@
 compiles no shooting kernel: every CLI command pays its import in a fresh
 interpreter.  The commands that need no Stefan run (eigen, semiwave, wave,
 and classify and asymptotics of a saved run) load no scipy module either,
-and neither does evaluating a profile.  LAPACK's dgtsv is imported by the
-first Stefan kernel; sweep imports it in the parent before its pool forks,
-so that the workers inherit it."""
+and neither they nor evaluating a profile load numpy.ma.  The first
+Stefan kernel loads LAPACK's extension scipy.linalg._flapack and no other
+scipy module; sweep loads it in the parent before its pool forks, so that
+the workers inherit it.  The extension loaded alone gives the bits
+scipy.linalg.lapack gives, and a later import of scipy.linalg reuses it."""
 
 import os
 import subprocess
 import sys
+
+import pytest
 
 import freebound as fb
 from freebound.cli import main
@@ -34,6 +38,7 @@ assert freebound.waves._kernel.cache_info().currsize == 1
 q = freebound.profile_interpolator(w)(w.z)
 assert np.allclose(q, w.q, rtol=0.0, atol=1e-12)
 assert not scipy_modules(), f"evaluating a profile loaded {scipy_modules()}"
+assert "numpy.ma" not in sys.modules, "evaluating a profile loaded numpy.ma"
 
 run, scratch = sys.argv[1], sys.argv[2]
 trajectory = os.path.join(run, "trajectory.csv")
@@ -50,11 +55,12 @@ for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         assert freebound.cli.main(argv) == 0, argv
     assert not scipy_modules(), f"{argv[0]} loaded {scipy_modules()}"
+    assert "numpy.ma" not in sys.modules, f"{argv[0]} loaded numpy.ma"
 
 with contextlib.redirect_stdout(io.StringIO()):
     assert freebound.cli.main(["simulate", "--config", os.path.join(run, "tiny.cfg"),
                                "--out", os.path.join(scratch, "run")]) == 0
-assert "scipy.linalg.lapack" in sys.modules, "simulate ran without LAPACK"
+assert scipy_modules() == ["scipy.linalg._flapack"], f"simulate loaded {scipy_modules()}"
 print("ok")
 """
 
@@ -63,22 +69,66 @@ SWEEP = """
 import contextlib, io, sys
 import freebound.cli
 
-assert "scipy" not in sys.modules
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules()
 with contextlib.redirect_stdout(io.StringIO()):
     assert freebound.cli.main(["sweep", "--config", sys.argv[1], "--betas", "0.5,1",
                                "--workers", "2", "--out", sys.argv[2]]) == 0
-assert "scipy.linalg.lapack" in sys.modules, "sweep's parent did not bind LAPACK"
+assert scipy_modules() == ["scipy.linalg._flapack"], f"sweep's parent loaded {scipy_modules()}"
+print("ok")
+"""
+
+# argv: "first" to import scipy.linalg before the run, "never" not to; prints
+# the sha256 of a Robin run's trajectory and snapshots
+TRAJECTORY = """
+import hashlib, sys
+import numpy as np
+if sys.argv[1] == "first":
+    import scipy.linalg
+import freebound as fb
+
+spec = fb.ProblemSpec(beta=0.7, mu=2.0, a=1.0, b=0.5, h0=3.0,
+                      nonlinearity=fb.logistic(), nx=120, tmax=3.0)
+traj = fb.simulate(spec, snapshot_times=(1.5,))
+digest = hashlib.sha256()
+for series in (traj.times, traj.h, traj.hprime, traj.supu, traj.eta):
+    digest.update(series.tobytes())
+for t, x, u in traj.snapshots:
+    digest.update(np.array([t]).tobytes() + x.tobytes() + u.tobytes())
+assert ("scipy.linalg" in sys.modules) == (sys.argv[1] == "first")
+print(digest.hexdigest())
+"""
+
+# a run, then scipy.linalg imported: scipy reuses the extension the run loaded
+LATER_IMPORT = """
+import sys
+import freebound as fb
+
+fb.simulate(fb.ProblemSpec(beta=0.5, mu=2.0, a=1.0, b=0.0, h0=3.0,
+                           nonlinearity=fb.logistic(), nx=50, tmax=0.5))
+flapack = sys.modules["scipy.linalg._flapack"]
+import scipy.linalg
+import scipy.linalg.lapack
+assert sys.modules["scipy.linalg._flapack"] is flapack
+assert scipy.linalg.lapack.dgtsv is flapack.dgtsv
+assert fb.stefan._lapack() is flapack
 print("ok")
 """
 
 
-def _fresh(code, *argv):
+def _run_fresh(code, *argv):
     src = os.path.dirname(os.path.dirname(fb.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
+    return out.stdout.strip()
+
+
+def _fresh(code, *argv):
+    assert _run_fresh(code, *argv) == "ok"
 
 
 def test_only_stefan_runs_load_scipy(tmp_path):
@@ -94,3 +144,20 @@ def test_sweep_binds_lapack_before_its_pool_forks(tmp_path):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("beta = 0.5\nmu = 2\nh0 = 4.2\nnx = 50\ntmax = 1\n")
     _fresh(SWEEP, cfg, tmp_path / "sweep.csv")
+
+
+def test_runs_give_the_same_bits_whether_scipy_linalg_is_imported_or_not():
+    never, first = (_run_fresh(TRAJECTORY, when) for when in ("never", "first"))
+    assert len(never) == 64 and never == first
+
+
+def test_scipy_linalg_imported_after_a_run_reuses_its_extension():
+    _fresh(LATER_IMPORT)
+
+
+def test_lapack_without_scipy_is_an_import_error_naming_scipy(monkeypatch):
+    # None in sys.modules makes a name unimportable, and unfindable
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    with pytest.raises(ImportError, match="scipy"):
+        fb.stefan._lapack()

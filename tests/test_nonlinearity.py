@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freebound as fb
+from freebound.nonlinearity import _sample_grid
 
 
 def test_logistic_constants():
@@ -119,3 +120,16 @@ def test_cubic_family_always_admissible(gamma):
     assert fb.validate(n).ok
     # c0^2 = 4*fp0 to within 2 ulp
     assert abs(n.c0 * n.c0 - 4.0 * n.fp0) <= 2.0 * np.spacing(4.0 * n.fp0)
+
+
+@pytest.mark.parametrize("samples, u_max", [(100, 1.5), (400, 10.0), (1001, 3.0),
+                                            (4000, 1e3)])
+def test_sample_grid_is_np_unique_by_bytes(samples, u_max):
+    # the grid's parts as _sample_grid builds them; u_max ends two of them
+    n_geo = samples // 2
+    parts = [np.geomspace(1e-12, u_max, n_geo),
+             np.linspace(u_max / samples, u_max, samples - n_geo),
+             1.0 + np.array([-1e-3, -1e-6, 1e-6, 1e-3])]
+    expected = np.unique(np.concatenate(parts))
+    expected = expected[(expected > 0.0) & (expected <= u_max)]
+    assert _sample_grid(samples, u_max).tobytes() == expected.tobytes()

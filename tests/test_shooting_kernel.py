@@ -18,6 +18,7 @@ from oracles import (
     REFERENCE_FIELDS,
     reference_dense,
     reference_rk_step,
+    reference_sample,
     reference_shoot,
     use_reference_kernel,
     use_reference_step,
@@ -159,6 +160,30 @@ def test_interpolants_evaluate_like_ode_solution(n):
     for k in range(0, len(steps), 50):
         t = steps[k][0] + 0.3 * steps[k][1]
         assert np.array_equal(waves._interpolate(steps[k], t), sol.sol(t))
+
+
+BLOCK = waves._SAMPLE_BLOCK
+
+
+@pytest.fixture(scope="module")
+def dense_shot(n):
+    """A dense semi-wave shot at g = 0.5 and the tau of its q = 0 crossing."""
+    launch = waves._saddle_launch(0.5, float(n.fprime(1.0)))
+    shot = waves._shoot(0.5, n, launch, [waves._event(lambda y: y[0], -1.0)],
+                        waves._default_budget(n), waves._MAX_STEP,
+                        backward=True, dense=True)
+    return shot, shot.t_events[0][0]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("n_samples", [1, BLOCK - 1, BLOCK, BLOCK + 1, 5 * BLOCK + 17,
+                                       None, 500001])
+def test_blocks_sample_like_one_pass(dense_shot, n_samples, reverse):
+    shot, tau_end = dense_shot
+    new = waves._sample(shot, tau_end, n_samples, reverse)
+    old = reference_sample(shot, tau_end, n_samples, reverse)
+    for a, b in zip(new, old):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ------------------------------------------------------ agreement: errors

@@ -77,6 +77,14 @@ def test_spec_refuses_step_counts_no_array_holds(n, dt, tmax):
                        dt=dt, tmax=tmax)
 
 
+def test_spec_refuses_a_run_with_no_step(n):
+    # tmax / dt underflows to 0: the run would take no step
+    with pytest.raises(ValueError, match=r"^tmax / dt = 1e-300 / 1e\+300 underflows "
+                                         r"to 0 steps: lower dt or raise tmax$"):
+        fb.ProblemSpec(beta=0.0, mu=1.0, a=1.0, b=0.0, h0=2.0, nonlinearity=n,
+                       dt=1e300, tmax=1e-300)
+
+
 def test_spec_refuses_a_grid_that_fits_no_memory(n):
     # 1e15 points, past the address space: the allocation fails at once
     with pytest.raises(ValueError, match=r"^nx = 1000000000000000 gives a grid .* lower nx$"):
