@@ -44,12 +44,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._scipy import extension
 from .asymptotics import fit_speed, profile_error
 from .classify import classify
 from .config import ConfigError, load_config, nonlinearity_from_config, spec_from_config
 from .eigen import EigenProblem, critical_length, critical_length_no_advection, principal_eigenvalue
 from .errors import DomainError, FreeboundError, NumericalError, _require_finite
-from .stefan import Trajectory, _lapack, default_initial_profile, simulate, simulate_many
+from .stefan import Trajectory, default_initial_profile, simulate, simulate_many
 from .thresholds import lambda_threshold, mu_threshold
 from .waves import (
     finite_wave,
@@ -441,7 +442,7 @@ def _cmd_sweep(args):
         chunks = _sweep_chunks(list(enumerate(cells)), workers)
         # the Stefan kernel's LAPACK extension, loaded here once: forked
         # workers inherit it instead of each loading it
-        _lapack()
+        extension("scipy.linalg._flapack")
 
         # under fork every worker starts at the first submit: start no more
         # than there are chunks

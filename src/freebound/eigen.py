@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._brentq import brentq
+from ._scipy import brentq
 from .errors import NoCriticalLength, NumericalError, _require_finite
 
 __all__ = [

@@ -49,7 +49,7 @@ class Nonlinearity:
     f: Callable[[np.ndarray], np.ndarray]
     fprime: Callable[[np.ndarray], np.ndarray]
     fp0: float
-    c0: float = field(default=0.0)
+    c0: float = field(init=False)
     kind: str = "custom"
 
     def __post_init__(self):

@@ -38,24 +38,16 @@ and runs to reference_simulate there, which drives that loop one nominal
 step at a time; dt/(h*h*dxi*dxi) may not become dt/(h*h*dxi2), and no sum
 or product may be regrouped.
 
-gtsv is LAPACK's dgtsv from scipy.linalg._flapack, the f2py extension
-that scipy.linalg.lapack.dgtsv itself is taken from: the same function
-object, so every solve gives the same bits at the same cost per call.
-_lapack loads that one extension on the first kernel (_kernel and
-_lockstep, the two places that build a run's buffers): it finds scipy's
-directory without running scipy's __init__, runs the extension alone and
-registers it in sys.modules under its own name, where a later import of
-scipy.linalg finds and reuses it.  Importing scipy.linalg.lapack instead
-loads 85 scipy modules, about 23 MB of resident memory and 0.3 s on a
-2-core host, for this one function; the extension alone takes about 5 ms
-and one module.  Importing freebound loads numpy only, and a run after
-the first finds the extension in sys.modules.
+gtsv is LAPACK's dgtsv from scipy.linalg._flapack, loaded alone by
+_scipy.extension on the first kernel (_kernel and _lockstep, the two
+places that build a run's buffers); importing freebound loads numpy only.
 
 Runtime certificates maintained every step: h' > 0, w >= 0 (round-off
 below -1e-10 aborts), and sup w <= eta(t) + 1e-6 where eta solves the
 space-free comparison ODE eta' = f(eta), eta(0) = sup u0 + 1, by the RK4
-step that ode_upper_bound also uses; once eta is a fixed point of that
-step it is not stepped again.
+step that ode_upper_bound also uses (split into equal substeps where f' is
+steep, as from a large eta(0)); once eta is a fixed point of that step it
+is not stepped again.
 
 One private driver, _run, runs K >= 1 specs that share nx, dt, tmax, a, b
 and the reaction term: simulate is its one-member case and simulate_many
@@ -105,6 +97,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._scipy import extension
 from .errors import ConfigError, InvariantViolation, NumericalError, _require_finite
 from .nonlinearity import Nonlinearity
 
@@ -259,30 +252,6 @@ def _boundary_flux(w: np.ndarray, dxi: float, h: float) -> float:
     return (-4.0 * w.item(-2) + w.item(-3)) / (2.0 * dxi * h)
 
 
-def _lapack():
-    """scipy.linalg._flapack, loaded alone on first use: its dgtsv is
-    scipy.linalg.lapack.dgtsv, without the rest of scipy.linalg."""
-    import sys
-    name = "scipy.linalg._flapack"
-    module = sys.modules.get(name)
-    if module is not None:
-        return module
-    import importlib.machinery
-    import importlib.util
-    import os
-    # find_spec of a top-level name locates scipy without importing it
-    scipy = importlib.util.find_spec("scipy")
-    spec = None if scipy is None else importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(d, "linalg") for d in scipy.submodule_search_locations])
-    if spec is None:
-        raise ImportError("Stefan runs need scipy, whose LAPACK extension "
-                          f"{name} was not found")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[name] = module
-    return module
-
-
 def _kernel(spec: ProblemSpec, state: FrontState):
     """The substep loop of one run, on buffers made once, started at state.
 
@@ -294,7 +263,7 @@ def _kernel(spec: ProblemSpec, state: FrontState):
     one copy of w; that advance must take a substep, which sets h' and
     sup w anew.
     """
-    dgtsv = _lapack().dgtsv
+    dgtsv = extension("scipy.linalg._flapack").dgtsv
 
     n = spec.nx
     dxi = 1.0 / n
@@ -401,12 +370,22 @@ def initial_state(spec: ProblemSpec) -> FrontState:
 
 
 def _eta_step(n: Nonlinearity, eta: float, dt: float) -> float:
-    # classical RK4 on eta' = f(eta)
-    k1 = float(n.f(eta))
-    k2 = float(n.f(eta + 0.5 * dt * k1))
-    k3 = float(n.f(eta + 0.5 * dt * k2))
-    k4 = float(n.f(eta + dt * k3))
-    return eta + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    # classical RK4 on eta' = f(eta) over dt, in m equal substeps where one
+    # step would take dt*|f'(eta)| past 0.1: past 0.5 RK4 undershoots a steep
+    # decay, and from 0.1 down its relative error is below 1e-6; m = 1 is
+    # the plain step, bit for bit.  At most 1e4 substeps, so that a huge or
+    # non-finite f'(eta) costs a bounded loop
+    f = n.f
+    steep = dt * abs(n.fprime(eta))
+    m = math.ceil(10.0 * min(steep, 1e3)) if steep > 0.1 else 1
+    dt /= m
+    for _ in range(m):
+        k1 = float(f(eta))
+        k2 = float(f(eta + 0.5 * dt * k1))
+        k3 = float(f(eta + 0.5 * dt * k2))
+        k4 = float(f(eta + dt * k3))
+        eta = eta + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    return eta
 
 
 def simulate(spec: ProblemSpec, snapshot_times: Sequence[float] = (),
@@ -598,7 +577,7 @@ def _lockstep(specs, states):
     kernel, seated at its row.  rows are the members' w, views of a state
     buffer that the next call overwrites.  A failure names its member.
     """
-    dgtsv = _lapack().dgtsv
+    dgtsv = extension("scipy.linalg._flapack").dgtsv
 
     K = len(specs)
     s0 = specs[0]
@@ -706,7 +685,8 @@ def ode_upper_bound(n: Nonlinearity, eta0: float, t: float) -> float:
     """Solution eta(t) of eta' = f(eta), eta(0) = eta0 > 1.
 
     Decreases monotonically to 1: the space-free ceiling for sup u.
-    Integrated by the RK4 step simulate uses, with equal steps <= 1e-3.
+    Integrated by the RK4 step simulate uses, with equal steps <= 1e-3
+    (each split where f' is steep).
     """
     _require_finite(eta0=eta0, t=t)
     if eta0 <= 1.0:

@@ -15,9 +15,8 @@ control, error norm, event location by brentq on a step's interpolant)
 written for Python floats, since the state has two or four components
 and array overhead would dominate.  The tableau is held as float
 literals, checked against scipy.integrate.DOP853's by the tests, and the
-event roots come from _brentq, a Python-float port of scipy's brentq, so
-that importing the package loads neither scipy.integrate nor
-scipy.optimize.
+event roots come from scipy's C brentq loaded alone (_scipy.brentq), so
+that a shot loads neither scipy.integrate nor scipy.optimize's package.
 
 A step is straight-line code: for each of the three fields (_FIELDS:
 backward, forward, and backward with the variational pair) _kernel
@@ -84,7 +83,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._brentq import brentq
+from ._scipy import brentq
 from .errors import (
     NoFiniteWave,
     NoSemiWave,

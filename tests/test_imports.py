@@ -1,12 +1,14 @@
 """Importing the package loads numpy and no scipy module at all, and
 compiles no shooting kernel: every CLI command pays its import in a fresh
-interpreter.  The commands that need no Stefan run (eigen, semiwave, wave,
-and classify and asymptotics of a saved run) load no scipy module either,
-and neither they nor evaluating a profile load numpy.ma.  The first
-Stefan kernel loads LAPACK's extension scipy.linalg._flapack and no other
-scipy module; sweep loads it in the parent before its pool forks, so that
-the workers inherit it.  The extension loaded alone gives the bits
-scipy.linalg.lapack gives, and a later import of scipy.linalg reuses it."""
+interpreter.  The first root loads scipy's brentq extension
+scipy.optimize._zeros and no other scipy module, and the commands that
+need no Stefan run (eigen, semiwave, wave, and classify and asymptotics of
+a saved run) load nothing more; neither they nor evaluating a profile load
+numpy.ma.  The first Stefan kernel loads LAPACK's extension
+scipy.linalg._flapack; sweep loads it in the parent before its pool
+forks, so that the workers inherit it.  Each extension loaded alone gives
+the bits its scipy package gives, and a later import of the package
+reuses it."""
 
 import os
 import subprocess
@@ -35,9 +37,11 @@ kernels = freebound.waves._kernel.cache_info().currsize
 assert kernels == 0, f"importing freebound compiled {kernels} step functions"
 w = freebound.shoot_semi_wave(0.5, 0.0, freebound.logistic())
 assert freebound.waves._kernel.cache_info().currsize == 1
+ZEROS = ["scipy.optimize._zeros"]
+assert scipy_modules() == ZEROS, f"the first root loaded {scipy_modules()}"
 q = freebound.profile_interpolator(w)(w.z)
 assert np.allclose(q, w.q, rtol=0.0, atol=1e-12)
-assert not scipy_modules(), f"evaluating a profile loaded {scipy_modules()}"
+assert scipy_modules() == ZEROS, f"evaluating a profile loaded {scipy_modules()}"
 assert "numpy.ma" not in sys.modules, "evaluating a profile loaded numpy.ma"
 
 run, scratch = sys.argv[1], sys.argv[2]
@@ -54,13 +58,13 @@ commands = [
 for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         assert freebound.cli.main(argv) == 0, argv
-    assert not scipy_modules(), f"{argv[0]} loaded {scipy_modules()}"
+    assert scipy_modules() == ZEROS, f"{argv[0]} loaded {scipy_modules()}"
     assert "numpy.ma" not in sys.modules, f"{argv[0]} loaded numpy.ma"
 
 with contextlib.redirect_stdout(io.StringIO()):
     assert freebound.cli.main(["simulate", "--config", os.path.join(run, "tiny.cfg"),
                                "--out", os.path.join(scratch, "run")]) == 0
-assert scipy_modules() == ["scipy.linalg._flapack"], f"simulate loaded {scipy_modules()}"
+assert scipy_modules() == ["scipy.linalg._flapack", *ZEROS], f"simulate loaded {scipy_modules()}"
 print("ok")
 """
 
@@ -113,7 +117,38 @@ import scipy.linalg
 import scipy.linalg.lapack
 assert sys.modules["scipy.linalg._flapack"] is flapack
 assert scipy.linalg.lapack.dgtsv is flapack.dgtsv
-assert fb.stefan._lapack() is flapack
+assert fb._scipy.extension("scipy.linalg._flapack") is flapack
+print("ok")
+"""
+
+# argv: "first" to import scipy.optimize before the roots, "never" not to;
+# prints the hex of a Robin zeta1, a semi-wave's event root and a c_tilde
+ROOTS = """
+import sys
+if sys.argv[1] == "first":
+    import scipy.optimize
+import freebound as fb
+
+n = fb.logistic()
+roots = [fb.principal_eigenvalue(fb.EigenProblem(2.0, 0.5, 1.0, 1.0, 1.0)).zeta1,
+         fb.shoot_semi_wave(0.5, 0.0, n, samples=False).z[-1],
+         fb.spreading_speed(0.5, 2.0, n).c_tilde]
+assert ("scipy.optimize" in sys.modules) == (sys.argv[1] == "first")
+print(" ".join(float(r).hex() for r in roots))
+"""
+
+# a root, then scipy.optimize imported: scipy reuses the extension the root loaded
+LATER_OPTIMIZE = """
+import sys
+import freebound as fb
+
+fb.shoot_semi_wave(0.5, 0.0, fb.logistic(), samples=False)
+zeros = sys.modules["scipy.optimize._zeros"]
+import scipy.optimize
+import scipy.optimize._zeros_py
+assert sys.modules["scipy.optimize._zeros"] is zeros
+assert scipy.optimize._zeros_py._zeros is zeros
+assert fb._scipy.extension("scipy.optimize._zeros") is zeros
 print("ok")
 """
 
@@ -157,7 +192,23 @@ def test_scipy_linalg_imported_after_a_run_reuses_its_extension():
 
 def test_lapack_without_scipy_is_an_import_error_naming_scipy(monkeypatch):
     # None in sys.modules makes a name unimportable, and unfindable
-    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
     monkeypatch.setitem(sys.modules, "scipy", None)
     with pytest.raises(ImportError, match="scipy"):
-        fb.stefan._lapack()
+        fb._scipy.extension("scipy.linalg._flapack")
+
+
+def test_roots_give_the_same_bits_whether_scipy_optimize_is_imported_or_not():
+    never, first = (_run_fresh(ROOTS, when) for when in ("never", "first"))
+    assert len(never.split()) == 3 and never == first
+
+
+def test_scipy_optimize_imported_after_a_root_reuses_its_extension():
+    _fresh(LATER_OPTIMIZE)
+
+
+def test_brentq_without_scipy_is_an_import_error_naming_scipy(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.optimize._zeros", raising=False)
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    with pytest.raises(ImportError, match="scipy"):
+        fb.eigen.brentq(lambda x: x - 0.3, 0.0, 1.0)

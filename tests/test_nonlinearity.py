@@ -15,6 +15,14 @@ def test_logistic_constants():
     assert report.ok, report.failing()
 
 
+def test_c0_is_derived_not_passed():
+    n = fb.Nonlinearity(f=lambda u: u * (1.0 - u), fprime=lambda u: 1.0 - 2.0 * u,
+                        fp0=2.25)
+    assert n.c0 == 3.0
+    with pytest.raises(TypeError, match="c0"):
+        fb.Nonlinearity(f=n.f, fprime=n.fprime, fp0=1.0, c0=5.0)
+
+
 def test_cubic_all_clauses_pass():
     n = fb.cubic_monostable(0.5)
     report = fb.validate(n)

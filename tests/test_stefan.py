@@ -438,6 +438,27 @@ def test_sweep_cells_step_as_they_step_alone():
         _assert_same_trajectory(run, fb.simulate(spec))
 
 
+@pytest.mark.parametrize("tmax", [1e-5, 2e-4])
+def test_ensemble_clamps_entries_below_zero_as_each_member_alone(n, tmax):
+    # a sink on densities below 1e-11 turns a band of 1e-15 values negative,
+    # above the clamp floor: with dt*|sink| = 2 the explicit step gives -w,
+    # and at r = 0.025 the implicit diffusion carries too little in from the
+    # band's edges, so a joint substep clamps them to zero and goes on
+    sink = fb.Nonlinearity(f=lambda u: np.where(u < 1e-11, -2e5 * u, u * (1.0 - u)),
+                           fprime=n.fprime, fp0=1.0)
+    psi = fb.default_initial_profile(2.0, 1.0, 0.0)
+    specs = [fb.ProblemSpec(beta=beta, mu=1.0, a=1.0, b=0.0, h0=2.0, nonlinearity=sink,
+                            u0=lambda x, lam=lam: lam * psi(x) * np.where(
+                                (x > 0.6) & (x < 1.4), 1e-14, 1.0),
+                            nx=100, dt=1e-5, tmax=tmax)
+             for beta in (0.0, 0.5) for lam in (0.5, 1.0)]
+    runs = simulate_many(specs)
+    if tmax == 1e-5:  # one nominal step: every member has clamped entries
+        assert all(np.count_nonzero(run.snapshots[-1][2][1:-1] == 0.0) for run in runs)
+    for run, spec in zip(runs, specs):
+        _assert_same_trajectory(run, fb.simulate(spec))
+
+
 # ------------------------------------------------------------------ simulate
 
 def test_trajectory_series_shapes_and_invariants(n):
@@ -521,6 +542,19 @@ def test_ceiling_follows_comparison_ode(n):
     assert np.max(np.abs(traj.eta - logistic_eta(traj.eta[0], traj.times))) < 1e-9
 
 
+def test_ceiling_holds_from_a_large_start(n):
+    # eta(0) = 1001: one RK4 step of dt = 2e-3 has dt*|f'(eta)| = 4 and lands
+    # at eta = -334, below sup u = 323; in substeps it follows the closed form
+    psi = fb.default_initial_profile(2.0, 1.0, 0.0)
+    spec = fb.ProblemSpec(beta=0.0, mu=0.5, a=1.0, b=0.0, h0=2.0, nonlinearity=n,
+                          u0=lambda x: 1000.0 * psi(x), nx=200, dt=2e-3, tmax=0.1)
+    traj = fb.simulate(spec)
+    assert np.all(traj.supu <= traj.eta + 1e-6)
+    exact = logistic_eta(traj.eta[0], traj.times)
+    assert np.all(traj.eta >= exact * (1.0 - 1e-12))
+    assert np.max(np.abs(traj.eta / exact - 1.0)) < 1e-6
+
+
 def test_non_finite_density_raises_numerical_error(n):
     # built directly, bypassing validate(): f is NaN above u = 0.5
     bad = fb.Nonlinearity(f=lambda u: np.where(u > 0.5, np.nan, u * (1.0 - u)),
@@ -574,6 +608,13 @@ def test_ode_upper_bound_examples(n):
     assert abs(fb.ode_upper_bound(n, 1.5, 30.0) - 1.0) < 1e-6
     # a long horizon ends at the step's fixed point, not after 1e9 steps
     assert abs(fb.ode_upper_bound(n, 1.5, 1e6) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("eta0", [1.5, 10.0, 100.0, 1000.0])
+def test_ode_upper_bound_follows_the_closed_form_from_large_starts(n, eta0):
+    for t in (1e-4, 1e-3, 2e-3, 1e-2, 0.1, 1.0, 5.0):
+        assert fb.ode_upper_bound(n, eta0, t) == pytest.approx(
+            logistic_eta(eta0, t), rel=1e-6)
 
 
 def test_ode_upper_bound_monotone_decreasing(n):

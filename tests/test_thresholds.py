@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -228,6 +229,23 @@ def test_mu_threshold_requires_subcritical_advection(template, n):
     spec = replace(template, beta=2.5)
     with pytest.raises(ValueError, match="beta"):
         fb.mu_threshold(spec, (0.5, 4.0), 0.5)
+
+
+@pytest.mark.parametrize("a, b, warns", [
+    (0.0, 1.0, True),    # Neumann at beta > 0: both conditions fail
+    (1.0, 0.0, False),   # Dirichlet: condition (i) holds at h0 < l_star
+])
+def test_hypotheses_warning_names_the_templates_it_does_not_cover(n, a, b, warns):
+    lstar = fb.critical_length(0.5, a, b, n.fp0)
+    spec = fb.ProblemSpec(beta=0.5, mu=1.0, a=a, b=b, h0=0.5 * lstar,
+                          nonlinearity=n, nx=300, dt=1.5e-3, tmax=50.0)
+    if warns:
+        with pytest.warns(UserWarning, match="threshold hypotheses not satisfied"):
+            thresholds._check_hypotheses(spec, lstar)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            thresholds._check_hypotheses(spec, lstar)
 
 
 def test_lambda_threshold_zero_when_front_already_critical(template, lstar_05, n):
