@@ -252,6 +252,16 @@ def _boundary_flux(w: np.ndarray, dxi: float, h: float) -> float:
     return (-4.0 * w.item(-2) + w.item(-3)) / (2.0 * dxi * h)
 
 
+def _clamp_advice(beta: float, h: float, nx: int) -> str:
+    # the centred advection difference undershoots where the cell Peclet
+    # number |beta| h / nx passes 2 (diffusion 1), and a smaller dt does not
+    # help there
+    peclet = abs(beta) * h / nx
+    if peclet > 2.0:
+        return f"cell Peclet number |beta| h / nx = {peclet:.3g} > 2 at nx = {nx}: raise nx"
+    return "reduce dt"
+
+
 def _kernel(spec: ProblemSpec, state: FrontState):
     """The substep loop of one run, on buffers made once, started at state.
 
@@ -344,7 +354,7 @@ def _kernel(spec: ProblemSpec, state: FrontState):
                 if min(lo, w0) < CLAMP_FLOOR:
                     raise NumericalError(
                         f"density {min(lo, w0):.3e} below clamp floor at "
-                        f"t = {t:.6g}: reduce dt")
+                        f"t = {t:.6g}: {_clamp_advice(beta, h, n)}")
                 np.maximum(new, 0.0, out=new)
             # max(w, 0) leaves +0.0 where w <= 0, so 0.0 goes first
             sup = max(0.0, hi, w0)
@@ -659,7 +669,8 @@ def _lockstep(specs, states):
                 k = (low < CLAMP_FLOOR).argmax()
                 raise NumericalError(
                     f"ensemble member {k}: density {low[k]:.3e} below clamp "
-                    f"floor at t = {t[k]:.6g}: reduce dt")
+                    f"floor at t = {t[k]:.6g}: "
+                    f"{_clamp_advice(beta.item(k), h.item(k), n)}")
             np.maximum(new, 0.0, out=new)
         # each row holds w0 and w[n] = 0, so its max is the kernel's
         # max(0, hi, w0), to the bit: no state holds a -0
@@ -686,7 +697,9 @@ def ode_upper_bound(n: Nonlinearity, eta0: float, t: float) -> float:
 
     Decreases monotonically to 1: the space-free ceiling for sup u.
     Integrated by the RK4 step simulate uses, with equal steps <= 1e-3
-    (each split where f' is steep).
+    (each split where f' is steep).  A start too large for those steps
+    (about eta0 >= 2e7 for the logistic term, where even 1e4 substeps are
+    unstable) raises NumericalError instead of returning a non-finite eta.
     """
     _require_finite(eta0=eta0, t=t)
     if eta0 <= 1.0:
@@ -695,8 +708,13 @@ def ode_upper_bound(n: Nonlinearity, eta0: float, t: float) -> float:
         raise ValueError("t must be nonnegative")
     steps = int(np.ceil(t / 1e-3))
     eta = eta0
-    for _ in range(steps):
+    for i in range(steps):
         nxt = _eta_step(n, eta, t / steps)
+        if not math.isfinite(nxt):
+            raise NumericalError(
+                f"comparison ODE from eta0 = {eta0:g} overflowed at "
+                f"t = {(i + 1) * t / steps:.6g}: its RK4 steps are unstable "
+                f"from so large a start")
         if nxt == eta:  # a fixed point of the step: every later step agrees
             break
         eta = nxt

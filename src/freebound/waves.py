@@ -42,7 +42,7 @@ A profile picks the drift, launch, direction and events:
     tadpole     g = c0; backward from (0, -(beta - c0)/mu) to the tail cut
     stationary  g = beta < c0; backward from the saddle launch to a*q = b*q'
 
-Speeds rest on one curve: the semi-wave slope s(g) = q'(0) at drift g,
+Speeds rest on the semi-wave slope s(g) = q'(0) at drift g,
 strictly decreasing on g < c0.  A semi-wave shot that also carries the
 variational pair (dq/dg, dq'/dg) returns s and ds/dg together (_slope).
 
@@ -53,20 +53,15 @@ variational pair (dq/dg, dq'/dg) returns s and ds/dg together (_slope).
     beta_star  at c_tilde(beta_star) = beta_star - c0 the drift is
                c - beta = -c0, so beta_star = c0 + mu * s(-c0): one shot.
 
-s(g) depends on neither beta nor mu, so every query samples one curve.
-Each variational shot adds (g, s, ds/dg) to a _SlopeCurve kept per
-Nonlinearity instance and max_step: made on first use (never at import),
-keyed by the instance's identity (the curve belongs to one instance:
-equal terms need not share shots), and dropped when the instance is
-collected.  spreading_speed starts Newton inside the tightest stored sign
-bracket, at the root of its cubic Hermite interpolant, or at a stored
-shot that already meets Newton's tolerance, so a repeated query costs one
-shot plus the residual shot; with nothing usable stored it starts from
-c = 0.  Nothing is served from the curve: every c_tilde is a Newton root
-of shots made in its own call, and its residual comes from a fresh plain
-shot.  The first query on a fresh instance takes the c = 0 path, bit for
-bit what it took before the curve existed; warm results agree with it
-within 1e-12 (tests/test_waves.py).
+Newton on F starts from c = 0 on every query but a repeated one: a query
+asked before on the same Nonlinearity instance restarts at the iterate
+whose shot converged the last time.  spreading_speed keeps one restart
+table per instance, keyed by its identity, made on first use and dropped
+when the instance is collected; it stores an iterate only if the root was
+found at the first delta, whose shot budget the restart uses.  The
+restart's shot and the residual shot repeat the cold path's last two, so
+every c_tilde and residual is bit for bit what a fresh instance returns,
+whatever queries came before (tests/test_waves.py).
 
 Only the speed is eager: SpeedResult.profile, the sampled semi-wave at
 c_tilde, is shot and sampled on its first read.
@@ -75,7 +70,6 @@ c_tilde, is shot and sampled on its first read.
 from __future__ import annotations
 
 import weakref
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from math import inf, nan, nextafter, sqrt
@@ -139,7 +133,8 @@ class WaveProfile:
 @dataclass(frozen=True)
 class SpeedResult:
     """c_tilde, the residual |mu*q'(0) - c_tilde| of the shot at it, and
-    (as profile) that semi-wave, shot and sampled on first read."""
+    (as profile) that semi-wave, shot and sampled on first read.  c_tilde
+    and residual are the bits of Newton from c = 0, on every call."""
 
     c_tilde: float
     residual: float
@@ -572,97 +567,41 @@ class _Slope(NamedTuple):
     ds: float
 
 
-class _SlopeCurve:
-    """Every variational shot made for one reaction term at one max_step:
-    drifts g in ascending order with s(g) and ds/dg."""
-
-    def __init__(self):
-        self.g, self.s, self.ds = [], [], []
-
-    def add(self, g, slope: _Slope):
-        i = bisect_left(self.g, g)
-        if i == len(self.g) or self.g[i] != g:
-            self.g.insert(i, g)
-            self.s.insert(i, slope.s)
-            self.ds.insert(i, slope.ds)
-
-    def newton_start(self, beta, mu, cap):
-        """(c, g, bracket) to start Newton on F(c) = mu*s(c - beta) - c
-        from, with c = g + beta, or None.
-
-        A stored shot with 0 < c <= cap next to the root where Newton's step
-        is already below its tolerance is the start itself, so a repeated
-        query shoots at a stored drift and converges in one shot (bracket
-        None).  Otherwise bracket = (lo, hi) holds adjacent stored shots
-        with F(lo) > 0 >= F(hi), 0 < hi <= cap, and c is the root of F's
-        cubic Hermite interpolant between them.
-        """
-        gs, ss, dss = self.g, self.s, self.ds
-        # F decreases along g, so its sign splits the sorted drifts
-        i = bisect_left(range(len(gs)), True,
-                        key=lambda k: mu * ss[k] - (gs[k] + beta) <= 0.0)
-        ends = []
-        for k in range(max(i - 1, 0), min(i + 1, len(gs))):
-            c = gs[k] + beta
-            f, df = mu * ss[k] - c, mu * dss[k] - 1.0
-            if df < 0.0 and abs((c - f / df) - c) <= 1e-13 * c and c <= cap:
-                return c, gs[k], None
-            ends.append((c, f, df))
-        if len(ends) < 2:
-            return None
-        (lo, f_lo, df_lo), (hi, f_hi, df_hi) = ends
-        if not (lo < hi <= cap and hi > 0.0):
-            return None
-        h = hi - lo
-
-        def hermite(c):
-            x = (c - lo) / h
-            return ((1.0 + 2.0 * x) * (1.0 - x) ** 2 * f_lo
-                    + x * (1.0 - x) ** 2 * h * df_lo
-                    + x * x * (3.0 - 2.0 * x) * f_hi
-                    - x * x * (1.0 - x) * h * df_hi)
-
-        c = brentq(hermite, lo, hi, xtol=_EVENT_TOL * hi, rtol=_EVENT_TOL)
-        return c, c - beta, (lo, hi)
+# one restart table per reaction term instance, keyed by id(n) (equal terms
+# keep separate tables) and dropped when the term is collected: it maps each
+# (beta, mu, max_step) spreading_speed solved to the Newton iterate whose
+# shot converged
+_RESTARTS: dict = {}
 
 
-# one _SlopeCurve per reaction term instance and max_step, keyed by id(n)
-# (equal terms keep separate curves) and dropped when the term is collected
-_CURVES: dict = {}
-
-
-def _slope_curve(n: Nonlinearity, max_step: float) -> _SlopeCurve:
-    key = (id(n), max_step)
-    curve = _CURVES.get(key)
-    if curve is None:
-        curve = _CURVES[key] = _SlopeCurve()
-        weakref.finalize(n, _CURVES.pop, key, None)
-    return curve
+def _restarts(n: Nonlinearity) -> dict:
+    table = _RESTARTS.get(id(n))
+    if table is None:
+        table = _RESTARTS[id(n)] = {}
+        weakref.finalize(n, _RESTARTS.pop, id(n), None)
+    return table
 
 
 def _slope(g, n, z_budget, max_step) -> _Slope:
-    """s(g) = q'(0) of the semi-wave with drift g, and ds/dg, in one shot,
-    added to n's slope curve."""
+    """s(g) = q'(0) of the semi-wave with drift g, and ds/dg, in one shot."""
     w = shoot_semi_wave(g, 0.0, n, samples=False, z_budget=z_budget,
                         max_step=max_step, variational=True)
-    slope = _Slope(w.slope0, w.dslope0)
-    _slope_curve(n, max_step).add(g, slope)
-    return slope
+    return _Slope(w.slope0, w.dslope0)
 
 
 def spreading_speed(beta: float, mu: float, n: Nonlinearity, *,
                     max_step: float = _MAX_STEP) -> SpeedResult:
     """Fixed point c_tilde of c = mu * q'(0; c - beta) in (0, c0 + beta).
 
-    Newton on F(c) = mu*s(c - beta) - c; F is strictly decreasing, so every
-    shot narrows the sign bracket and a step leaving it is replaced by
-    bisection.  Newton starts where n's slope curve puts it
-    (_SlopeCurve.newton_start): inside the sign bracket of two earlier
-    shots, or at an earlier shot whose Newton step is already below
-    tolerance; with neither, from c = 0, where F > 0, with the bracket
-    [0, c0 + beta - delta].  The residual comes from a separate plain shot
-    at the root; the profile is shot again, with samples, only when it is
-    read.
+    Newton on F(c) = mu*s(c - beta) - c from c = 0, where F > 0, with the
+    bracket [0, c0 + beta - delta]; F is strictly decreasing, so every shot
+    narrows the sign bracket and a step leaving it is replaced by
+    bisection.  Where F stays positive up to the bracket's end, delta
+    shrinks and Newton goes on.  A repeated query on the same term restarts
+    at the iterate whose shot converged last time (n's restart table), so it
+    costs that shot and the residual shot and returns the same bits.  The
+    residual comes from a separate plain shot at the root; the profile is
+    shot again, with samples, only when it is read.
     """
     _require_finite(beta=beta, mu=mu)
     if mu <= 0.0:
@@ -680,28 +619,18 @@ def spreading_speed(beta: float, mu: float, n: Nonlinearity, *,
         omega = 0.5 * np.sqrt(delta * (2.0 * n.c0 - delta))
         return max(budget, 8.0 / omega + 0.5 * budget)
 
-    def newton_pair(c, g):
-        s, ds = _slope(g, n, z_budget, max_step)
+    def newton_pair(c):
+        s, ds = _slope(c - beta, n, z_budget, max_step)
         return mu * s - c, mu * ds - 1.0
 
+    restarts, key = _restarts(n), (beta, mu, max_step)
     z_budget = shot_budget(delta)
     lo, hi, bracketed = 0.0, cmax - delta, False   # bracketed: F(hi) <= 0 seen
-    start = _slope_curve(n, max_step).newton_start(beta, mu, hi)
-    if start is None:
-        c = lo
-        f, df = newton_pair(c, c - beta)
-        if f <= 0.0:
-            raise NumericalError("slope map not positive at c = 0")
-    else:
-        c, g, bracket = start
-        if bracket is not None:
-            (lo, hi), bracketed = bracket, True
-        f, df = newton_pair(c, g)
-        if f > 0.0:
-            lo = c
-        else:
-            hi, bracketed = c, True
-    for _ in range(4):
+    c = restarts.get(key, 0.0)
+    f, df = newton_pair(c)
+    if c == 0.0 and f <= 0.0:
+        raise NumericalError("slope map not positive at c = 0")
+    for attempt in range(4):
         root = None
         for _ in range(200):
             c_new = c - f / df if df < 0.0 else np.nan
@@ -711,7 +640,7 @@ def spreading_speed(beta: float, mu: float, n: Nonlinearity, *,
             if not lo < c_new < hi:
                 c_new = 0.5 * (lo + hi) if bracketed else hi
             c = c_new
-            f, df = newton_pair(c, c - beta)
+            f, df = newton_pair(c)
             if f > 0.0:
                 lo = c
                 if c == hi:        # F > 0 all the way to c0 + beta - delta
@@ -721,6 +650,8 @@ def spreading_speed(beta: float, mu: float, n: Nonlinearity, *,
         else:
             raise NumericalError("Newton on the slope map did not converge")
         if root is not None:
+            if attempt == 0:   # a restart shoots with the first delta's budget
+                restarts[key] = c
             if root <= 1e-9 * cmax:
                 # root far below cmax (extreme beta or mu); one fixed-point
                 # sweep keeps c_tilde > 0
@@ -741,7 +672,7 @@ def critical_advection(mu: float, n: Nonlinearity) -> float:
     """Unique beta_star > c0 with c_tilde(beta_star) = beta_star - c0.
 
     At that fixed point the semi-wave drift is c - beta = -c0, so
-    beta_star = c0 + mu * s(-c0), read off one shot of the slope curve.
+    beta_star = c0 + mu * s(-c0), read off one shot of the slope map.
     """
     _require_finite(mu=mu)
     if mu <= 0.0:

@@ -2,14 +2,13 @@
 
 Everything here deliberately avoids the library's own solvers: fixed-step
 RK4 with bisection event location for the shooting problems, closed forms
-for the logistic comparison ODE and the b = 0 eigenvalues, a DOP853 shot
-on the untransformed eigenproblem, and the phase-plane first integral for
-the zero-speed slope.  The exceptions are the slow reference paths: the
-nested root search for the critical lengths that their closed form
-replaced, bracketing root-finds for c_tilde and beta_star over the library's
+for the logistic comparison ODE and the b = 0 eigenvalues, and a DOP853
+shot on the untransformed eigenproblem.  The exceptions are the slow
+reference paths: the nested root search for the critical lengths that
+their closed form replaced, bracketing root-finds for c_tilde and beta_star over the library's
 plain semi-wave shot, without the Newton solve and the s(g) identity that
 replaced them, that Newton solve started from c = 0 on every call,
-without the slope curve's warm start, a mu_star/lambda_star bisection on
+without the restart table, a mu_star/lambda_star bisection on
 full-horizon runs, without the early stops at the spreading and Vanishing
 certificates, the classification hints solved up front as simulate once
 solved them, the Stefan substep loop as it stood before its per-call
@@ -86,12 +85,6 @@ def halved_step_slope(gamma, f, fprime1, h0=0.02, eps=1e-8, tol=1e-10):
             return cur
         prev, h = cur, h / 2.0
     raise RuntimeError("step halving did not settle")
-
-
-def zero_speed_slope_first_integral(f, n_quad=200001):
-    """q'(0) at gamma = 0 from (1/2) q'^2 = int_q^1 f: equals sqrt(2 F(1))."""
-    u = np.linspace(0.0, 1.0, n_quad)
-    return np.sqrt(2.0 * np.trapezoid(f(u), u))
 
 
 def logistic_eta(eta0, t):
@@ -220,10 +213,9 @@ def spreading_speed_brentq(beta, mu, n, max_step=0.1):
 
 
 def reference_spreading_speed(beta, mu, n, max_step=0.1):
-    """spreading_speed as it stood before the slope curve: (c_tilde,
-    residual) by safeguarded Newton on mu*s(c - beta) - c from c = 0 on
-    every call, its variational shots made directly, not through n's
-    slope curve."""
+    """spreading_speed's cold path: (c_tilde, residual) by safeguarded
+    Newton on mu*s(c - beta) - c from c = 0 on every call, its variational
+    shots made directly, with no restart table."""
     if beta <= -n.c0:
         raise NoSemiWave(f"beta = {beta:g} <= -c0 = {-n.c0:g}: no spreading speed")
     cmax = n.c0 + beta

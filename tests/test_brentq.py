@@ -77,16 +77,6 @@ def test_semi_wave_event_root(twin):
     assert len(twin) == 3
 
 
-def test_spreading_speed_hermite_root_on_a_warm_curve(twin):
-    n = fb.logistic()
-    fb.spreading_speed(0.5, 2.0, n)
-    fb.spreading_speed(0.5, 1.0, n)
-    shots = len(twin)
-    fb.spreading_speed(0.5, 1.5, n)
-    # the event roots take xtol = _EVENT_TOL, the Hermite root a multiple
-    assert [kw for _, _, kw in twin[shots:] if kw["xtol"] != waves._EVENT_TOL]
-
-
 # ------------------------------------------------------- random brackets
 
 FUNCTIONS = [

@@ -259,6 +259,29 @@ def test_density_below_clamp_floor_raises(n):
     assert str(new.value) == str(ref.value)  # the same minimum is reported
 
 
+def test_clamp_floor_past_a_cell_peclet_number_of_2_names_nx(n):
+    # beta = 4 on 20 cells of a front near h = 20: the centred advection
+    # difference undershoots once |beta| h / nx passes 2, whatever the dt
+    def failure(dt, nx=20, betas=(4.0,)):
+        specs = [fb.ProblemSpec(beta=beta, mu=1.0, a=1.0, b=0.0, h0=20.0,
+                                nonlinearity=n, nx=nx, dt=dt, tmax=2.0)
+                 for beta in betas]
+        with pytest.raises(fb.errors.NumericalError) as info:
+            simulate_many(specs)
+        return str(info.value)
+
+    for dt in (1e-3, 1e-4):
+        message = failure(dt)
+        assert "below clamp floor at t = 0.69" in message
+        assert (": cell Peclet number |beta| h / nx = 4.09 > 2 at nx = 20: "
+                "raise nx (while stepping to t = ") in message
+    # the ensemble's joint substep gives the lone kernel's advice
+    assert failure(1e-3, betas=(0.5, 4.0)) == f"ensemble member 1: {failure(1e-3)}"
+    # at nx = 60 the number stays below 2 and the run goes on
+    fb.simulate(fb.ProblemSpec(beta=4.0, mu=1.0, a=1.0, b=0.0, h0=20.0,
+                               nonlinearity=n, nx=60, dt=1e-3, tmax=2.0))
+
+
 def test_entries_below_zero_are_clamped_as_reference_step_clamps_them(n):
     # above the clamp floor, so the step clamps them to zero and goes on
     spec = fb.ProblemSpec(beta=0.5, mu=1.0, a=1.0, b=0.0, h0=2.0,
@@ -633,3 +656,18 @@ def test_ode_upper_bound_preconditions(n):
         fb.ode_upper_bound(n, np.nan, 1.0)
     with pytest.raises(ValueError, match="must be finite"):
         fb.ode_upper_bound(n, 1.5, np.inf)
+
+
+@pytest.mark.parametrize("eta0", [1e8, 1e100])
+def test_ode_upper_bound_refuses_a_start_its_steps_cannot_follow(n, eta0):
+    # even 1e4 RK4 substeps of a 1e-3 step are unstable for the logistic
+    # term from about eta0 = 2e7 up: the loop would end at -inf
+    with pytest.raises(fb.errors.NumericalError,
+                       match=re.escape(f"eta0 = {eta0:g}")):
+        fb.ode_upper_bound(n, eta0, 1.0)
+
+
+def test_ode_upper_bound_below_the_refusal_is_unchanged(n):
+    assert fb.ode_upper_bound(n, 1e7, 1.0) == 1.5819766124888777
+    assert fb.ode_upper_bound(n, 1e7, 1.0) == pytest.approx(
+        logistic_eta(1e7, 1.0), rel=1e-6)

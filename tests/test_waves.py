@@ -23,7 +23,7 @@ SLOPE0_GAMMA_MINUS2_LOGISTIC = 2.2129469448396546
 
 @pytest.fixture(scope="module")
 def n(logistic_n):
-    # the session's term: its slope curve carries shots from every test
+    # the session's term, shared by every test
     return logistic_n
 
 
@@ -355,12 +355,15 @@ def test_no_stationary_outside_range(n):
         fb.stationary_increasing(0.0, 0.0, 1.0, n)
 
 
-# --------------------------------------------------------------- slope curve
+# ------------------------------------------------------------ restart table
 
 LADDER = [(b, m) for b in (-1.5, -1.0, 0.0, 1.0, 1.5, 2.5)
           for m in (0.5, 1.0, 2.0)]
-# drifts no ladder shot has met: warm starts from Hermite roots
+# drifts no ladder shot has met
 OFF_LADDER = [(b + 0.013, 1.07 * m) for b, m in LADDER]
+_rng = np.random.default_rng(26)
+RANDOM = [(float(b), float(m)) for b, m in
+          zip(_rng.uniform(-1.9, 3.0, 40), _rng.uniform(0.2, 3.0, 40))]
 TERMS = {
     "logistic": fb.logistic,
     "cubic": lambda: fb.cubic_monostable(0.5),
@@ -368,15 +371,15 @@ TERMS = {
 }
 
 
-def curve_size(n):
-    return len(waves._slope_curve(n, waves._MAX_STEP).g)
-
-
 def warmed(term):
     n = term()
     for beta, mu in LADDER:
         fb.spreading_speed(beta, mu, n)
     return n
+
+
+def pair(res):
+    return res.c_tilde, res.residual
 
 
 @pytest.fixture
@@ -398,18 +401,24 @@ def test_cold_spreading_speed_is_the_reference_path(term):
     for beta, mu in [(0.5, 2.0), (-1.99, 1.0), (2.5, 0.5), (5.0, 1.0),
                      (0.0, 1e-4)]:
         res = fb.spreading_speed(beta, mu, term())
-        assert (res.c_tilde, res.residual) == reference_spreading_speed(
-            beta, mu, term())
+        assert pair(res) == reference_spreading_speed(beta, mu, term())
 
 
 @pytest.mark.parametrize("term", TERMS.values(), ids=TERMS)
 def test_warm_spreading_speed_matches_reference(term):
-    n = warmed(term)
-    for beta, mu in LADDER + OFF_LADDER:
-        res = fb.spreading_speed(beta, mu, n)
-        c_tilde, _ = reference_spreading_speed(beta, mu, term())
-        assert abs(res.c_tilde - c_tilde) <= 1e-12
-        assert res.residual < 1e-8
+    # every result is a fresh term's bits, whatever was asked before: the
+    # queries in three orders on one term, each asked twice
+    queries = LADDER + OFF_LADDER + RANDOM
+    fresh = {q: pair(fb.spreading_speed(*q, term())) for q in queries}
+    for q in LADDER + OFF_LADDER:
+        assert fresh[q] == reference_spreading_speed(*q, term())
+    shuffled = list(queries)
+    np.random.default_rng(3).shuffle(shuffled)
+    n = term()
+    for order in (queries, queries[::-1], shuffled):
+        for q in order:
+            for _ in range(2):
+                assert pair(fb.spreading_speed(*q, n)) == fresh[q]
 
 
 def test_warm_edge_raises_like_cold():
@@ -425,28 +434,49 @@ def test_warm_edge_raises_like_cold():
 
 def test_warm_ladder_needs_at_most_three_shots(shots):
     n = warmed(fb.logistic)
-    size = curve_size(n)
     for beta, mu in LADDER:
         shots.clear()
         fb.spreading_speed(beta, mu, n)
         assert len(shots) <= 3
-    assert curve_size(n) == size
-    # a repeated query shoots where the last one converged: no new point
+    # a repeated query restarts at the previous call's last Newton drift:
+    # that shot and the residual shot
+    shots.clear()
+    fb.spreading_speed(0.3, 1.3, n)
+    drift = shots[-2][0]
     for _ in range(2):
+        shots.clear()
         fb.spreading_speed(0.3, 1.3, n)
-        size = curve_size(n)
-        fb.spreading_speed(0.3, 1.3, n)
-        assert curve_size(n) == size
+        assert len(shots) == 2 and shots[0][0] == drift
 
 
-def test_slope_curve_is_dropped_with_its_term():
+def test_shrunk_delta_is_not_a_restart(shots):
+    # F > 0 up to c0 + beta - delta twice: delta shrinks twice, and each
+    # Newton step past the bracket's end is cut back to it; the root, found
+    # at a larger shot budget than the first delta's, is not stored
+    n = fb.logistic()
+    first = fb.spreading_speed(-1.9, 1e50, n)
+    made = len(shots)
+    assert first.c_tilde == float.fromhex("0x1.96922497e1322p-4")
+    assert 0.0 < n.c0 - 1.9 - first.c_tilde < 1e-3
+    assert first.residual < 1e-11
+    assert waves._RESTARTS[id(n)] == {}
+    again = fb.spreading_speed(-1.9, 1e50, n)
+    assert pair(again) == pair(first)
+    assert len(shots) == 2 * made
+
+
+def test_restart_table_is_dropped_with_its_term():
     n = fb.from_coefficients([0.0, 1.0, 0.0, -1.0])
     fb.critical_advection(1.0, n)
-    key = (id(n), waves._MAX_STEP)
-    assert waves._CURVES[key].g == [-n.c0]
-    del n
+    assert id(n) not in waves._RESTARTS
+    res = fb.spreading_speed(0.5, 2.0, n)
+    key = id(n)
+    (query, c), = waves._RESTARTS[key].items()
+    assert query == (0.5, 2.0, waves._MAX_STEP)
+    assert abs(c - res.c_tilde) <= 1e-13 * c
+    del n, res     # res.profile would shoot on n
     gc.collect()
-    assert key not in waves._CURVES
+    assert key not in waves._RESTARTS
 
 
 # ------------------------------------------------------- oracle self-consistency
