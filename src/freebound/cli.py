@@ -6,27 +6,29 @@ double precision (17 significant digits) so downstream refinement checks
 lose nothing.  Exit status: 0 success, 1 domain error (the requested
 object does not exist), 2 numerical failure or malformed input.
 
-The classification hints l_star and c_tilde: simulate, sweep and classify
+The classification hints l_star and c_tilde: sweep and classify --config
 go through _verdict, which solves c_tilde only for a run that reaches rule
-3 (beta >= c0 and rules 1-2 silent), the one rule that reads it.  simulate
-then solves whichever hint the verdict did not, because summary.json
-reports both (a hint that fails reads null, and its error goes into an
-added hint_errors field); classify reuses them unless given --config.
-A sweep row that fails reads Error; its reason goes to the sidecar
-<out>.errors.json, which also holds an entry, with an added "hint" key,
-for each cell classified without a hint it asked for because the hint's
-solve failed.  A sweep with neither writes no sidecar.
+3 (beta >= c0 and rules 1-2 silent), the one rule that reads it.
+simulate solves both, because summary.json reports both (a hint that
+fails reads null, and its error goes into an added hint_errors field);
+classify without --config passes those two to classify.classify, which
+reads c_tilde only at rule 3, so it solves nothing.  A sweep row that
+fails reads Error; its reason goes to the sidecar <out>.errors.json,
+which also holds an entry, with an added "hint" key, for each cell
+classified without a hint it asked for because the hint's solve failed.
+A sweep with neither writes no sidecar.
 
 A sweep cuts its cells, in grid order, into contiguous chunks of at most
 ENSEMBLE_MAX, as many chunks as workers (--workers, else the CPU count) or
 a multiple of that, and each pool worker runs a whole chunk (the pool
 starts no more workers than there are chunks).  Every chunk, of one cell
 or many, runs one way: its cells step together as one
-stefan.simulate_many ensemble and share their hints, l_star solved once
-per beta and c_tilde once per (beta, mu); an ensemble of one is simulate.
-If an ensemble of two or more raises, each of its cells runs again as a
-chunk of one, so Error rows and the sidecar read as a cell-by-cell sweep
-writes them; every other row is bit-identical either way.
+stefan.simulate_many ensemble and share one reaction term, whose
+spreading_speed results table solves c_tilde once per (beta, mu); an
+ensemble of one is simulate.  If an ensemble of two or more raises, each
+of its cells runs again as a chunk of one, so Error rows and the sidecar
+read as a cell-by-cell sweep writes them; every other row is
+bit-identical either way.
 """
 
 from __future__ import annotations
@@ -157,16 +159,17 @@ def _cmd_simulate(args):
     spec = spec_from_config(cfg)
     traj = simulate(spec, snapshot_times=_parse_snapshots(args.snapshots))
 
-    hints, hint_errors = {}, {}
-    verdict = _verdict(traj, spec, hints, hint_errors)
+    hint_errors = {}
+    lstar, ctilde = _l_star(spec, hint_errors), _c_tilde(spec, hint_errors)
+    verdict = classify(traj, spec, lstar=lstar, ctilde=ctilde)
     summary = {
         "config": cfg,
         "h_final": float(traj.h[-1]),
         "supu_final": float(traj.supu[-1]),
         "hprime_final": float(traj.hprime[-1]),
         "classification_hint": verdict.verdict,
-        "l_star": _l_star(spec, hints, hint_errors),
-        "c_tilde": _c_tilde(spec, hints, hint_errors),
+        "l_star": lstar,
+        "c_tilde": ctilde,
     }
     if hint_errors:
         summary["hint_errors"] = hint_errors
@@ -242,14 +245,12 @@ def _load_run(trajectory_path, snapshot_dir):
 
 def _cmd_classify(args):
     traj, summary = _load_run(args.trajectory, Path(args.trajectory).parent)
-    spec = traj.spec
-    # the hints simulate solved for the run's spec, under _l_star's and
-    # _c_tilde's keys; a config's spec solves its own
-    hints = {("l_star", spec.beta): (summary.get("l_star"), None),
-             ("c_tilde", spec.beta, spec.mu): (summary.get("c_tilde"), None)}
-    if args.config is not None:
-        spec, hints = spec_from_config(load_config(args.config)), {}
-    verdict = _verdict(traj, spec, hints, {})
+    if args.config is None:
+        # the hints simulate solved for the run's spec
+        verdict = classify(traj, traj.spec, lstar=summary.get("l_star"),
+                           ctilde=summary.get("c_tilde"))
+    else:
+        verdict = _verdict(traj, spec_from_config(load_config(args.config)), {})
     _emit(args, {"verdict": verdict.verdict, "evidence": verdict.evidence},
           f"verdict = {verdict.verdict}")
     return 0
@@ -326,61 +327,53 @@ def _parse_grid(text, flag):
     return values
 
 
-def _memo(hints, key, solve, errors):
-    """hints[key], solved on first use; a FreeboundError is kept as None,
-    and recorded in errors under the hint's name for every cell that asks."""
-    if key not in hints:
-        try:
-            hints[key] = solve(), None
-        except FreeboundError as exc:
-            hints[key] = None, {"type": type(exc).__name__, "message": str(exc)}
-    value, error = hints[key]
-    if error is not None:
-        errors[key[0]] = error
-    return value
+def _hint(name, solve, errors):
+    """solve(), or None when it raises a FreeboundError, which is recorded
+    in errors under the hint's name."""
+    try:
+        return solve()
+    except FreeboundError as exc:
+        errors[name] = {"type": type(exc).__name__, "message": str(exc)}
+        return None
 
 
-def _l_star(spec, hints, errors):
-    """l_star by beta, or None when |beta| >= c0 (there is none)."""
+def _l_star(spec, errors):
+    """l_star, or None when |beta| >= c0 (there is none)."""
     n = spec.nonlinearity
     if abs(spec.beta) >= n.c0:
         return None
-    return _memo(hints, ("l_star", spec.beta),
-                 lambda: critical_length(spec.beta, spec.a, spec.b, n.fp0), errors)
+    return _hint("l_star", lambda: critical_length(spec.beta, spec.a, spec.b, n.fp0),
+                 errors)
 
 
-def _c_tilde(spec, hints, errors):
-    """c_tilde by (beta, mu), or None when beta <= -c0 (there is none)."""
+def _c_tilde(spec, errors):
+    """c_tilde, or None when beta <= -c0 (there is none)."""
     n = spec.nonlinearity
     if spec.beta <= -n.c0:
         return None
-    return _memo(hints, ("c_tilde", spec.beta, spec.mu),
-                 lambda: spreading_speed(spec.beta, spec.mu, n).c_tilde, errors)
+    return _hint("c_tilde", lambda: spreading_speed(spec.beta, spec.mu, n).c_tilde,
+                 errors)
 
 
-def _verdict(traj, spec, hints, errors):
+def _verdict(traj, spec, errors):
     """classify's verdict with c_tilde solved only when rule 3 is reached:
-    rules 1-2 never read it.
-
-    hints, shared by cells with the same a, b and reaction term, holds
-    l_star by beta and c_tilde by (beta, mu), each solved once.  A hint
-    that fails leaves the cell classified without it, and its error goes
-    into errors under its name.
+    rules 1-2 never read it.  A hint that fails leaves the run classified
+    without it, and its error goes into errors under its name.
     """
-    lstar = _l_star(spec, hints, errors)
+    lstar = _l_star(spec, errors)
     verdict = classify(traj, spec, lstar=lstar)
     if spec.beta >= spec.nonlinearity.c0 and verdict.evidence["rule"] == "no-rule-fired":
-        ctilde = _c_tilde(spec, hints, errors)
+        ctilde = _c_tilde(spec, errors)
         if ctilde is not None:
             verdict = classify(traj, spec, lstar=lstar, ctilde=ctilde)
     return verdict
 
 
-def _sweep_result(index, cfg, traj, spec, hints):
+def _sweep_result(index, cfg, traj, spec):
     """(index, CSV row, reasons): reasons lists the cell's dropped hints
     for the sidecar, or is None when there are none."""
     errors = {}
-    verdict = _verdict(traj, spec, hints, errors)
+    verdict = _verdict(traj, spec, errors)
     row = verdict.verdict, float(traj.h[-1]), float(traj.supu[-1])
     reasons = [{"index": index, "config": cfg, "hint": name, **error}
                for name, error in errors.items()]
@@ -389,7 +382,7 @@ def _sweep_result(index, cfg, traj, spec, hints):
 
 def _sweep_chunk(chunk):
     """(index, CSV row, reasons) for each (index, cfg) of chunk: its cells
-    step as one simulate_many ensemble and share their hints.
+    step as one simulate_many ensemble and share one reaction term.
 
     On a FreeboundError a chunk of two or more runs each cell again as a
     chunk of one, and a chunk of one gives its Error row, with the error
@@ -399,8 +392,7 @@ def _sweep_chunk(chunk):
         specs = [spec_from_config(cfg) for _, cfg in chunk]
         # the cells of a sweep differ only in beta, mu and lambda
         specs = [replace(s, nonlinearity=specs[0].nonlinearity) for s in specs]
-        hints = {}
-        return [_sweep_result(index, cfg, traj, spec, hints)
+        return [_sweep_result(index, cfg, traj, spec)
                 for (index, cfg), traj, spec in zip(chunk, simulate_many(specs), specs)]
     except FreeboundError as exc:
         if len(chunk) > 1:

@@ -53,15 +53,13 @@ variational pair (dq/dg, dq'/dg) returns s and ds/dg together (_slope).
     beta_star  at c_tilde(beta_star) = beta_star - c0 the drift is
                c - beta = -c0, so beta_star = c0 + mu * s(-c0): one shot.
 
-Newton on F starts from c = 0 on every query but a repeated one: a query
-asked before on the same Nonlinearity instance restarts at the iterate
-whose shot converged the last time.  spreading_speed keeps one restart
-table per instance, keyed by its identity, made on first use and dropped
-when the instance is collected; it stores an iterate only if the root was
-found at the first delta, whose shot budget the restart uses.  The
-restart's shot and the residual shot repeat the cold path's last two, so
-every c_tilde and residual is bit for bit what a fresh instance returns,
-whatever queries came before (tests/test_waves.py).
+Newton on F starts from c = 0 and only from there, so a query's c_tilde
+and residual do not depend on the queries before it.  spreading_speed
+keeps what each solve found, (c_tilde, residual, shot budget), in one
+table per Nonlinearity instance, keyed by its identity, made on first use
+and dropped when the instance is collected: a repeated query is a lookup
+that makes no shot and returns a fresh instance's bits
+(tests/test_waves.py).
 
 Only the speed is eager: SpeedResult.profile, the sampled semi-wave at
 c_tilde, is shot and sampled on its first read.
@@ -567,18 +565,18 @@ class _Slope(NamedTuple):
     ds: float
 
 
-# one restart table per reaction term instance, keyed by id(n) (equal terms
+# one results table per reaction term instance, keyed by id(n) (equal terms
 # keep separate tables) and dropped when the term is collected: it maps each
-# (beta, mu, max_step) spreading_speed solved to the Newton iterate whose
-# shot converged
-_RESTARTS: dict = {}
+# (beta, mu, max_step) spreading_speed solved to (c_tilde, residual,
+# z_budget), the budget its shots used
+_RESULTS: dict = {}
 
 
-def _restarts(n: Nonlinearity) -> dict:
-    table = _RESTARTS.get(id(n))
+def _results(n: Nonlinearity) -> dict:
+    table = _RESULTS.get(id(n))
     if table is None:
-        table = _RESTARTS[id(n)] = {}
-        weakref.finalize(n, _RESTARTS.pop, id(n), None)
+        table = _RESULTS[id(n)] = {}
+        weakref.finalize(n, _RESULTS.pop, id(n), None)
     return table
 
 
@@ -593,22 +591,35 @@ def spreading_speed(beta: float, mu: float, n: Nonlinearity, *,
                     max_step: float = _MAX_STEP) -> SpeedResult:
     """Fixed point c_tilde of c = mu * q'(0; c - beta) in (0, c0 + beta).
 
-    Newton on F(c) = mu*s(c - beta) - c from c = 0, where F > 0, with the
-    bracket [0, c0 + beta - delta]; F is strictly decreasing, so every shot
-    narrows the sign bracket and a step leaving it is replaced by
-    bisection.  Where F stays positive up to the bracket's end, delta
-    shrinks and Newton goes on.  A repeated query on the same term restarts
-    at the iterate whose shot converged last time (n's restart table), so it
-    costs that shot and the residual shot and returns the same bits.  The
-    residual comes from a separate plain shot at the root; the profile is
-    shot again, with samples, only when it is read.
+    Solved by _fixed_point on a query's first call; n's results table
+    answers a repeated query with no shot.  The profile is shot again,
+    with samples and the solve's shot budget, only when it is read.
     """
     _require_finite(beta=beta, mu=mu)
     if mu <= 0.0:
         raise ValueError("mu must be positive")
     if beta <= -n.c0:
         raise NoSemiWave(f"beta = {beta:g} <= -c0 = {-n.c0:g}: no spreading speed")
+    results, key = _results(n), (beta, mu, max_step)
+    if key not in results:
+        results[key] = _fixed_point(beta, mu, n, max_step)
+    c_tilde, residual, z_budget = results[key]
+    return SpeedResult(
+        c_tilde=c_tilde, residual=residual,
+        _shoot_profile=lambda: shoot_semi_wave(
+            c_tilde, beta, n, z_budget=z_budget, max_step=max_step))
 
+
+def _fixed_point(beta, mu, n, max_step) -> tuple:
+    """(c_tilde, residual, z_budget) of spreading_speed's query.
+
+    Newton on F(c) = mu*s(c - beta) - c from c = 0, where F > 0, with the
+    bracket [0, c0 + beta - delta]; F is strictly decreasing, so every shot
+    narrows the sign bracket and a step leaving it is replaced by
+    bisection.  Where F stays positive up to the bracket's end, delta
+    shrinks, the shot budget grows, and Newton goes on.  The residual
+    |mu*q'(0) - c_tilde| comes from a separate plain shot at the root.
+    """
     cmax = n.c0 + beta
     delta = min(2e-3 * n.c0, 0.25 * cmax)
     budget = _default_budget(n)
@@ -623,14 +634,13 @@ def spreading_speed(beta: float, mu: float, n: Nonlinearity, *,
         s, ds = _slope(c - beta, n, z_budget, max_step)
         return mu * s - c, mu * ds - 1.0
 
-    restarts, key = _restarts(n), (beta, mu, max_step)
     z_budget = shot_budget(delta)
-    lo, hi, bracketed = 0.0, cmax - delta, False   # bracketed: F(hi) <= 0 seen
-    c = restarts.get(key, 0.0)
+    c = lo = 0.0
+    hi, bracketed = cmax - delta, False   # bracketed: F(hi) <= 0 seen
     f, df = newton_pair(c)
-    if c == 0.0 and f <= 0.0:
+    if f <= 0.0:
         raise NumericalError("slope map not positive at c = 0")
-    for attempt in range(4):
+    for _ in range(4):
         root = None
         for _ in range(200):
             c_new = c - f / df if df < 0.0 else np.nan
@@ -650,18 +660,13 @@ def spreading_speed(beta: float, mu: float, n: Nonlinearity, *,
         else:
             raise NumericalError("Newton on the slope map did not converge")
         if root is not None:
-            if attempt == 0:   # a restart shoots with the first delta's budget
-                restarts[key] = c
             if root <= 1e-9 * cmax:
                 # root far below cmax (extreme beta or mu); one fixed-point
                 # sweep keeps c_tilde > 0
                 root = mu * _slope(root - beta, n, z_budget, max_step).s
             slope0 = shoot_semi_wave(root, beta, n, samples=False,
                                      z_budget=z_budget, max_step=max_step).slope0
-            return SpeedResult(
-                c_tilde=root, residual=abs(mu * slope0 - root),
-                _shoot_profile=lambda: shoot_semi_wave(
-                    root, beta, n, z_budget=z_budget, max_step=max_step))
+            return root, abs(mu * slope0 - root), z_budget
         delta *= 0.25
         z_budget = shot_budget(delta)
         hi, bracketed = cmax - delta, False

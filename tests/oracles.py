@@ -7,11 +7,11 @@ shot on the untransformed eigenproblem.  The exceptions are the slow
 reference paths: the nested root search for the critical lengths that
 their closed form replaced, bracketing root-finds for c_tilde and beta_star over the library's
 plain semi-wave shot, without the Newton solve and the s(g) identity that
-replaced them, that Newton solve started from c = 0 on every call,
-without the restart table, a mu_star/lambda_star bisection on
+replaced them, that Newton solve run on every call, without the results
+table that answers a repeated query, a mu_star/lambda_star bisection on
 full-horizon runs, without the early stops at the spreading and Vanishing
-certificates, the classification hints solved up front as simulate once
-solved them, the Stefan substep loop as it stood before its per-call
+certificates, the classification hints solved up front as simulate
+solves them, the Stefan substep loop as it stood before its per-call
 hoisting and in-place buffers, simulate driving that loop one nominal
 step at a time, the generic DOP853 stage loop the
 generated step functions of waves._kernel replaced, scipy's
@@ -215,7 +215,7 @@ def spreading_speed_brentq(beta, mu, n, max_step=0.1):
 def reference_spreading_speed(beta, mu, n, max_step=0.1):
     """spreading_speed's cold path: (c_tilde, residual) by safeguarded
     Newton on mu*s(c - beta) - c from c = 0 on every call, its variational
-    shots made directly, with no restart table."""
+    shots made directly, with no results table."""
     if beta <= -n.c0:
         raise NoSemiWave(f"beta = {beta:g} <= -c0 = {-n.c0:g}: no spreading speed")
     cmax = n.c0 + beta
@@ -334,7 +334,7 @@ def _hint(errors, name, solve):
 
 def reference_classification_hint(traj, spec, errors):
     """(verdict, l_star, c_tilde) with both hints solved up front, as
-    simulate once did: a hint that fails reads None, and its error goes
+    simulate does: a hint that fails reads None, and its error goes
     into errors under its name."""
     n = spec.nonlinearity
     lstar = ctilde = None

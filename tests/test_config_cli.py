@@ -656,13 +656,25 @@ def test_sweep_records_the_hints_it_dropped(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_chunk_solves_each_hint_once(monkeypatch):
-    calls = {"critical_length": [], "spreading_speed": []}
-    for name, seen in calls.items():
-        def counting(*args, real=getattr(cli, name), seen=seen, **kwargs):
-            seen.append(args[:2])
-            return real(*args, **kwargs)
+    # the chunk's cells share one reaction term, whose results table solves
+    # c_tilde once per (beta, mu) at rule 3; l_star is solved for each cell
+    shots, lengths = [], []
+    shoot, length = fb.waves.shoot_semi_wave, cli.critical_length
 
-        monkeypatch.setattr(cli, name, counting)
+    def counted_shot(*args, **kwargs):
+        shots.append(args)
+        return shoot(*args, **kwargs)
+
+    def counted_length(*args):
+        lengths.append(args[:2])
+        return length(*args)
+
+    monkeypatch.setattr(fb.waves, "shoot_semi_wave", counted_shot)
+    monkeypatch.setattr(cli, "critical_length", counted_length)
+    for mu in (1.0, 2.0):
+        fb.spreading_speed(2.5, mu, fb.logistic())
+    solves = len(shots)    # one cold Newton solve at (2.5, 1) and at (2.5, 2)
+    shots.clear()
     base = parse_config("a = 1\nb = 0\nh0 = 3.0\nnx = 200\ndt = 2e-3\ntmax = 5.0\n"
                         "nonlinearity = logistic\n")
     chunk = []
@@ -673,21 +685,21 @@ def test_sweep_chunk_solves_each_hint_once(monkeypatch):
                 cfg["lambda"] = lam
                 chunk.append((10 + len(chunk), cfg))
     rows = cli._sweep_chunk(chunk)
-    # l_star once for beta = 0.5; c_tilde once per (beta, mu) at rule 3
-    assert calls["critical_length"] == [(0.5, 1.0)]
-    assert calls["spreading_speed"] == [(2.5, 1.0), (2.5, 2.0)]
+    assert len(shots) == solves
+    assert lengths == [(0.5, 1.0)] * 4
 
-    for name in calls:
-        calls[name].clear()
+    shots.clear()
+    lengths.clear()
     for (index, cfg), (i, row, reason) in zip(chunk, rows, strict=True):
         spec = spec_from_config(cfg)
         traj = fb.simulate(spec)
-        verdict = cli._verdict(traj, spec, {}, {})
+        verdict = cli._verdict(traj, spec, {})
         assert (i, reason) == (index, None)
         assert row == (verdict.verdict, float(traj.h[-1]), float(traj.supu[-1]))
-    # cell by cell, every beta = 0.5 cell solves l_star and every beta = 2.5
-    # cell reaches rule 3
-    assert len(calls["critical_length"]) == len(calls["spreading_speed"]) == 4
+    # cell by cell, each cell has its own term: every beta = 2.5 cell
+    # reaches rule 3 and solves c_tilde
+    assert len(shots) == 2 * solves
+    assert lengths == [(0.5, 1.0)] * 4
 
 
 @pytest.mark.parametrize("argv, cfg_line", [

@@ -1,9 +1,13 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freebound as fb
+from freebound import eigen
 
 from freebound.eigen import _transformed_s1
 
@@ -117,6 +121,38 @@ def test_principal_mode_at_the_crossover_is_linear():
     r = fb.principal_eigenvalue(p)
     assert r.zeta1 == 1.0 / 4.0 - 1.0
     _assert_eigenfunction_invariants(p, r)
+
+
+def test_eigenfunction_sign_flip_is_reached():
+    # On [0, ell) psi is positive on every branch, so an exact phi needs no
+    # flip.  Past tanh's saturation on the hyperbolic branch (kap*ell about
+    # 69 here) b cosh + (A/kap) sinh cancels to its rounding error, which
+    # is negative at the midpoint: the flip runs and leaves phi(ell/2) > 0.
+    p = fb.EigenProblem(ell=50.0, beta=2.9, a=0.42, b=6.15, m=1.0)
+    A = p.a - p.b * p.beta / 2.0
+    assert p.ell * -A / p.b > 60.0    # kap = |A|/b once tanh saturates
+    code = eigen._eigenfunction.__code__
+    lines, first = inspect.getsourcelines(eigen._eigenfunction)
+    flip = first + [line.strip() for line in lines].index("phi = -phi")
+    ran = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+
+        def line(frame, event, arg):
+            if event == "line" and frame.f_lineno == flip:
+                ran.append(flip)
+            return line
+        return line
+
+    sys.settrace(trace)
+    try:
+        r = fb.principal_eigenvalue(p)
+    finally:
+        sys.settrace(None)
+    assert ran == [flip]
+    assert r.eigenfunction[len(r.x) // 2] > 0.0
 
 
 def test_critical_length_closed_form():

@@ -42,7 +42,7 @@ def on_both_kernels(monkeypatch, compute, term=fb.logistic,
                     reference=use_reference_kernel):
     """compute(n) on the library's kernel, then on the reference kernel
     (default: solve_ivp's), each with a fresh reaction term n = term(), so
-    that no reference shot enters a restart table the library's shots use."""
+    that no result solved on one kernel is looked up on the other."""
     new = compute(term())
     with monkeypatch.context() as patch:
         reference(patch)

@@ -355,7 +355,7 @@ def test_no_stationary_outside_range(n):
         fb.stationary_increasing(0.0, 0.0, 1.0, n)
 
 
-# ------------------------------------------------------------ restart table
+# ------------------------------------------------------------ results table
 
 LADDER = [(b, m) for b in (-1.5, -1.0, 0.0, 1.0, 1.5, 2.5)
           for m in (0.5, 1.0, 2.0)]
@@ -432,51 +432,75 @@ def test_warm_edge_raises_like_cold():
     assert cold[0] is fb.errors.NumericalError
 
 
-def test_warm_ladder_needs_at_most_three_shots(shots):
+def test_repeated_query_makes_no_shot(shots):
     n = warmed(fb.logistic)
     for beta, mu in LADDER:
         shots.clear()
         fb.spreading_speed(beta, mu, n)
-        assert len(shots) <= 3
-    # a repeated query restarts at the previous call's last Newton drift:
-    # that shot and the residual shot
+        assert shots == []
+    # a new query makes the cold path's shots, once
+    fb.spreading_speed(0.3, 1.3, fb.logistic())
+    cold = len(shots)
     shots.clear()
     fb.spreading_speed(0.3, 1.3, n)
-    drift = shots[-2][0]
-    for _ in range(2):
-        shots.clear()
-        fb.spreading_speed(0.3, 1.3, n)
-        assert len(shots) == 2 and shots[0][0] == drift
+    assert len(shots) == cold
+    shots.clear()
+    fb.spreading_speed(0.3, 1.3, n)
+    assert shots == []
 
 
-def test_shrunk_delta_is_not_a_restart(shots):
+def test_shrunk_delta_root_is_stored(shots):
     # F > 0 up to c0 + beta - delta twice: delta shrinks twice, and each
     # Newton step past the bracket's end is cut back to it; the root, found
-    # at a larger shot budget than the first delta's, is not stored
+    # at a larger shot budget than the first delta's, is stored with that
+    # budget like any other
     n = fb.logistic()
     first = fb.spreading_speed(-1.9, 1e50, n)
-    made = len(shots)
     assert first.c_tilde == float.fromhex("0x1.96922497e1322p-4")
     assert 0.0 < n.c0 - 1.9 - first.c_tilde < 1e-3
     assert first.residual < 1e-11
-    assert waves._RESTARTS[id(n)] == {}
+    (query, (c, residual, z_budget)), = waves._RESULTS[id(n)].items()
+    assert query == (-1.9, 1e50, waves._MAX_STEP)
+    assert (c, residual) == pair(first)
+    # (0.5, 1) finds its root at the first delta, the same as -1.9's
+    fb.spreading_speed(0.5, 1.0, n)
+    assert z_budget > waves._RESULTS[id(n)][0.5, 1.0, waves._MAX_STEP][2]
+    shots.clear()
     again = fb.spreading_speed(-1.9, 1e50, n)
     assert pair(again) == pair(first)
-    assert len(shots) == 2 * made
+    assert shots == []
 
 
-def test_restart_table_is_dropped_with_its_term():
+def test_results_table_is_dropped_with_its_term():
     n = fb.from_coefficients([0.0, 1.0, 0.0, -1.0])
     fb.critical_advection(1.0, n)
-    assert id(n) not in waves._RESTARTS
+    assert id(n) not in waves._RESULTS
     res = fb.spreading_speed(0.5, 2.0, n)
     key = id(n)
-    (query, c), = waves._RESTARTS[key].items()
+    (query, (c, residual, z_budget)), = waves._RESULTS[key].items()
     assert query == (0.5, 2.0, waves._MAX_STEP)
-    assert abs(c - res.c_tilde) <= 1e-13 * c
+    assert (c, residual) == pair(res)
+    assert z_budget >= waves._default_budget(n)
     del n, res     # res.profile would shoot on n
     gc.collect()
-    assert key not in waves._RESTARTS
+    assert key not in waves._RESULTS
+
+
+def test_repeated_query_returns_a_fresh_result():
+    n = fb.logistic()
+    first, again = (fb.spreading_speed(0.5, 2.0, n) for _ in range(2))
+    assert first is not again
+    fresh = fb.spreading_speed(0.5, 2.0, fb.logistic()).profile
+    profiles = first.profile, again.profile
+    for p in profiles:
+        assert (p.kind, p.speed, p.slope0) == (fresh.kind, fresh.speed, fresh.slope0)
+        for name in ("z", "q", "qp"):
+            assert getattr(p, name).tobytes() == getattr(fresh, name).tobytes()
+    for name in ("z", "q", "qp"):
+        assert not np.shares_memory(getattr(profiles[0], name),
+                                    getattr(profiles[1], name))
+    profiles[0].q[:] = -1.0
+    assert profiles[1].q.tobytes() == fresh.q.tobytes()
 
 
 # ------------------------------------------------------- oracle self-consistency
