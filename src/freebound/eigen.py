@@ -161,14 +161,16 @@ def _eigenfunction(ell, beta, a, b, s1):
     elif s1 == 0.0:
         psi = b + A * x
     else:
+        # b cosh(kap x) + (A/kap) sinh(kap x) = b sinh(kap (ell - x)) / sinh(kap ell)
+        # by the secular equation; in this form it neither overflows nor
+        # cancels, where cosh and sinh round equal once kap*ell passes 19
         kap = np.sqrt(-s1)
-        psi = b * np.cosh(kap * x) + (A / kap) * np.sinh(kap * x)
+        psi = (b * np.exp(-kap * x) * np.expm1(-2.0 * kap * (ell - x))
+               / np.expm1(-2.0 * kap * ell))
 
     phi = np.exp(beta * x / 2.0) * psi
     phi[-1] = 0.0
     phi /= np.max(np.abs(phi))
-    if phi[len(phi) // 2] < 0.0:
-        phi = -phi
     return x, phi
 
 

@@ -51,15 +51,16 @@ variational pair (dq/dg, dq'/dg) returns s and ds/dg together (_slope).
                F(c) = mu*s(c - beta) - c, whose slope mu*s' - 1 is
                negative, with bisection inside the sign bracket.
     beta_star  at c_tilde(beta_star) = beta_star - c0 the drift is
-               c - beta = -c0, so beta_star = c0 + mu * s(-c0): one shot.
+               c - beta = -c0, so beta_star = c0 + mu * s(-c0): one shot
+               per reaction term, since s(-c0) does not depend on mu.
 
 Newton on F starts from c = 0 and only from there, so a query's c_tilde
 and residual do not depend on the queries before it.  spreading_speed
-keeps what each solve found, (c_tilde, residual, shot budget), in one
-table per Nonlinearity instance, keyed by its identity, made on first use
-and dropped when the instance is collected: a repeated query is a lookup
-that makes no shot and returns a fresh instance's bits
-(tests/test_waves.py).
+keeps what each solve found, (c_tilde, residual, shot budget), and
+critical_advection the slope s(-c0), in one table per Nonlinearity
+instance, keyed by its identity, made on first use and dropped when the
+instance is collected: a repeated query is a lookup that makes no shot
+and returns a fresh instance's bits (tests/test_waves.py).
 
 Only the speed is eager: SpeedResult.profile, the sampled semi-wave at
 c_tilde, is shot and sampled on its first read.
@@ -478,32 +479,39 @@ def _sample(shot, tau_end, n_samples, reverse):
     descending tau, which is ascending z for a backward shot.
 
     The steps' interpolants are evaluated _SAMPLE_BLOCK samples at a time,
-    straight into q and q' (a reversed block into its mirrored slots), so
-    no temporary spans all the samples.  Each sample takes the operations
-    of _interpolate in its order: bit for bit what scipy's OdeSolution
-    gives on the same steps."""
+    both components together, straight into q and q' (a reversed block
+    into its mirrored slots), so no temporary spans all the samples.  The
+    coefficients are laid out once per shot as one (coefficient,
+    component, step) array, so each Horner term of a block is one take of
+    a contiguous (component, step) slab; gathering all of a block's terms
+    at once made a temporary 8 times larger, which was slower.  Each
+    sample takes the operations of _interpolate in its order: bit for bit
+    what scipy's OdeSolution gives on the same steps."""
     if n_samples is None:
         n_samples = int(np.clip(np.ceil(tau_end / 2e-4) + 1, 2001, 500001))
     tau = np.linspace(0.0, tau_end, n_samples)
     t_old = np.array([s[0] for s in shot.steps])
     h = np.array([s[1] for s in shot.steps])
-    # per component: each step's interpolant coefficients and y_old
-    tables = [(np.array([[Fk[j] for Fk in s[3]] for s in shot.steps]),
-               np.array([s[2][j] for s in shot.steps])) for j in (0, 1)]
-    out = np.empty(n_samples), np.empty(n_samples)
+    # coef[i, j] is, at each step, the i-th term Horner adds for q (j = 0)
+    # or q' (j = 1): the interpolant coefficients from the top one down,
+    # then y_old
+    F = np.array([s[3] for s in shot.steps])[:, :, :2]
+    coef = np.empty((F.shape[1] + 1, 2, len(F)))
+    coef[:-1] = F[:, ::-1].transpose(1, 2, 0)
+    coef[-1] = np.array([s[2][:2] for s in shot.steps]).T
+    out = np.empty((2, n_samples))
     for lo in range(0, n_samples, _SAMPLE_BLOCK):
         hi = min(lo + _SAMPLE_BLOCK, n_samples)
         block = tau[lo:hi]
         seg = np.searchsorted(t_old[1:], block, side="left")
         x = (block - t_old[seg]) / h[seg]
         x_pair = (x, 1 - x)
-        for (F, y_old), q in zip(tables, out):
-            v = q[n_samples - hi:n_samples - lo][::-1] if reverse else q[lo:hi]
-            v.fill(0.0)
-            for i in range(F.shape[1]):
-                v += F[seg, -1 - i]
-                v *= x_pair[i % 2]
-            v += y_old[seg]
+        v = out[:, n_samples - hi:n_samples - lo][:, ::-1] if reverse else out[:, lo:hi]
+        v.fill(0.0)
+        for i in range(len(coef) - 1):
+            v += coef[i].take(seg, axis=1)
+            v *= x_pair[i % 2]
+        v += coef[-1].take(seg, axis=1)
     return (tau[::-1] if reverse else tau), out[0], out[1]
 
 
@@ -568,8 +576,10 @@ class _Slope(NamedTuple):
 # one results table per reaction term instance, keyed by id(n) (equal terms
 # keep separate tables) and dropped when the term is collected: it maps each
 # (beta, mu, max_step) spreading_speed solved to (c_tilde, residual,
-# z_budget), the budget its shots used
+# z_budget), the budget its shots used, and _S_MINUS_C0, a key no such
+# tuple equals, to the slope s(-c0) critical_advection shot
 _RESULTS: dict = {}
+_S_MINUS_C0 = "s(-c0)"
 
 
 def _results(n: Nonlinearity) -> dict:
@@ -677,12 +687,17 @@ def critical_advection(mu: float, n: Nonlinearity) -> float:
     """Unique beta_star > c0 with c_tilde(beta_star) = beta_star - c0.
 
     At that fixed point the semi-wave drift is c - beta = -c0, so
-    beta_star = c0 + mu * s(-c0), read off one shot of the slope map.
+    beta_star = c0 + mu * s(-c0).  The slope s(-c0) does not depend on
+    mu: the first call on n shoots it once and keeps it in n's results
+    table, and every later call, for any mu, reads it there.
     """
     _require_finite(mu=mu)
     if mu <= 0.0:
         raise ValueError("mu must be positive")
-    return n.c0 + mu * _slope(-n.c0, n, _default_budget(n), _MAX_STEP).s
+    results = _results(n)
+    if _S_MINUS_C0 not in results:
+        results[_S_MINUS_C0] = _slope(-n.c0, n, _default_budget(n), _MAX_STEP).s
+    return n.c0 + mu * results[_S_MINUS_C0]
 
 
 def finite_wave(c: float, beta: float, mu: float, n: Nonlinearity, *,

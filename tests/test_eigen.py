@@ -1,13 +1,9 @@
-import inspect
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freebound as fb
-from freebound import eigen
 
 from freebound.eigen import _transformed_s1
 
@@ -123,36 +119,31 @@ def test_principal_mode_at_the_crossover_is_linear():
     _assert_eigenfunction_invariants(p, r)
 
 
-def test_eigenfunction_sign_flip_is_reached():
-    # On [0, ell) psi is positive on every branch, so an exact phi needs no
-    # flip.  Past tanh's saturation on the hyperbolic branch (kap*ell about
-    # 69 here) b cosh + (A/kap) sinh cancels to its rounding error, which
-    # is negative at the midpoint: the flip runs and leaves phi(ell/2) > 0.
-    p = fb.EigenProblem(ell=50.0, beta=2.9, a=0.42, b=6.15, m=1.0)
-    A = p.a - p.b * p.beta / 2.0
-    assert p.ell * -A / p.b > 60.0    # kap = |A|/b once tanh saturates
-    code = eigen._eigenfunction.__code__
-    lines, first = inspect.getsourcelines(eigen._eigenfunction)
-    flip = first + [line.strip() for line in lines].index("phi = -phi")
-    ran = []
-
-    def trace(frame, event, arg):
-        if frame.f_code is not code:
-            return None
-
-        def line(frame, event, arg):
-            if event == "line" and frame.f_lineno == flip:
-                ran.append(flip)
-            return line
-        return line
-
-    sys.settrace(trace)
-    try:
-        r = fb.principal_eigenvalue(p)
-    finally:
-        sys.settrace(None)
-    assert ran == [flip]
-    assert r.eigenfunction[len(r.x) // 2] > 0.0
+@pytest.mark.parametrize("ell, beta, a, b, branch", [
+    (np.pi, 0.5, 1.0, 0.0, "sin"),
+    (3.0, 0.8, 0.5, 1.0, "cos"),
+    (2.0, 1.0, 0.0, 1.0, "linear"),
+    (3.0, 1.8, 0.2, 1.0, "sinh"),
+    # kap*ell = 55 and 69, past tanh's saturation, where b cosh + (A/kap)
+    # sinh rounded to 0 and to negative noise
+    (100.0, 1.5, 0.2, 1.0, "sinh"),
+    (50.0, 2.9, 0.42, 6.15, "sinh"),
+])
+def test_eigenfunction_is_positive_on_every_branch(ell, beta, a, b, branch):
+    p = fb.EigenProblem(ell=ell, beta=beta, a=a, b=b, m=1.0)
+    s1 = _transformed_s1(ell, a - b * beta / 2.0, b)
+    assert branch == ("sin" if b == 0.0 else "cos" if s1 > 0.0 else
+                      "linear" if s1 == 0.0 else "sinh")
+    r = fb.principal_eigenvalue(p)
+    phi, x = r.eigenfunction, r.x
+    assert phi[-1] == 0.0
+    assert np.all(phi[1:-1] > 0.0)
+    assert np.max(phi) == 1.0
+    # the Robin condition a*phi(0) = b*phi'(0), phi'(0) one-sided to second
+    # order
+    dx = x[1] - x[0]
+    slope0 = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * dx)
+    assert abs(a * phi[0] - b * slope0) < 1e-6
 
 
 def test_critical_length_closed_form():

@@ -166,24 +166,38 @@ BLOCK = waves._SAMPLE_BLOCK
 
 
 @pytest.fixture(scope="module")
-def dense_shot(n):
-    """A dense semi-wave shot at g = 0.5 and the tau of its q = 0 crossing."""
-    launch = waves._saddle_launch(0.5, float(n.fprime(1.0)))
-    shot = waves._shoot(0.5, n, launch, [waves._event(lambda y: y[0], -1.0)],
-                        waves._default_budget(n), waves._MAX_STEP,
-                        backward=True, dense=True)
-    return shot, shot.t_events[0][0]
+def dense_shots(n):
+    """Dense shots as the profiles make them, each with the tau of its
+    first event: a semi-wave's at g = 0.5 (backward, to q = 0), the finite
+    wave's at c = 0.2, beta = 0.5, mu = 1 (forward, to q' = 0) and the
+    tadpole's half way into (c0, beta_star) at mu = 1 (backward, to its
+    tail cut)."""
+    budget = waves._default_budget(n)
+
+    def shoot(g, y0, fn, backward):
+        shot = waves._shoot(g, n, y0, [waves._event(fn, -1.0)], budget,
+                            waves._MAX_STEP, backward=backward, dense=True)
+        return shot, shot.t_events[0][0]
+
+    ctilde = fb.spreading_speed(0.5, 1.0, n).c_tilde
+    excess = 0.5 * (fb.critical_advection(1.0, n) - n.c0)
+    return {
+        "semi": shoot(0.5, waves._saddle_launch(0.5, float(n.fprime(1.0))),
+                      lambda y: y[0], True),
+        "finite": shoot(0.2 - 0.5, [0.0, ctilde], lambda y: y[1], False),
+        "tadpole": shoot(n.c0, [0.0, -excess], lambda y: y[0] - 5e-7, True),
+    }
 
 
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("n_samples", [1, BLOCK - 1, BLOCK, BLOCK + 1, 5 * BLOCK + 17,
                                        None, 500001])
-def test_blocks_sample_like_one_pass(dense_shot, n_samples, reverse):
-    shot, tau_end = dense_shot
-    new = waves._sample(shot, tau_end, n_samples, reverse)
-    old = reference_sample(shot, tau_end, n_samples, reverse)
-    for a, b in zip(new, old):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+def test_blocks_sample_like_one_pass(dense_shots, n_samples, reverse):
+    for shot, tau_end in dense_shots.values():
+        new = waves._sample(shot, tau_end, n_samples, reverse)
+        old = reference_sample(shot, tau_end, n_samples, reverse)
+        for a, b in zip(new, old):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ------------------------------------------------------ agreement: errors

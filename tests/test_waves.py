@@ -473,17 +473,58 @@ def test_shrunk_delta_root_is_stored(shots):
 
 def test_results_table_is_dropped_with_its_term():
     n = fb.from_coefficients([0.0, 1.0, 0.0, -1.0])
-    fb.critical_advection(1.0, n)
-    assert id(n) not in waves._RESULTS
+    beta_star = fb.critical_advection(1.0, n)
     res = fb.spreading_speed(0.5, 2.0, n)
     key = id(n)
-    (query, (c, residual, z_budget)), = waves._RESULTS[key].items()
-    assert query == (0.5, 2.0, waves._MAX_STEP)
+    table = waves._RESULTS[key]
+    assert set(table) == {waves._S_MINUS_C0, (0.5, 2.0, waves._MAX_STEP)}
+    assert beta_star == n.c0 + table[waves._S_MINUS_C0]
+    c, residual, z_budget = table[0.5, 2.0, waves._MAX_STEP]
     assert (c, residual) == pair(res)
     assert z_budget >= waves._default_budget(n)
     del n, res     # res.profile would shoot on n
     gc.collect()
     assert key not in waves._RESULTS
+
+
+@pytest.mark.parametrize("term", TERMS.values(), ids=TERMS)
+def test_beta_star_shoots_once_per_term(shots, term):
+    n = term()
+    mus = (0.3, 1.0, 3.0)
+    values = [fb.critical_advection(mu, n) for mu in mus]
+    # the one shot is the slope map's at drift -c0
+    assert [args[:2] for args in shots] == [(-n.c0, 0.0)]
+    assert values == [fb.critical_advection(mu, term()) for mu in mus]
+    slope = waves._slope(-n.c0, term(), waves._default_budget(n), waves._MAX_STEP).s
+    assert values == [n.c0 + mu * slope for mu in mus]
+
+
+def test_tadpole_reads_the_stored_slope(shots):
+    n = fb.logistic()
+    beta_star = fb.critical_advection(1.0, n)
+    beta = 0.5 * (n.c0 + beta_star)
+    shots.clear()
+    for mu in (1.0, 2.0):
+        got = fb.tadpole_wave(beta, mu, n)
+        assert shots == []
+        fresh = fb.tadpole_wave(beta, mu, fb.logistic(),
+                                beta_star=fb.critical_advection(mu, fb.logistic()))
+        for name in ("z", "q", "qp"):
+            assert getattr(got, name).tobytes() == getattr(fresh, name).tobytes()
+        shots.clear()
+
+
+@pytest.mark.parametrize("mu", [np.nan, np.inf, 0.0, -1.0])
+def test_critical_advection_refuses_mu_before_reading_the_table(
+        monkeypatch, n, mu):
+    fb.critical_advection(1.0, n)
+
+    def table(_):
+        raise AssertionError("the results table was read")
+
+    monkeypatch.setattr(waves, "_results", table)
+    with pytest.raises(ValueError, match="must be (finite|positive)"):
+        fb.critical_advection(mu, n)
 
 
 def test_repeated_query_returns_a_fresh_result():
