@@ -32,8 +32,8 @@ import numpy as np
 from .eigen import EigenProblem, principal_eigenvalue
 from .stefan import ProblemSpec, Trajectory
 
-__all__ = ["Classification", "classify", "vanishing_candidates",
-           "vanishing_certificate"]
+__all__ = ["Classification", "classify", "decayed_and_stalled",
+           "vanishing_candidates", "vanishing_certificate"]
 
 MARGIN = 0.05
 EPS_VAN = 1e-3
@@ -70,8 +70,7 @@ def classify(traj: Trajectory, spec: ProblemSpec,
         evidence["rule"] = "front-beyond-critical-length"
         return Classification("Spreading", evidence)
 
-    if (sup_end < EPS_VAN and hp_end < EPS_H
-            and (lstar is None or h_end <= lstar + MARGIN)):
+    if decayed_and_stalled(sup_end, hp_end, h_end, lstar):
         evidence["rule"] = "decayed-and-stalled"
         return Classification("Vanishing", evidence)
 
@@ -95,6 +94,13 @@ def classify(traj: Trajectory, spec: ProblemSpec,
 
     evidence["rule"] = "no-rule-fired"
     return Classification("Undetermined", evidence)
+
+
+def decayed_and_stalled(supu: float, hprime: float, h: float,
+                        lstar: float | None) -> bool:
+    """Rule 2's test on one state (sup u, h', h)."""
+    return (supu < EPS_VAN and hprime < EPS_H
+            and (lstar is None or h <= lstar + MARGIN))
 
 
 def vanishing_candidates(spec: ProblemSpec, lo: float, lstar: float) -> tuple:

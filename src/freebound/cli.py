@@ -228,12 +228,20 @@ def _load_run(trajectory_path, snapshot_dir):
         raise ConfigError(f"{summary_path} is not JSON: {exc} (rerun simulate)") from exc
     if not isinstance(summary, dict) or "config" not in summary:
         raise ConfigError(f"{summary_path} holds no config (rerun simulate)")
-    entries = summary.get("snapshots", [])
-    if not isinstance(entries, list) or not all(
-            isinstance(e, dict) and isinstance(e.get("t"), (int, float))
+    # JSON's true and false load as bool, an int to isinstance
+    for key in ("l_star", "c_tilde"):
+        hint = summary.get(key)
+        if hint is not None and not (type(hint) in (int, float)
+                                     and abs(hint) <= sys.float_info.max):
+            raise ConfigError(f"{summary_path} has {key} = {json.dumps(hint)}, "
+                              f"neither null nor a finite float (rerun simulate)")
+    # simulate always writes the final profile
+    entries = summary.get("snapshots")
+    if not isinstance(entries, list) or not entries or not all(
+            isinstance(e, dict) and type(e.get("t")) in (int, float)
             and isinstance(e.get("file"), str) for e in entries):
-        raise ConfigError(f"{summary_path} lists a snapshot that is not an object "
-                          f"with a number t and a file name (rerun simulate)")
+        raise ConfigError(f"{summary_path} lists no snapshot, or one that is not an "
+                          f"object with a number t and a file name (rerun simulate)")
     snapshots = []
     for entry in entries:
         snap = _read_csv(Path(snapshot_dir) / entry["file"], "x,u", 1)

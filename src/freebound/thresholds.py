@@ -26,18 +26,20 @@ hook in simulate:
   final front by less than MARGIN, and that brackets equal those of
   full-horizon bisection.
 
-A run neither certificate ends goes to tmax and classify decides.  The
-eigen data of the certificate depend on neither mu nor lambda, so each
-threshold call computes them once, for a fixed grid of lengths in
-(h0, l_star).  A stopped run skips the per-step invariant checks
-(h' > 0, clamp floor, ceiling) the full run would have met after the stop.
+A run neither certificate ends is read at tmax on its way to 2*tmax: the
+hook stops it there when classify's rule 2 holds, and classify decides
+at the stop or at 2*tmax.  The eigen data of the certificate depend on
+neither mu nor lambda, so each threshold call computes them once, for a
+fixed grid of lengths in (h0, l_star).  A stopped run skips the per-step
+invariant checks (h' > 0, clamp floor, ceiling) the full run would have
+met after the stop.
 
-simulate is deterministic, so a value is classified once: the final
-endpoints are not re-run, and lambda_threshold hands the verdict of its
-probe of the upper endpoint to the bisection instead of running it again.
-Every midpoint lies strictly inside (lo, hi), each Vanishing value becomes
-lo and each Spreading value hi, so the history is monotone by
-construction.
+simulate is deterministic, so a value is simulated once: no horizon
+restarts from t = 0, the final endpoints are not re-run, and
+lambda_threshold hands the verdict of its probe of the upper endpoint to
+the bisection instead of running it again.  Every midpoint lies strictly
+inside (lo, hi), each Vanishing value becomes lo and each Spreading value
+hi, so the history is monotone by construction.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from typing import Callable
 
 import numpy as np
 
-from .classify import (MARGIN, classify, vanishing_candidates,
-                       vanishing_certificate)
+from .classify import (MARGIN, classify, decayed_and_stalled,
+                       vanishing_candidates, vanishing_certificate)
 from .eigen import critical_length
 from .errors import NoBracket, NumericalError
 from .stefan import ProblemSpec, simulate
@@ -72,9 +74,10 @@ class ThresholdResult:
     note: str                    # 'bracketed' | 'spreading-for-all-mu'
                                  # | 'lambda-star-zero' | 'possibly-lambda-star-infinite'
     stops: tuple = ()            # ((value, rule, t_stop, slack), ...), one per
-                                 # run: rule is 'front-beyond-critical-length',
+                                 # stop or horizon passed, and runs counts
+                                 # them: rule is 'front-beyond-critical-length',
                                  # 'vanishing-certificate' (slack = L - H) or
-                                 # 'horizon' (slack None)
+                                 # 'horizon' (tmax or 2*tmax; slack None)
 
 
 def _default_tmax(spec: ProblemSpec, lstar: float) -> float:
@@ -94,51 +97,44 @@ def _check_hypotheses(spec: ProblemSpec, lstar: float) -> None:
             "weights); a monotone flip is not guaranteed", stacklevel=4)
 
 
-def _certificates(spec: ProblemSpec, lstar: float, candidates: tuple,
-                  fired: dict) -> Callable:
-    """Stop hook for simulate: true once either certificate fires, which
-    it records in fired as (rule, t, slack)."""
-    next_check = CHECK_EVERY
-
-    def stop(st):
-        nonlocal next_check
-        if st.h >= lstar + MARGIN:
-            fired["stop"] = ("front-beyond-critical-length", float(st.t),
-                             None)
-            return True
-        if st.t < next_check - 1e-9:
-            return False
-        next_check += CHECK_EVERY
-        slack, _ = vanishing_certificate(st.h, spec.xi * st.h, st.w, spec,
-                                         lstar, candidates)
-        if slack >= MARGIN:
-            fired["stop"] = ("vanishing-certificate", float(st.t), slack)
-            return True
-        return False
-
-    return stop
-
-
 def _classified_run(make_spec: Callable[[float], ProblemSpec], value: float,
                     lstar: float, tmax: float, candidates: tuple,
                     stops: list) -> str:
-    """Verdict at one parameter value; appends one stops entry per run."""
-    for t_horizon in (tmax, 2.0 * tmax):
-        spec = replace(make_spec(value), tmax=t_horizon)
-        fired = {}
-        traj = simulate(spec, stop=_certificates(spec, lstar, candidates,
-                                                 fired))
-        rule, t_stop, slack = fired.get(
-            "stop", ("horizon", float(traj.times[-1]), None))
-        stops.append((value, rule, t_stop, slack))
-        if rule == "vanishing-certificate":
-            return "Vanishing"
-        verdict = classify(traj, spec, lstar=lstar).verdict
-        if verdict != "Undetermined":
-            return verdict
-    raise NumericalError(
-        f"classification still Undetermined at parameter {value:g} "
-        f"after doubling tmax to {2*tmax:g}")
+    """Verdict at one parameter value from one run to 2*tmax, whose stop
+    hook appends a stops entry at each certificate or horizon it meets."""
+    spec = replace(make_spec(value), tmax=2.0 * tmax)
+    # the step counts at which runs to tmax and to 2*tmax end
+    horizons = (math.ceil(tmax / spec.dt), math.ceil(spec.tmax / spec.dt))
+    steps, next_check = 0, CHECK_EVERY
+
+    def stop(st):
+        nonlocal steps, next_check
+        steps, t = steps + 1, float(st.t)
+        if st.h >= lstar + MARGIN:
+            stops.append((value, "front-beyond-critical-length", t, None))
+            return True
+        if t >= next_check - 1e-9:
+            next_check += CHECK_EVERY
+            slack, _ = vanishing_certificate(st.h, spec.xi * st.h, st.w, spec,
+                                             lstar, candidates)
+            if slack >= MARGIN:
+                stops.append((value, "vanishing-certificate", t, slack))
+                return True
+        if steps in horizons:
+            stops.append((value, "horizon", t, None))
+            return decayed_and_stalled(float(np.max(st.w)), st.hprime, st.h,
+                                       lstar)
+        return False
+
+    traj = simulate(spec, stop=stop)
+    if stops[-1][1] == "vanishing-certificate":
+        return "Vanishing"
+    verdict = classify(traj, spec, lstar=lstar).verdict
+    if verdict == "Undetermined":
+        raise NumericalError(
+            f"classification still Undetermined at parameter {value:g} "
+            f"after doubling tmax to {spec.tmax:g}")
+    return verdict
 
 
 def _bisect(make_spec, lo, hi, tol, lstar, tmax, candidates, parameter,

@@ -10,7 +10,9 @@ plain semi-wave shot, without the Newton solve and the s(g) identity that
 replaced them, that Newton solve run on every call, without the results
 table that answers a repeated query, a mu_star/lambda_star bisection on
 full-horizon runs, without the early stops at the spreading and Vanishing
-certificates, the classification hints solved up front as simulate
+certificates, a threshold value classified by a run to tmax and, when that
+ends Undetermined, a second run restarted from t = 0 to 2*tmax, the
+classification hints solved up front as simulate
 solves them, the Stefan substep loop as it stood before its per-call
 hoisting and in-place buffers, simulate driving that loop one nominal
 step at a time, the generic DOP853 stage loop the
@@ -28,7 +30,8 @@ from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq
 
 import freebound as fb
-from freebound import waves
+from freebound import thresholds, waves
+from freebound.classify import MARGIN, vanishing_certificate
 from freebound.eigen import _transformed_s1
 from freebound.errors import (FreeboundError, InvariantViolation, NoCriticalLength,
                               NoSemiWave, NumericalError)
@@ -322,6 +325,50 @@ def threshold_full_horizon(spec, parameter, value_range, tol, psi=None):
         else:
             lo = mid
     return lo, hi
+
+
+def reference_classified_run(make_spec, value, lstar, tmax, candidates,
+                             stops):
+    """thresholds._classified_run as two runs: one to tmax, stopped at
+    either certificate, and, when classify leaves it Undetermined, one
+    restarted from t = 0 to 2*tmax; one stops entry per run."""
+
+    def certificates(spec, fired):
+        next_check = thresholds.CHECK_EVERY
+
+        def stop(st):
+            nonlocal next_check
+            if st.h >= lstar + MARGIN:
+                fired["stop"] = ("front-beyond-critical-length", float(st.t),
+                                 None)
+                return True
+            if st.t < next_check - 1e-9:
+                return False
+            next_check += thresholds.CHECK_EVERY
+            slack, _ = vanishing_certificate(st.h, spec.xi * st.h, st.w,
+                                             spec, lstar, candidates)
+            if slack >= MARGIN:
+                fired["stop"] = ("vanishing-certificate", float(st.t), slack)
+                return True
+            return False
+
+        return stop
+
+    for t_horizon in (tmax, 2.0 * tmax):
+        spec = replace(make_spec(value), tmax=t_horizon)
+        fired = {}
+        traj = fb.simulate(spec, stop=certificates(spec, fired))
+        rule, t_stop, slack = fired.get(
+            "stop", ("horizon", float(traj.times[-1]), None))
+        stops.append((value, rule, t_stop, slack))
+        if rule == "vanishing-certificate":
+            return "Vanishing"
+        verdict = fb.classify(traj, spec, lstar=lstar).verdict
+        if verdict != "Undetermined":
+            return verdict
+    raise NumericalError(
+        f"classification still Undetermined at parameter {value:g} "
+        f"after doubling tmax to {2*tmax:g}")
 
 
 def _hint(errors, name, solve):

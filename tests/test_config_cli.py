@@ -887,6 +887,31 @@ def test_summary_that_is_not_json_is_named_in_the_error(run_dir, tmp_path, capsy
         assert line.startswith("error: ") and str(out / "summary.json") in line
 
 
+@pytest.mark.parametrize("key, value", [
+    ("l_star", True), ("l_star", "x"), ("l_star", [1]), ("l_star", 10**400),
+    ("c_tilde", False), ("c_tilde", float("nan")),
+    ("snapshots", [{"t": True, "file": "x.csv"}]), ("snapshots", [])])
+def test_summary_classify_cannot_read_is_refused(run_dir, tmp_path, capsys,
+                                                 key, value):
+    # a hint that is not null or a finite float, a boolean snapshot time and
+    # an empty snapshot list (simulate always writes the final profile)
+    out = tmp_path / "o"
+    shutil.copytree(run_dir, out)
+    summary = json.loads((out / "summary.json").read_text())
+    summary[key] = value
+    (out / "summary.json").write_text(json.dumps(summary))
+    capsys.readouterr()
+    trajectory = str(out / "trajectory.csv")
+    for argv in (["classify", "--trajectory", trajectory],
+                 ["asymptotics", "--trajectory", trajectory, "--snapshots", str(out)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and str(out / "summary.json") in line
+        assert line.endswith("(rerun simulate)")
+
+
 def test_simulate_takes_one_snapshot_per_step(tmp_path, capsys):
     # three requested times inside one nominal step: one snapshot, and the
     # final one at tmax

@@ -10,7 +10,8 @@ from freebound import thresholds
 from freebound.classify import (MARGIN, vanishing_candidates,
                                 vanishing_certificate)
 
-from oracles import full_horizon_tmax, threshold_full_horizon
+from oracles import (full_horizon_tmax, reference_classified_run,
+                     threshold_full_horizon)
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +191,56 @@ def test_vanishing_certificate_never_fires_on_spreading_runs(
               for _, x, u in traj.snapshots if x[-1] < until_h]
     assert traj.h[-1] >= until_h and slacks
     assert max(slacks) < MARGIN
+
+
+@pytest.mark.parametrize("h0_below_lstar, lam, tmax, rules", [
+    # the vanishing certificate fires before tmax
+    (None, 0.2, 1.0, ["vanishing-certificate"]),
+    # decayed and stalled at tmax: rule 2, which no certificate can beat
+    # with the front 0.02 below l_star
+    (0.02, 1e-4, 0.3, ["horizon"]),
+    # Undetermined at tmax, then the front passes l_star + MARGIN
+    (0.02, 0.5, 0.1, ["horizon", "front-beyond-critical-length"]),
+    # Undetermined at both horizons
+    (0.02, 0.05, 0.3, ["horizon", "horizon"]),
+])
+def test_classified_run_reads_tmax_on_the_way_to_twice_tmax(
+        n, lstar_05, monkeypatch, h0_below_lstar, lam, tmax, rules):
+    # one simulate call per value, with the verdict, the stops entries and
+    # the error of a run to tmax restarted from t = 0 to 2*tmax
+    h0 = 0.5 * lstar_05 if h0_below_lstar is None else lstar_05 - h0_below_lstar
+    spec = fb.ProblemSpec(beta=0.5, mu=1.0, a=1.0, b=0.0, h0=h0,
+                          nonlinearity=n, nx=100, dt=2e-3)
+    psi = fb.default_initial_profile(h0, 1.0, 0.0)
+    candidates = vanishing_candidates(spec, h0, lstar_05)
+
+    def make_spec(value):
+        return replace(spec, u0=lambda x: value * np.asarray(psi(x)))
+
+    def outcome(classified_run):
+        stops = []
+        try:
+            verdict = classified_run(make_spec, lam, lstar_05, tmax,
+                                     candidates, stops)
+        except fb.errors.NumericalError as exc:
+            verdict = str(exc)
+        return verdict, stops
+
+    calls = []
+    simulate = thresholds.simulate
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].tmax)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(thresholds, "simulate", counted)
+    verdict, stops = outcome(thresholds._classified_run)
+    assert calls == [2.0 * tmax]
+    assert (verdict, stops) == outcome(reference_classified_run)
+    assert [rule for _, rule, _, _ in stops] == rules
+    if rules == ["horizon", "horizon"]:
+        assert verdict == ("classification still Undetermined at parameter "
+                           f"{lam:g} after doubling tmax to {2 * tmax:g}")
 
 
 def test_bisect_ends_below_the_spacing_of_doubles(template, monkeypatch):
