@@ -57,24 +57,28 @@ every member's records (a count no memory holds is refused there with a
 ConfigError), eta stepped once per distinct eta(0) until every level is
 settled, each member's records, ceiling check and snapshots, simulate's
 stop hook, the final snapshot, and the "(while stepping to t = ...)"
-context of a failure.  Only the substep engine is picked by member
-count.  A lone
-member steps on its kernel with its state in Python floats.  Two or more
-step on _lockstep: each nominal step is one joint substep, the kernel's
-loop body on the K states laid end to end, each member's dt, h and h'
-from the kernel's own expressions evaluated elementwise, on buffers made
-once per ensemble (two (K, nx+1) states that swap roles, the velocity,
-and gtsv's bands, _stacked_bands).  The K tridiagonal systems go into one
-gtsv call: every off-diagonal at a joint between members is exactly zero,
-so gtsv's multiplier there is zero, it takes the no-interchange branch,
-each update across the joint subtracts an exact zero, and no joint entry
-is written, so the joints are set once and only the interior is refilled.
-A member the CFL limit leaves short of its target then finishes the
-nominal step alone on its own kernel (built once per ensemble and seated
-at its row with one copy).  Every member's trajectory is bit-identical to
-simulate(spec), a failure in one names it ("ensemble member k: ") when
-there are two or more, and a one-member ensemble is simulate, error text
-included.
+context of a failure.  Only the substep engine is picked by member count.
+A lone member steps on its kernel with its state in Python floats.  Two or
+more step on _lockstep: each nominal step is one joint substep, the
+kernel's loop body on the K states laid end to end, each member's dt, h
+and h' from the kernel's own expressions evaluated elementwise, on buffers
+made once per ensemble (two (K, nx+1) states that swap roles, the
+velocity, and gtsv's bands, _stacked_bands).  The K tridiagonal systems go
+into one gtsv call: every off-diagonal at a joint between members is
+exactly zero, so gtsv's multiplier there is zero, it takes the
+no-interchange branch, each update across the joint subtracts an exact
+zero, and no joint entry is written, so the joints are set once and only
+the interior is refilled.  The joint substep checks nothing itself: it
+stands only where every member has h' > 0 and a finite solve with every
+entry > 0 (and w0 >= 0), so that no member's kernel would refuse or clamp
+it.  A member it leaves short of its target, or every member where it is
+declined, finishes the nominal step alone on its own kernel (built once
+per ensemble and seated at its row with one copy).  So every check and
+clamp is a kernel's: each member's trajectory is bit-identical to
+simulate(spec), and the first member, in member order, that fails in a
+nominal step raises what simulate(spec) raises, named
+("ensemble member k: ") when there are two or more; a one-member ensemble
+is simulate, error text included.
 
 The two substep bodies stay because each wins on a workload the benchmark
 runs: threshold-mu and front-800 step one member, sweep-16 two ensembles
@@ -252,16 +256,6 @@ def _boundary_flux(w: np.ndarray, dxi: float, h: float) -> float:
     return (-4.0 * w.item(-2) + w.item(-3)) / (2.0 * dxi * h)
 
 
-def _clamp_advice(beta: float, h: float, nx: int) -> str:
-    # the centred advection difference undershoots where the cell Peclet
-    # number |beta| h / nx passes 2 (diffusion 1), and a smaller dt does not
-    # help there
-    peclet = abs(beta) * h / nx
-    if peclet > 2.0:
-        return f"cell Peclet number |beta| h / nx = {peclet:.3g} > 2 at nx = {nx}: raise nx"
-    return "reduce dt"
-
-
 def _kernel(spec: ProblemSpec, state: FrontState):
     """The substep loop of one run, on buffers made once, started at state.
 
@@ -351,10 +345,16 @@ def _kernel(spec: ProblemSpec, state: FrontState):
             new[0] = w0
             new[-1] = 0.0
             if lo <= 0.0 or w0 < 0.0:  # otherwise max(w, 0) is w itself
-                if min(lo, w0) < CLAMP_FLOOR:
+                low = min(lo, w0)
+                if low < CLAMP_FLOOR:
+                    # the centred advection difference undershoots where the
+                    # cell Peclet number |beta| h / nx passes 2 (diffusion 1),
+                    # and a smaller dt does not help there
+                    peclet = abs_beta * h / n
+                    advice = (f"cell Peclet number |beta| h / nx = {peclet:.3g} > 2 "
+                              f"at nx = {n}: raise nx" if peclet > 2.0 else "reduce dt")
                     raise NumericalError(
-                        f"density {min(lo, w0):.3e} below clamp floor at "
-                        f"t = {t:.6g}: {_clamp_advice(beta, h, n)}")
+                        f"density {low:.3e} below clamp floor at t = {t:.6g}: {advice}")
                 np.maximum(new, 0.0, out=new)
             # max(w, 0) leaves +0.0 where w <= 0, so 0.0 goes first
             sup = max(0.0, hi, w0)
@@ -426,11 +426,12 @@ def simulate_many(specs: Sequence[ProblemSpec]) -> list[Trajectory]:
 
     The specs must share nx, dt, tmax, a, b and one reaction term (the
     same Nonlinearity); beta, mu, h0 and u0 may differ.  Only the final
-    profile is snapshotted.  A check that fails in any member raises the
-    error simulate would raise, its message prefixed with the member's
-    index when there are two or more (a non-finite stacked solve cannot
-    name one), and no trajectory is returned.  One spec is simulate(spec),
-    error text included.
+    profile is snapshotted.  A check that fails raises the error
+    simulate(spec) raises for the first member, in member order, that
+    fails in that nominal step, its message prefixed with the member's
+    index ("ensemble member k: ") when there are two or more, and no
+    trajectory is returned.  One spec is simulate(spec), error text
+    included.
     """
     return _run(specs)
 
@@ -584,8 +585,11 @@ def _lockstep(specs, states):
     Returns advance(target) -> (t, h, h', rows, sup w), target and all but
     rows vectors over the members: one joint substep for all of them, then
     each member it leaves short of its target finishes alone on its own
-    kernel, seated at its row.  rows are the members' w, views of a state
-    buffer that the next call overwrites.  A failure names its member.
+    kernel, seated at its row.  The joint substep is declined, and every
+    member finishes alone, where some member's kernel would refuse or
+    clamp it, so every check and clamp is a kernel's; a failure names its
+    member, the first in member order.  rows are the members' w, views of
+    a state buffer that the next call overwrites.
     """
     dgtsv = extension("scipy.linalg._flapack").dgtsv
 
@@ -615,25 +619,22 @@ def _lockstep(specs, states):
     t = np.zeros(K)
     h = np.array([st.h for st in states])
 
-    def advance(target):
-        """The kernel's loop body, once for every member as one stack, then
-        each member it leaves short of target alone on its kernel."""
+    def joint(target, hp):
+        """The kernel's loop body once for every member as one stack, taken
+        only where every member's kernel would take it as it stands: returns
+        sup w, or None with cur, t and h untouched."""
         nonlocal cur, nxt, t, h
-        W, w_in, w_right, w_left, _ = cur
-        new, x = nxt[:2]
-        hp = neg_mu * ((-4.0 * W[:, -2] + W[:, -3]) / (two_dxi * h))
         if lowest(hp) <= 0.0:
-            k = (hp <= 0.0).argmax()
-            raise InvariantViolation(
-                f"ensemble member {k}: front speed h' = {hp[k]:.3e} <= 0 "
-                f"at t = {t[k]:.6g}")
+            return None
+        _, w_in, w_right, w_left, _ = cur
+        new, x = nxt[:2]
         dt = np.minimum(target - t, cfl_dxi * h / (abs_beta + hp + 1e-30))
         h_new = h + dt * hp
 
         # the kernel's right-hand side, on the rows end to end (contiguous
         # arrays cost a third of strided ones); each boundary entry gets a
         # finite value, replaced by 1 for its identity row: the solve keeps
-        # it, so it moves neither check below
+        # it, so it moves neither test below
         np.multiply(xi, hp[:, None], vel)
         np.subtract(vel, beta_col, vel)
         np.divide(vel, h[:, None], vel)
@@ -652,32 +653,28 @@ def _lockstep(specs, states):
             fold = 4.0 * b / den, -b / den
         fill(r, fold)
         info = dgtsv(*bands, x, 1, 1, 1, 1)[-1]
-        # min and max of x give the checks, as in the kernel
-        lo, hi = lowest(x), highest(x)
-        if info != 0 or not (math.isfinite(lo) and math.isfinite(hi)):
-            # 0*NaN carries a non-finite value across the joints, so the
-            # member that caused it cannot be told from x
-            raise NumericalError(
-                f"tridiagonal solve gave a non-finite density in an ensemble "
-                f"of {K} at t = {t.min():.6g} (LAPACK info = {info})")
+        # the kernel refuses a failed or non-finite solve and clamps an entry
+        # <= 0 or a w0 < 0: the step stands only where it would do neither
+        # (a NaN fails 0 < min)
         w0 = fold[0] * new[:, 1] + fold[1] * new[:, 2] if fold else 0.0
+        if info != 0 or not (0.0 < lowest(x) and highest(x) < math.inf) or (
+                fold and lowest(w0) < 0.0):
+            return None
         new[:, 0] = w0
         new[:, -1] = 0.0
-        if lo <= 0.0 or (fold and lowest(w0) < 0.0):
-            low = np.minimum(lowest(new[:, 1:-1], axis=1), w0)
-            if lowest(low) < CLAMP_FLOOR:
-                k = (low < CLAMP_FLOOR).argmax()
-                raise NumericalError(
-                    f"ensemble member {k}: density {low[k]:.3e} below clamp "
-                    f"floor at t = {t[k]:.6g}: "
-                    f"{_clamp_advice(beta.item(k), h.item(k), n)}")
-            np.maximum(new, 0.0, out=new)
-        # each row holds w0 and w[n] = 0, so its max is the kernel's
-        # max(0, hi, w0), to the bit: no state holds a -0
-        sup = highest(new, axis=1)
         cur, nxt = nxt, cur
         t, h = t + dt, h_new
+        # each row's interior is > 0, so its max is the kernel's max(0, hi, w0)
+        return highest(new, axis=1)
 
+    def advance(target):
+        """One joint substep, then each member it leaves short of target, or
+        every member where it is declined, alone on its kernel."""
+        W = cur[0]
+        hp = neg_mu * ((-4.0 * W[:, -2] + W[:, -3]) / (two_dxi * h))
+        sup = joint(target, hp)
+        if sup is None:  # declined: every member is short of target
+            sup = np.empty(K)
         rows = cur[4]
         limit = target - 1e-15 * np.maximum(1.0, target)
         for k in (t < limit).nonzero()[0]:

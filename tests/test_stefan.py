@@ -409,6 +409,31 @@ def test_simulate_many_names_the_member_that_failed(n):
         assert str(ensemble.value) == f"{prefix}{alone.value}"
 
 
+@pytest.mark.parametrize("amplitudes, first", [
+    ((0.5, 10.0), 1),
+    # two members fail in the same nominal step: the first, in member order,
+    # names the error
+    ((0.5, 10.0, 20.0), 1),
+    ((20.0, 0.5, 10.0), 0),
+])
+def test_a_non_finite_solve_names_the_first_member_that_failed(n, amplitudes, first):
+    # f is infinite above u = 5, so a member whose profile passes 5 gets a
+    # non-finite solve in its first substep; stacked, its NaNs would cross
+    # the joints into its neighbours' rows
+    blowup = fb.Nonlinearity(f=lambda u: np.where(u > 5.0, np.inf, u * (1.0 - u)),
+                             fprime=n.fprime, fp0=1.0)
+    psi = fb.default_initial_profile(2.0, 1.0, 0.0)
+    specs = [fb.ProblemSpec(beta=0.0, mu=1.0, a=1.0, b=0.0, h0=2.0, nonlinearity=blowup,
+                            u0=lambda x, lam=lam: lam * psi(x), nx=100, dt=1e-3, tmax=1.0)
+             for lam in amplitudes]
+    with pytest.raises(fb.errors.NumericalError, match="non-finite density at t = 0 ") as alone:
+        fb.simulate(specs[first])
+    with pytest.raises(fb.errors.NumericalError) as ensemble:
+        simulate_many(specs)
+    assert type(ensemble.value) is type(alone.value)
+    assert str(ensemble.value) == f"ensemble member {first}: {alone.value}"
+
+
 @pytest.mark.parametrize("beta, amplitude, error, what", [
     (-3.5, 1000.0, fb.errors.NumericalError, "below clamp floor"),
     (4.5, 3000.0, fb.errors.InvariantViolation, "front speed"),
