@@ -25,10 +25,10 @@ starts no more workers than there are chunks).  Every chunk, of one cell
 or many, runs one way: its cells step together as one
 stefan.simulate_many ensemble and share one reaction term, whose
 spreading_speed results table solves c_tilde once per (beta, mu); an
-ensemble of one is simulate.  If an ensemble of two or more raises, each
-of its cells runs again as a chunk of one, so Error rows and the sidecar
-read as a cell-by-cell sweep writes them; every other row is
-bit-identical either way.
+ensemble of one is simulate.  A cell whose spec is refused stays out of
+the ensemble, and a member that fails leaves it with its own error while
+the rest step on, so each cell runs once and every row and sidecar entry
+reads as a cell-by-cell sweep writes it, in cell order.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,7 @@ from .classify import classify
 from .config import ConfigError, load_config, nonlinearity_from_config, spec_from_config
 from .eigen import EigenProblem, critical_length, critical_length_no_advection, principal_eigenvalue
 from .errors import DomainError, FreeboundError, NumericalError, _require_finite
-from .stefan import Trajectory, default_initial_profile, simulate, simulate_many
+from .stefan import ProblemSpec, Trajectory, default_initial_profile, simulate, simulate_many
 from .thresholds import lambda_threshold, mu_threshold
 from .waves import (
     finite_wave,
@@ -271,16 +271,7 @@ def _cmd_threshold(args):
     else:
         psi = default_initial_profile(spec.h0, spec.a, spec.b)
         res = lambda_threshold(spec, psi, (args.lo, args.hi), args.tol)
-    payload = {
-        "parameter": res.parameter,
-        "bracket": res.bracket,
-        "width": res.width,
-        "runs": res.runs,
-        "note": res.note,
-        "history": [[v, verdict] for v, verdict in res.history],
-        "stops": [list(stop) for stop in res.stops],
-    }
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(asdict(res), sort_keys=True))
     return 0
 
 
@@ -377,11 +368,11 @@ def _verdict(traj, spec, errors):
     return verdict
 
 
-def _sweep_result(index, cfg, traj, spec):
+def _sweep_result(index, cfg, traj):
     """(index, CSV row, reasons): reasons lists the cell's dropped hints
     for the sidecar, or is None when there are none."""
     errors = {}
-    verdict = _verdict(traj, spec, errors)
+    verdict = _verdict(traj, traj.spec, errors)
     row = verdict.verdict, float(traj.h[-1]), float(traj.supu[-1])
     reasons = [{"index": index, "config": cfg, "hint": name, **error}
                for name, error in errors.items()]
@@ -389,26 +380,34 @@ def _sweep_result(index, cfg, traj, spec):
 
 
 def _sweep_chunk(chunk):
-    """(index, CSV row, reasons) for each (index, cfg) of chunk: its cells
-    step as one simulate_many ensemble and share one reaction term.
-
-    On a FreeboundError a chunk of two or more runs each cell again as a
-    chunk of one, and a chunk of one gives its Error row, with the error
-    as its one reason.
+    """(index, CSV row, reasons) for each (index, cfg) of chunk, in chunk
+    order: the cells whose specs build step as one simulate_many ensemble
+    and share one reaction term.  A cell whose spec or run fails gives its
+    Error row, with the error as its one reason.
     """
+    cells = []  # each cell's spec, or the error that refused it
+    for _, cfg in chunk:
+        try:
+            cells.append(spec_from_config(cfg))
+        except FreeboundError as exc:
+            cells.append(exc)
+    specs = [cell for cell in cells if isinstance(cell, ProblemSpec)]
+    # the cells of a sweep differ only in beta, mu and lambda
+    specs = [replace(s, nonlinearity=specs[0].nonlinearity) for s in specs]
     try:
-        specs = [spec_from_config(cfg) for _, cfg in chunk]
-        # the cells of a sweep differ only in beta, mu and lambda
-        specs = [replace(s, nonlinearity=specs[0].nonlinearity) for s in specs]
-        return [_sweep_result(index, cfg, traj, spec)
-                for (index, cfg), traj, spec in zip(chunk, simulate_many(specs), specs)]
-    except FreeboundError as exc:
-        if len(chunk) > 1:
-            return [row for item in chunk for row in _sweep_chunk([item])]
-        (index, cfg), = chunk
-        reason = {"index": index, "config": cfg, "type": type(exc).__name__,
-                  "message": str(exc)}
-        return [(index, ("Error", float("nan"), float("nan")), [reason])]
+        runs = iter(simulate_many(specs))
+    except FreeboundError as exc:  # records that fit no memory: each cell's error
+        runs = itertools.repeat(exc)
+    rows = []
+    for (index, cfg), cell in zip(chunk, cells):
+        outcome = next(runs) if isinstance(cell, ProblemSpec) else cell
+        if isinstance(outcome, Exception):
+            reason = {"index": index, "config": cfg, "type": type(outcome).__name__,
+                      "message": str(outcome)}
+            rows.append((index, ("Error", float("nan"), float("nan")), [reason]))
+        else:
+            rows.append(_sweep_result(index, cfg, outcome))
+    return rows
 
 
 def _sweep_chunks(items, workers):

@@ -74,11 +74,20 @@ entry > 0 (and w0 >= 0), so that no member's kernel would refuse or clamp
 it.  A member it leaves short of its target, or every member where it is
 declined, finishes the nominal step alone on its own kernel (built once
 per ensemble and seated at its row with one copy).  So every check and
-clamp is a kernel's: each member's trajectory is bit-identical to
-simulate(spec), and the first member, in member order, that fails in a
-nominal step raises what simulate(spec) raises, named
-("ensemble member k: ") when there are two or more; a one-member ensemble
-is simulate, error text included.
+clamp is a kernel's, and each member's trajectory is bit-identical to
+simulate(spec).
+
+A member that fails leaves with its own error, the one simulate(spec)
+raises, at the nominal step where it fails; the rest step on.  Its
+kernel's failure is caught in _lockstep's loop over the members, which
+goes on to the next, and its ceiling's in its recorder; a member whose
+kernel failed is not recorded in that step.  From the next nominal step
+the engine is picked again by the number of members still stepping, from
+their current states: two or more step on a new _lockstep, one on its
+kernel as simulate steps it, and nothing restarts from t = 0.  Only the
+eta levels of the members still stepping are stepped: a departed member's
+eta can be infinite, which _eta_step would split into 1e4 substeps a
+step.  Until a member fails, the step loop keeps no per-member list.
 
 The two substep bodies stay because each wins on a workload the benchmark
 runs: threshold-mu and front-800 step one member, sweep-16 two ensembles
@@ -417,30 +426,36 @@ def simulate(spec: ProblemSpec, snapshot_times: Sequence[float] = (),
     negative, and ConfigError when the records of tmax / dt steps do not
     fit in memory.
     """
-    return _run([spec], snapshot_times, stop)[0]
+    run, = _run([spec], snapshot_times, stop)
+    if isinstance(run, Exception):
+        raise run
+    return run
 
 
-def simulate_many(specs: Sequence[ProblemSpec]) -> list[Trajectory]:
-    """simulate(spec) for each spec, the runs stepped as one lockstep
-    ensemble; each trajectory is bit-identical to simulate(spec)'s.
+def simulate_many(specs: Sequence[ProblemSpec]) -> list[Trajectory | NumericalError]:
+    """simulate(spec)'s outcome for each spec, the runs stepped as one
+    lockstep ensemble: the trajectory, bit-identical to simulate(spec)'s,
+    or the error simulate(spec) raises, of the same type and text.
 
     The specs must share nx, dt, tmax, a, b and one reaction term (the
     same Nonlinearity); beta, mu, h0 and u0 may differ.  Only the final
-    profile is snapshotted.  A check that fails raises the error
-    simulate(spec) raises for the first member, in member order, that
-    fails in that nominal step, its message prefixed with the member's
-    index ("ensemble member k: ") when there are two or more, and no
-    trajectory is returned.  One spec is simulate(spec), error text
-    included.
+    profile is snapshotted.  A member that fails leaves with its own error
+    at the nominal step where it fails; the rest step on.  Raises only for
+    an ensemble it cannot build: ValueError for members that differ in a
+    shared field, ConfigError for records that no memory holds.
     """
     return _run(specs)
 
 
-def _run(specs, snapshot_times=(), stop=None) -> list[Trajectory]:
-    """The one run driver: every spec stepped to tmax, a lone spec on its
-    kernel and two or more on _lockstep, each member recorded, checked
-    against its ceiling and snapshotted as simulate says.  stop is
-    simulate's and comes only with a lone spec."""
+def _run(specs, snapshot_times=(), stop=None) -> list:
+    """The one run driver: every spec stepped to tmax, each member
+    recorded, checked against its ceiling and snapshotted as simulate
+    says.  Returns each member's Trajectory, or the error that ended its
+    run: a member that fails leaves at that nominal step and the rest step
+    on.  The engine is picked by the number of members still stepping, at
+    the start and after each departure: a lone member on its kernel, two
+    or more on _lockstep.  stop is simulate's and comes only with a lone
+    spec."""
     requested = [float(t) for t in snapshot_times]
     if not all(0.0 <= t < math.inf for t in requested):
         raise ValueError(f"snapshot times must be finite and >= 0, got {requested!r}")
@@ -468,26 +483,27 @@ def _run(specs, snapshot_times=(), stop=None) -> list[Trajectory]:
         sup = float(np.max(st.w))
         for series, value in zip(records, (st.t, st.h, st.hprime, sup, sup + 1.0)):
             series[k, 0] = value
-    # eta depends only on eta(0): each distinct eta(0) is one level
-    eta0 = records[4][:, 0].tolist()
-    levels = list(dict.fromkeys(eta0))
-    level_of = [levels.index(e) for e in eta0]
+    # each member's eta where its engine starts; eta depends only on eta(0)
+    eta_at = records[4][:, 0].tolist()
     snapshots = [[] for _ in specs]
+    failed = {}  # member: the error that ends its run, in the step it fails
+    errors = {}  # member: that error, for every member that has left
 
     def recorder(k):
         """record(i, t, h, hp, sup, eta, w) -> done: member k's nominal step
-        i, done when it is the last, by stop or at tmax."""
+        i, done when it is the last, by stop or at tmax, or when k fails
+        its ceiling check, which ends its run."""
         times, hs, hps, sups, etas = (series[k] for series in records)
         xi, snaps = specs[k].xi, snapshots[k]
-        who = f"ensemble member {k}: " if K > 1 else ""
         pending = sorted(requested)
 
         def record(i, t, h, hp, sup, eta, w):
             nonlocal pending
             times[i], hs[i], hps[i], sups[i], etas[i] = t, h, hp, sup, eta
             if sup > eta + CEILING_SLACK:
-                raise InvariantViolation(
-                    f"{who}sup u = {sup:.8g} exceeds eta = {eta:.8g} at t = {t:.6g}")
+                failed[k] = InvariantViolation(
+                    f"sup u = {sup:.8g} exceeds eta = {eta:.8g} at t = {t:.6g}")
+                return True
             done = (stop is not None and stop(FrontState(t=t, h=h, w=w.copy(), hprime=hp))
                     or i == n_steps)
             # one snapshot covers every requested time this step reached, and
@@ -499,44 +515,73 @@ def _run(specs, snapshot_times=(), stop=None) -> list[Trajectory]:
 
         return record
 
-    # the engine by member count: a lone member's state is Python floats and
-    # its w, an ensemble's vectors and its rows, and eta one level or all
+    def fail(p, exc):
+        """The kernel of the group's member p failed in nominal step i: the
+        member leaves, unrecorded in that step, with simulate's error."""
+        failed[group[p]] = error = type(exc)(
+            f"{exc} (while stepping to t = {i * nominal:.6g})")
+        error.__cause__ = exc
+
+    recorders = [recorder(k) for k in range(K)]
     f = s0.nonlinearity
-    if K == 1:
-        advance, _ = _kernel(s0, states[0])
-        record = recorder(0)
-        t, eta = 0.0, levels[0]
-
-        def step_eta(eta):
-            return _eta_step(f, eta, nominal)
-    else:
-        advance = _lockstep(specs, states)
-        members = [recorder(k) for k in range(K)]
-        t, eta = np.zeros(K), levels
-
-        def record(i, t, h, hp, sup, levels, rows):
-            for rec, tk, hk, hpk, supk, level, w in zip(
-                    members, t.tolist(), h.tolist(), hp.tolist(), sup.tolist(),
-                    level_of, rows):
-                rec(i, tk, hk, hpk, supk, levels[level], w)
-
-        def step_eta(levels):
-            return [_eta_step(f, e, nominal) for e in levels]
-
+    group = list(range(K))  # the members still stepping
     settled = False  # every level is a fixed point of the RK4 step: it stays put
-    for i in range(1, n_steps + 1):
-        try:
-            t, h, hp, w, sup = advance(t + nominal)
-        except (InvariantViolation, NumericalError) as exc:
-            raise type(exc)(f"{exc} (while stepping to t = {i * nominal:.6g})") from exc
-        if not settled:
-            stepped = step_eta(eta)
-            settled = stepped == eta
-            eta = stepped
-        if record(i, t, h, hp, sup, eta, w):
+    i = 0
+    while True:
+        # the engine by member count, from the group's current states: a
+        # lone member's state is Python floats and its w, an ensemble's
+        # vectors and its rows, and eta one level or one per distinct value
+        if len(group) == 1:
+            k, = group
+            advance, _ = _kernel(specs[k], states[k])
+            record = recorders[k]
+            t, eta = states[k].t, eta_at[k]
+
+            def step_eta(eta):
+                return _eta_step(f, eta, nominal)
+        else:
+            advance = _lockstep([specs[k] for k in group], [states[k] for k in group], fail)
+            t = np.array([states[k].t for k in group])
+            eta = list(dict.fromkeys(eta_at[k] for k in group))
+            level_of = [eta.index(eta_at[k]) for k in group]
+
+            def record(i, t, h, hp, sup, levels, rows):
+                columns = zip(group, t.tolist(), h.tolist(), hp.tolist(), sup.tolist(),
+                              level_of, rows)
+                if failed:  # a member whose kernel failed leaves unrecorded
+                    columns = [c for c in columns if c[0] not in failed]
+                for k, tk, hk, hpk, supk, level, w in columns:
+                    recorders[k](i, tk, hk, hpk, supk, levels[level], w)
+
+            def step_eta(levels):
+                return [_eta_step(f, e, nominal) for e in levels]
+
+        for i in range(i + 1, n_steps + 1):
+            try:
+                t, h, hp, w, sup = advance(t + nominal)
+            except (InvariantViolation, NumericalError) as exc:  # a lone member's kernel
+                fail(0, exc)
+                break
+            if not settled:
+                stepped = step_eta(eta)
+                settled = stepped == eta
+                eta = stepped
+            if record(i, t, h, hp, sup, eta, w) or failed:
+                break
+        if not failed:  # every member ran to its end
             break
-    return [Trajectory(*(series[k, :i + 1] for series in records),
-                       snapshots=snapshots[k], spec=s)
+        # the others step on from their states at step i
+        for p, k in enumerate(group):
+            if k not in failed:
+                states[k] = FrontState(t=t.item(p), h=h.item(p), w=w[p], hprime=hp.item(p))
+                eta_at[k] = eta[level_of[p]]
+        errors.update(failed)
+        failed.clear()
+        group = [k for k in group if k not in errors]
+        if not group or i == n_steps:
+            break
+    return [errors.get(k) or Trajectory(*(series[k, :i + 1] for series in records),
+                                        snapshots=snapshots[k], spec=s)
             for k, s in enumerate(specs)]
 
 
@@ -579,7 +624,7 @@ def _stacked_bands(K, n):
             off[1].reshape(-1)[2:-1])
 
 
-def _lockstep(specs, states):
+def _lockstep(specs, states, fail):
     """The substep engine of two or more members, started at states.
 
     Returns advance(target) -> (t, h, h', rows, sup w), target and all but
@@ -587,9 +632,11 @@ def _lockstep(specs, states):
     each member it leaves short of its target finishes alone on its own
     kernel, seated at its row.  The joint substep is declined, and every
     member finishes alone, where some member's kernel would refuse or
-    clamp it, so every check and clamp is a kernel's; a failure names its
-    member, the first in member order.  rows are the members' w, views of
-    a state buffer that the next call overwrites.
+    clamp it, so every check and clamp is a kernel's.  When member k's
+    kernel fails, advance calls fail(k, error) and goes on to the next
+    member; k's entries in what it returns are then not a state.  rows
+    are the members' w, views of a state buffer that the next call
+    overwrites.
     """
     dgtsv = extension("scipy.linalg._flapack").dgtsv
 
@@ -616,7 +663,7 @@ def _lockstep(specs, states):
 
     W = np.array([st.w for st in states])
     cur, nxt = views(W), views(W.copy())
-    t = np.zeros(K)
+    t = np.array([st.t for st in states])
     h = np.array([st.h for st in states])
 
     def joint(target, hp):
@@ -683,7 +730,7 @@ def _lockstep(specs, states):
             try:
                 t[k], h[k], hp[k], rows[k][...], sup[k] = finish(target.item(k))
             except (InvariantViolation, NumericalError) as exc:
-                raise type(exc)(f"ensemble member {k}: {exc}") from exc
+                fail(k, exc)
         return t, h, hp, rows, sup
 
     return advance

@@ -278,7 +278,8 @@ def test_sweep_writes_error_rows_for_runs_that_fit_no_memory(tmp_path, capsys,
     cfg = tmp_path / "s.cfg"
     cfg.write_text("beta = 0.5\nmu = 2\nh0 = 1\n" + size)
     out = tmp_path / "sweep.csv"
-    # one worker: the two cells are refused as an ensemble, then each alone
+    # one worker: the ensemble of both cells is refused, and each cell gets
+    # its error
     assert main(["sweep", "--config", str(cfg), "--betas", "0.5,1", "--workers", "1",
                  "--out", str(out)]) == 0
     rows = out.read_text().splitlines()[1:]
@@ -576,6 +577,33 @@ def _sweep_files(argv, out):
 
 def test_sweep_with_a_failing_cell_writes_what_the_per_cell_path_writes(
         tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    calls = []  # the betas of each simulate_many call
+    ensemble = cli.simulate_many
+
+    def recorded(specs):
+        calls.append([s.beta for s in specs])
+        return ensemble(specs)
+
+    monkeypatch.setattr(cli, "simulate_many", recorded)
+
+    # a run that fails (h' <= 0 at lambda = 1000) before a cell whose spec
+    # is refused (u0 identically zero at lambda = 0): rows and sidecar read
+    # in cell order, the refused cell outside the ensemble
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text("beta = 0.5\nmu = 2\nh0 = 4.2\nnx = 100\ntmax = 12\n")
+    ordered = ["sweep", "--config", str(tiny), "--betas", "0.5",
+               "--lambdas", "1000,0,1", "--workers", "1"]
+    csv, sidecar = _sweep_files(ordered, tmp_path / "ordered.csv")
+    assert calls == [[0.5, 0.5]]
+    failures = json.loads(sidecar)
+    assert [(f["index"], f["type"]) for f in failures] == [(0, "InvariantViolation"),
+                                                           (1, "ConfigError")]
+    assert "front speed h'" in failures[0]["message"]
+    assert failures[1]["message"] == "u0 is identically zero: not an admissible profile"
+    assert [row.split(",")[3] for row in csv.decode().splitlines()[1:]] == [
+        "Error", "Error", "Spreading"]
+
     # on (0.9, 1) the reaction sinks at -2000 u, as in the clamp floor test:
     # cells whose density grows past 0.9 break the floor mid-run
     cfg = tmp_path / "s.cfg"
@@ -583,32 +611,23 @@ def test_sweep_with_a_failing_cell_writes_what_the_per_cell_path_writes(
                    "dt = 2e-3\ntmax = 6\n")
     argv = ["sweep", "--config", str(cfg), "--betas=-3,0.5,1.5",
             "--lambdas", "0.5,0.85", "--workers", "1"]
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
-    raised = []
-    ensemble = cli.simulate_many
-
-    def recorded(specs):
-        try:
-            return ensemble(specs)
-        except fb.errors.FreeboundError as exc:
-            if len(specs) > 1:  # a chunk of one is the per-cell path
-                raised.append(exc)
-            raise
-
-    monkeypatch.setattr(cli, "simulate_many", recorded)
+    betas = [-3.0, -3.0, 0.5, 0.5, 1.5, 1.5]
+    calls.clear()
     healthy_csv, healthy_sidecar = _sweep_files(argv, tmp_path / "healthy.csv")
-    assert healthy_sidecar is None and not raised
+    assert healthy_sidecar is None and calls == [betas]
 
     logistic = fb.logistic()
     sink = fb.Nonlinearity(
         f=lambda u: np.where((u > 0.9) & (u < 1.0), -2000.0 * u, logistic.f(u)),
         fprime=logistic.fprime, fp0=1.0, kind="logistic")
     monkeypatch.setattr(config, "logistic", lambda: sink)
+    calls.clear()
     together = _sweep_files(argv, tmp_path / "together.csv")
-    assert len(raised) == 1 and "below clamp floor" in str(raised[0])
+    assert calls == [betas]  # one ensemble for the chunk, each cell run once
     monkeypatch.setattr(cli, "ENSEMBLE_MAX", 1)
+    calls.clear()
     alone = _sweep_files(argv, tmp_path / "alone.csv")
-    assert not raised[1:]
+    assert calls == [[beta] for beta in betas]
     assert together == alone
 
     rows = together[0].decode().splitlines()[1:]

@@ -259,24 +259,27 @@ def test_density_below_clamp_floor_raises(n):
     assert str(new.value) == str(ref.value)  # the same minimum is reported
 
 
-def test_clamp_floor_past_a_cell_peclet_number_of_2_names_nx(n):
+def _peclet_specs(n, betas, dt=1e-3):
     # beta = 4 on 20 cells of a front near h = 20: the centred advection
     # difference undershoots once |beta| h / nx passes 2, whatever the dt
-    def failure(dt, nx=20, betas=(4.0,)):
-        specs = [fb.ProblemSpec(beta=beta, mu=1.0, a=1.0, b=0.0, h0=20.0,
-                                nonlinearity=n, nx=nx, dt=dt, tmax=2.0)
-                 for beta in betas]
-        with pytest.raises(fb.errors.NumericalError) as info:
-            simulate_many(specs)
-        return str(info.value)
+    return [fb.ProblemSpec(beta=beta, mu=1.0, a=1.0, b=0.0, h0=20.0,
+                           nonlinearity=n, nx=20, dt=dt, tmax=2.0)
+            for beta in betas]
 
+
+def test_clamp_floor_past_a_cell_peclet_number_of_2_names_nx(n):
     for dt in (1e-3, 1e-4):
-        message = failure(dt)
+        spec, = _peclet_specs(n, (4.0,), dt)
+        with pytest.raises(fb.errors.NumericalError) as info:
+            fb.simulate(spec)
+        message = str(info.value)
         assert "below clamp floor at t = 0.69" in message
         assert (": cell Peclet number |beta| h / nx = 4.09 > 2 at nx = 20: "
                 "raise nx (while stepping to t = ") in message
-    # the ensemble's joint substep gives the lone kernel's advice
-    assert failure(1e-3, betas=(0.5, 4.0)) == f"ensemble member 1: {failure(1e-3)}"
+    # in an ensemble the cell fails on its own kernel with the lone kernel's
+    # advice, and the other cell steps on
+    specs = _peclet_specs(n, (0.5, 4.0))
+    assert _assert_outcomes_are_simulate(simulate_many(specs), specs) == [1]
     # at nx = 60 the number stays below 2 and the run goes on
     fb.simulate(fb.ProblemSpec(beta=4.0, mu=1.0, a=1.0, b=0.0, h0=20.0,
                                nonlinearity=n, nx=60, dt=1e-3, tmax=2.0))
@@ -396,42 +399,65 @@ def test_simulate_many_refuses_specs_it_cannot_stack(n):
             simulate_many([spec, other])
 
 
+def _assert_outcomes_are_simulate(outcomes, specs):
+    """Each outcome is simulate(spec)'s trajectory, bit for bit, or the
+    error simulate(spec) raises, of the same type and text; returns the
+    members whose outcome is an error."""
+    failed = []
+    for k, (outcome, spec) in enumerate(zip(outcomes, specs, strict=True)):
+        try:
+            alone = fb.simulate(spec)
+        except fb.errors.FreeboundError as exc:
+            assert type(outcome) is type(exc)
+            assert str(outcome) == str(exc)
+            failed.append(k)
+        else:
+            _assert_same_trajectory(outcome, alone)
+    return failed
+
+
 def test_simulate_many_names_the_member_that_failed(n):
     # amplitude 1000 breaks the run within its first nominal step
     specs = _ensemble_specs(1.0, 0.0, n, 100, (0.0,), lambdas=(0.5, 1000.0))
     with pytest.raises(fb.errors.NumericalError) as alone:
         fb.simulate(specs[1])
-    # a one-member ensemble is simulate, error text included
-    for members, prefix in ((specs, "ensemble member 1: "), ([specs[1]], "")):
-        with pytest.raises(fb.errors.NumericalError) as ensemble:
-            simulate_many(members)
-        assert type(ensemble.value) is type(alone.value)
-        assert str(ensemble.value) == f"{prefix}{alone.value}"
+    # the member leaves with simulate's error and the other steps on; a
+    # one-member ensemble's outcome is simulate's error
+    for members in (specs, [specs[1]]):
+        outcomes = simulate_many(members)
+        assert _assert_outcomes_are_simulate(outcomes, members) == [len(members) - 1]
+        assert type(outcomes[-1]) is type(alone.value)
+        assert str(outcomes[-1]) == str(alone.value)
 
 
 @pytest.mark.parametrize("amplitudes, first", [
     ((0.5, 10.0), 1),
-    # two members fail in the same nominal step: the first, in member order,
-    # names the error
+    # two members fail in the same nominal step: each leaves with its own
+    # error
     ((0.5, 10.0, 20.0), 1),
     ((20.0, 0.5, 10.0), 0),
+    # two survivors step on as an ensemble beside the departed level
+    ((0.5, 10.0, 2.0), 1),
 ])
 def test_a_non_finite_solve_names_the_first_member_that_failed(n, amplitudes, first):
     # f is infinite above u = 5, so a member whose profile passes 5 gets a
     # non-finite solve in its first substep; stacked, its NaNs would cross
-    # the joints into its neighbours' rows
+    # the joints into its neighbours' rows.  Its eta is infinite from the
+    # first step on, so the survivors' runs take as long as they take alone
+    # only if the departed eta levels are not stepped
     blowup = fb.Nonlinearity(f=lambda u: np.where(u > 5.0, np.inf, u * (1.0 - u)),
                              fprime=n.fprime, fp0=1.0)
     psi = fb.default_initial_profile(2.0, 1.0, 0.0)
     specs = [fb.ProblemSpec(beta=0.0, mu=1.0, a=1.0, b=0.0, h0=2.0, nonlinearity=blowup,
                             u0=lambda x, lam=lam: lam * psi(x), nx=100, dt=1e-3, tmax=1.0)
              for lam in amplitudes]
-    with pytest.raises(fb.errors.NumericalError, match="non-finite density at t = 0 ") as alone:
+    with pytest.raises(fb.errors.NumericalError, match="non-finite density at t = 0 "):
         fb.simulate(specs[first])
-    with pytest.raises(fb.errors.NumericalError) as ensemble:
-        simulate_many(specs)
-    assert type(ensemble.value) is type(alone.value)
-    assert str(ensemble.value) == f"ensemble member {first}: {alone.value}"
+    outcomes = simulate_many(specs)
+    failed = _assert_outcomes_are_simulate(outcomes, specs)
+    assert failed == [k for k, lam in enumerate(amplitudes) if lam > 5.0]
+    assert failed[0] == first
+    assert all("non-finite density at t = 0 " in str(outcomes[k]) for k in failed)
 
 
 @pytest.mark.parametrize("beta, amplitude, error, what", [
@@ -448,10 +474,100 @@ def test_a_failure_while_catching_up_names_the_member(n, beta, amplitude, error,
     assert what in str(alone.value)
     t_fail = float(re.search(r"at t = ([-+.e0-9]+)", str(alone.value)).group(1))
     assert 0.0 < t_fail < specs[1].dt
-    with pytest.raises(error) as ensemble:
-        simulate_many(specs)
-    assert type(ensemble.value) is type(alone.value)
-    assert str(ensemble.value) == f"ensemble member 1: {alone.value}"
+    outcomes = simulate_many(specs)
+    assert _assert_outcomes_are_simulate(outcomes, specs) == [1]
+    assert type(outcomes[1]) is error
+
+
+def _engines(monkeypatch):
+    """The engines each run builds, in order, as (kind, member count, the
+    times at which its members start); the kernels a _lockstep builds are
+    part of it, not engines of their own."""
+    built = []
+    lockstep, kernel = stefan._lockstep, stefan._kernel
+    inside = []
+
+    def counted_lockstep(specs, states, fail):
+        built.append(("lockstep", len(specs), [st.t for st in states]))
+        inside.append(True)
+        try:
+            return lockstep(specs, states, fail)
+        finally:
+            inside.pop()
+
+    def counted_kernel(spec, state):
+        if not inside:
+            built.append(("kernel", 1, [state.t]))
+        return kernel(spec, state)
+
+    monkeypatch.setattr(stefan, "_lockstep", counted_lockstep)
+    monkeypatch.setattr(stefan, "_kernel", counted_kernel)
+    return built
+
+
+def _left_at(outcomes, specs):
+    """The times at which the members still stepping stood when the first
+    member left: their recorded times at the nominal step its error names
+    last (the target its kernel was stepping to, or the time at which its
+    ceiling check failed)."""
+    error = next(o for o in outcomes if isinstance(o, Exception))
+    i = round(float(re.findall(r"t = ([-+.e0-9]+)", str(error))[-1]) / specs[0].dt)
+    return [o.times[i] for o in outcomes if not isinstance(o, Exception)]
+
+
+def _ceiling_specs(n):
+    # a source of 100 on (0.9, 1): the member of amplitude 0.95 overshoots
+    # its comparison ODE at t = 1.674, while the others never reach 0.9
+    bump = fb.Nonlinearity(f=lambda u: np.where((u > 0.9) & (u < 1.0), 100.0, u * (1.0 - u)),
+                           fprime=n.fprime, fp0=1.0)
+    psi = fb.default_initial_profile(2.0, 1.0, 0.0)
+    return [fb.ProblemSpec(beta=0.0, mu=1.0, a=1.0, b=0.0, h0=2.0, nonlinearity=bump,
+                           u0=lambda x, lam=lam: lam * psi(x), nx=100, dt=2e-3, tmax=3.0)
+            for lam in (0.3, 0.95, 0.5, 0.7)]
+
+
+@pytest.mark.parametrize("failure, error", [
+    # the member's kernel fails: it leaves unrecorded in that step
+    ("peclet", "below clamp floor at t = 0.691: "),
+    # its recorder's ceiling check fails, with no stepping context
+    ("ceiling", "sup u = 1.1054507 exceeds eta = 1.1005265 at t = 1.674"),
+])
+def test_members_that_step_on_after_a_failure_form_a_new_ensemble(n, monkeypatch,
+                                                                   failure, error):
+    # member 1 fails mid-run: the other three step on from their states at
+    # that nominal step as an ensemble of three
+    specs = (_peclet_specs(n, (0.5, 4.0, 1.0, 2.0)) if failure == "peclet"
+             else _ceiling_specs(n))
+    built = _engines(monkeypatch)
+    outcomes = simulate_many(specs)
+    monkeypatch.undo()
+    assert _assert_outcomes_are_simulate(outcomes, specs) == [1]
+    assert error in str(outcomes[1])
+    assert built == [("lockstep", 4, [0.0] * 4),
+                     ("lockstep", 3, _left_at(outcomes, specs))]
+
+
+def test_a_lone_survivor_steps_on_its_kernel(n, monkeypatch):
+    # the Peclet failure in an ensemble of two, and two members that fail in
+    # the same first nominal step beside one that does not: the survivor
+    # steps on alone on its own kernel from where it stood
+    blowup = fb.Nonlinearity(f=lambda u: np.where(u > 5.0, np.inf, u * (1.0 - u)),
+                             fprime=n.fprime, fp0=1.0)
+    psi = fb.default_initial_profile(2.0, 1.0, 0.0)
+    cases = [
+        (_peclet_specs(n, (0.5, 4.0)), [1]),
+        ([fb.ProblemSpec(beta=0.0, mu=1.0, a=1.0, b=0.0, h0=2.0, nonlinearity=blowup,
+                         u0=lambda x, lam=lam: lam * psi(x), nx=100, dt=1e-3, tmax=0.5)
+          for lam in (20.0, 0.5, 10.0)], [0, 2]),
+    ]
+    for specs, failing in cases:
+        built = _engines(monkeypatch)
+        outcomes = simulate_many(specs)
+        assert built == [("lockstep", len(specs), [0.0] * len(specs)),
+                         ("kernel", 1, _left_at(outcomes, specs))]
+        assert built[1][2][0] > 0.0
+        monkeypatch.undo()
+        assert _assert_outcomes_are_simulate(outcomes, specs) == failing
 
 
 def test_sweep_cells_step_as_they_step_alone():
