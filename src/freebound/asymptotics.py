@@ -60,12 +60,11 @@ def profile_error(snapshot, spec: ProblemSpec, ctilde: float, H: float,
     snapshot is a (t, x, u) triple as stored on Trajectory.snapshots.
     vtilde is required when a > 0 and ignored when a = 0.
     """
+    if spec.a > 0.0 and vtilde is None:
+        raise ValueError("a > 0 requires the stationary profile vtilde")
     t, x, u = snapshot
-    q_eval = profile_interpolator(qtilde)
     arg = ctilde * t + H - np.asarray(x, dtype=float)
-    composite = q_eval(arg)
+    composite = profile_interpolator(qtilde)(arg)
     if spec.a > 0.0:
-        if vtilde is None:
-            raise ValueError("a > 0 requires the stationary profile vtilde")
         composite = profile_interpolator(vtilde)(x) * composite
     return float(np.max(np.abs(np.asarray(u, dtype=float) - composite)))

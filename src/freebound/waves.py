@@ -29,8 +29,8 @@ sum of the generic stage loop computed on 3.11 (tests/oracles.py keeps
 that loop as reference_rk_step; the generated code is bit-identical to
 it), and no shot calls the builtin sum, whose float result 3.12 changed.
 A step's interpolant (three extra stages) is computed only where an event
-fires, or at every step of a dense shot, whose samples _sample then draws
-in vectorized blocks.
+fires, or at every step of a dense shot, whose samples a sampler of
+profiles.py computes from them.
 
 A profile picks the drift, launch, direction and events:
 
@@ -62,8 +62,11 @@ instance, keyed by its identity, made on first use and dropped when the
 instance is collected: a repeated query is a lookup that makes no shot
 and returns a fresh instance's bits (tests/test_waves.py).
 
-Only the speed is eager: SpeedResult.profile, the sampled semi-wave at
-c_tilde, is shot and sampled on its first read.
+Samples are computed where they are read (profiles.py).  A profile holds
+its dense shot's sampler: the first read of its z, q or qp computes every
+sample, in vectorized blocks, and profile_interpolator computes only the
+knots around its queries.  SpeedResult.profile, the semi-wave at c_tilde,
+is shot on its first read.
 """
 
 from __future__ import annotations
@@ -86,6 +89,7 @@ from .errors import (
     _require_finite,
 )
 from .nonlinearity import Nonlinearity
+from .profiles import WaveProfile, _Sampler, profile_interpolator
 
 __all__ = [
     "WaveProfile",
@@ -105,35 +109,14 @@ TAIL_CUT = 1e-7        # where heteroclinic tails are truncated
 _RTOL = 1e-12
 _ATOL = 1e-14
 _MAX_STEP = 0.1
-_SAMPLE_BLOCK = 4096   # samples of a dense shot evaluated at a time
-
-
-@dataclass(frozen=True)
-class WaveProfile:
-    """Sampled ODE profile.
-
-    kind is one of 'semi', 'finite', 'traveling-left', 'traveling-right',
-    'tadpole', 'stationary'.  z, q, qp hold ordered samples of (z, q, q');
-    speed is the wave speed (None for stationary profiles); slope0 is
-    q'(0); endpoint is z_c for finite waves, else None; dslope0 is
-    d(slope0)/dg for semi-waves shot with variational=True, else None.
-    """
-
-    kind: str
-    z: np.ndarray
-    q: np.ndarray
-    qp: np.ndarray
-    speed: float | None
-    slope0: float
-    endpoint: float | None = None
-    dslope0: float | None = None
 
 
 @dataclass(frozen=True)
 class SpeedResult:
     """c_tilde, the residual |mu*q'(0) - c_tilde| of the shot at it, and
-    (as profile) that semi-wave, shot and sampled on first read.  c_tilde
-    and residual are the bits of Newton from c = 0, on every call."""
+    (as profile) that semi-wave, shot on first read and sampled where its
+    samples are read.  c_tilde and residual are the bits of Newton from
+    c = 0, on every call."""
 
     c_tilde: float
     residual: float
@@ -473,48 +456,6 @@ def _shoot(g, n, y0, events, budget, max_step, *, backward, dense) -> _Shot:
     return _Shot(t_events, y_events, t, y, steps)
 
 
-def _sample(shot, tau_end, n_samples, reverse):
-    """(tau, q, q') at n_samples uniform points (default: about 2e-4 apart,
-    2001 to 500001) of a dense shot on [0, tau_end]; reverse returns them in
-    descending tau, which is ascending z for a backward shot.
-
-    The steps' interpolants are evaluated _SAMPLE_BLOCK samples at a time,
-    both components together, straight into q and q' (a reversed block
-    into its mirrored slots), so no temporary spans all the samples.  The
-    coefficients are laid out once per shot as one (coefficient,
-    component, step) array, so each Horner term of a block is one take of
-    a contiguous (component, step) slab; gathering all of a block's terms
-    at once made a temporary 8 times larger, which was slower.  Each
-    sample takes the operations of _interpolate in its order: bit for bit
-    what scipy's OdeSolution gives on the same steps."""
-    if n_samples is None:
-        n_samples = int(np.clip(np.ceil(tau_end / 2e-4) + 1, 2001, 500001))
-    tau = np.linspace(0.0, tau_end, n_samples)
-    t_old = np.array([s[0] for s in shot.steps])
-    h = np.array([s[1] for s in shot.steps])
-    # coef[i, j] is, at each step, the i-th term Horner adds for q (j = 0)
-    # or q' (j = 1): the interpolant coefficients from the top one down,
-    # then y_old
-    F = np.array([s[3] for s in shot.steps])[:, :, :2]
-    coef = np.empty((F.shape[1] + 1, 2, len(F)))
-    coef[:-1] = F[:, ::-1].transpose(1, 2, 0)
-    coef[-1] = np.array([s[2][:2] for s in shot.steps]).T
-    out = np.empty((2, n_samples))
-    for lo in range(0, n_samples, _SAMPLE_BLOCK):
-        hi = min(lo + _SAMPLE_BLOCK, n_samples)
-        block = tau[lo:hi]
-        seg = np.searchsorted(t_old[1:], block, side="left")
-        x = (block - t_old[seg]) / h[seg]
-        x_pair = (x, 1 - x)
-        v = out[:, n_samples - hi:n_samples - lo][:, ::-1] if reverse else out[:, lo:hi]
-        v.fill(0.0)
-        for i in range(len(coef) - 1):
-            v += coef[i].take(seg, axis=1)
-            v *= x_pair[i % 2]
-        v += coef[-1].take(seg, axis=1)
-    return (tau[::-1] if reverse else tau), out[0], out[1]
-
-
 def shoot_semi_wave(c: float, beta: float, n: Nonlinearity, *,
                     samples: bool = True, z_budget: float | None = None,
                     max_step: float = _MAX_STEP,
@@ -557,15 +498,13 @@ def shoot_semi_wave(c: float, beta: float, n: Nonlinearity, *,
     dslope0 = float(y_cross[3] - g * y_cross[2]) if variational else None
 
     if samples:
-        tau, q, qp = _sample(shot, tau_star, None, reverse=True)
-        z = tau_star - tau
-        q[0] = 0.0
-    else:
-        z = np.array([0.0, tau_star])
-        q = np.array([0.0, y0[0]])
-        qp = np.array([slope0, y0[1]])
-    return WaveProfile(kind="semi", z=z, q=q, qp=qp, speed=c, slope0=slope0,
-                       dslope0=dslope0)
+        return WaveProfile._sampled(
+            "semi", _Sampler(shot, tau_star, True, lambda tau: tau_star - tau,
+                             pin_q=(0,)),
+            speed=c, slope0=slope0, dslope0=dslope0)
+    return WaveProfile(kind="semi", z=np.array([0.0, tau_star]),
+                       q=np.array([0.0, y0[0]]), qp=np.array([slope0, y0[1]]),
+                       speed=c, slope0=slope0, dslope0=dslope0)
 
 
 class _Slope(NamedTuple):
@@ -728,11 +667,10 @@ def finite_wave(c: float, beta: float, mu: float, n: Nonlinearity, *,
         raise NumericalError(f"finite-wave shot (c={c:g}) found no turning point "
                              f"within z-budget {budget:g}")
     z_c = shot.t_events[0][0]
-    z, q, qp = _sample(shot, z_c, None, reverse=False)
-    q[0] = 0.0
-    qp[-1] = 0.0
-    return WaveProfile(kind="finite", z=z, q=q, qp=qp, speed=c,
-                       slope0=ctilde / mu, endpoint=z_c)
+    return WaveProfile._sampled(
+        "finite", _Sampler(shot, z_c, False, lambda tau: tau, pin_q=(0,),
+                           pin_qp=(-1,)),
+        speed=c, slope0=ctilde / mu, endpoint=z_c)
 
 
 def traveling_wave(c: float, direction: str, n: Nonlinearity, *,
@@ -767,10 +705,10 @@ def traveling_wave(c: float, direction: str, n: Nonlinearity, *,
     tau_half = shot.t_events[1][0]
     slope_half = shot.y_events[1][0][1]
 
-    tau, q, qp = _sample(shot, tau_star, None, reverse=right)
-    z = tau_half - tau if right else tau - tau_half
-    return WaveProfile(kind=f"traveling-{direction}", z=z, q=q, qp=qp,
-                       speed=c, slope0=slope_half)
+    z_of = (lambda tau: tau_half - tau) if right else (lambda tau: tau - tau_half)
+    return WaveProfile._sampled(f"traveling-{direction}",
+                                _Sampler(shot, tau_star, right, z_of),
+                                speed=c, slope0=slope_half)
 
 
 def tadpole_wave(beta: float, mu: float, n: Nonlinearity, *,
@@ -804,11 +742,9 @@ def tadpole_wave(beta: float, mu: float, n: Nonlinearity, *,
         raise NumericalError(
             f"tadpole tail not below 1e-4 within z-budget {budget:g}")
 
-    tau, q, qp = _sample(shot, tau_end, None, reverse=True)
-    z = -tau
-    q[-1] = 0.0
-    return WaveProfile(kind="tadpole", z=z, q=q, qp=qp,
-                       speed=beta - n.c0, slope0=-(beta - n.c0) / mu)
+    return WaveProfile._sampled(
+        "tadpole", _Sampler(shot, tau_end, True, lambda tau: -tau, pin_q=(-1,)),
+        speed=beta - n.c0, slope0=-(beta - n.c0) / mu)
 
 
 def stationary_increasing(beta: float, a: float, b: float, n: Nonlinearity, *,
@@ -836,109 +772,7 @@ def stationary_increasing(beta: float, a: float, b: float, n: Nonlinearity, *,
             f"(a={a:g}, b={b:g}, beta={beta:g})")
     tau_star = shot.t_events[0][0]
     slope0 = shot.y_events[0][0][1]
-    tau, q, qp = _sample(shot, tau_star, None, reverse=True)
-    z = tau_star - tau
-    if b == 0.0:
-        q[0] = 0.0
-    return WaveProfile(kind="stationary", z=z, q=q, qp=qp,
-                       speed=None, slope0=slope0)
-
-
-def _pchip_end(h0, h1, m0, m1):
-    # Moler's one-sided three-point slope at an end knot (pchiptx.m), kept
-    # within the shape of the data
-    d = ((2*h0 + h1)*m0 - h0*m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.*abs(m0):
-        return 3.*m0
-    return d
-
-
-def _pchip_slopes(hk, mk):
-    """Fritsch-Butland PCHIP slopes at the knots of strictly increasing x,
-    from hk = x[1:] - x[:-1] and the secants mk = (y[1:] - y[:-1]) / hk,
-    in the operations and order of scipy's PchipInterpolator."""
-    if len(hk) == 1:
-        return np.array([mk[0], mk[0]])
-    smk = np.sign(mk)
-    condition = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
-    w1 = 2*hk[1:] + hk[:-1]
-    w2 = hk[1:] + 2*hk[:-1]
-    # where a division by zero occurs, condition holds and the slope is 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1/mk[:-1] + w2/mk[1:]) / (w1 + w2)
-        inner = np.where(condition, 0.0, 1.0 / whmean)
-    return np.concatenate(([_pchip_end(hk[0], hk[1], mk[0], mk[1])], inner,
-                           [_pchip_end(hk[-1], hk[-2], mk[-1], mk[-2])]))
-
-
-_WINDOW = np.arange(-1, 3)   # the knots seg-1 ... seg+2 a segment's cubic reads
-
-
-def profile_interpolator(profile: WaveProfile):
-    """Monotone-cubic (PCHIP) evaluator of q(z), flat-extended beyond the
-    samples.
-
-    Monotone interpolation keeps q within its sample range, so composite
-    sup-norm comparisons cannot pick up interpolation overshoot.
-
-    A call reads only the knots seg-1 ... seg+2 around each query's
-    segment seg (found as scipy's PPoly finds it) and runs scipy's PCHIP
-    formulas on that short sequence.  The cubic on seg reads the slopes at
-    its two knots, and each slope reads only its two neighbours (the end
-    slopes: the first or last three knots, gathered whenever an end
-    segment is queried).  A gap between gathered windows changes only
-    the slopes at window-edge knots, which no query reads.  So the values
-    are bit for bit those of PchipInterpolator(z, q) on all the samples,
-    evaluated in PPoly's Horner order, without building the cubic on every
-    sample or importing scipy.interpolate.
-    """
-    z_all = np.asarray(profile.z, dtype=float)
-    q_all = np.asarray(profile.q, dtype=float)
-    if z_all.ndim != 1 or len(z_all) < 2 or q_all.shape != z_all.shape:
-        raise ValueError("a profile needs at least 2 samples of z and q "
-                         "of one length")
-    if not (np.all(np.isfinite(z_all)) and np.all(np.isfinite(q_all))):
-        raise ValueError("profile samples must be finite")
-    if np.any(z_all[1:] <= z_all[:-1]):
-        raise ValueError("profile z must be strictly increasing")
-    lo, hi = z_all[0], z_all[-1]
-    q_lo, q_hi = q_all[0], q_all[-1]
-    last = len(z_all) - 2
-
-    def evaluate(z):
-        z = np.asarray(z, dtype=float)
-        zc = np.clip(z, lo, hi).ravel()
-        if zc.size == 0:
-            return np.empty(z.shape)
-        seg = np.clip(np.searchsorted(z_all, zc, side="right") - 1, 0, last)
-        # the distinct knots in order, as np.unique gives them without
-        # importing numpy.ma
-        knots = np.sort(np.clip(seg[:, None] + _WINDOW, 0, last + 1), axis=None)
-        knots = knots[np.concatenate(([True], knots[1:] != knots[:-1]))]
-        x, y = z_all[knots], q_all[knots]
-        hk = x[1:] - x[:-1]
-        mk = (y[1:] - y[:-1]) / hk
-        d = _pchip_slopes(hk, mk)
-        # each query's segment among the gathered knots, and its Hermite
-        # cubic as CubicHermiteSpline writes it
-        i = np.searchsorted(knots, seg)
-        h, slope = hk[i], mk[i]
-        t = (d[i] + d[i + 1] - 2 * slope) / h
-        c0, c1, c2, c3 = t / h, (slope - d[i]) / h - t, d[i], y[i]
-        # PPoly's evaluate_poly1 sums 0.0 + c3 + c2*s + c1*(s*s)
-        # + c0*((s*s)*s) left to right (its prefactor 1 is exact), and
-        # returns nan for a nan query
-        s = zc - x[i]
-        ss = s * s
-        out = 0.0 + c3
-        out = out + c2 * s
-        out = out + c1 * ss
-        out = out + c0 * (ss * s)
-        out = np.where(np.isnan(zc), np.nan, out).reshape(z.shape)
-        out = np.where(z < lo, q_lo, out)
-        out = np.where(z > hi, q_hi, out)
-        return out
-
-    return evaluate
+    return WaveProfile._sampled(
+        "stationary", _Sampler(shot, tau_star, True, lambda tau: tau_star - tau,
+                               pin_q=(0,) if b == 0.0 else ()),
+        speed=None, slope0=slope0)

@@ -18,8 +18,10 @@ hoisting and in-place buffers, simulate driving that loop one nominal
 step at a time, the generic DOP853 stage loop the
 generated step functions of waves._kernel replaced, scipy's
 PchipInterpolator on every sample of a profile, which
-waves.profile_interpolator replaced, and the one-pass sampling of a dense
-shot that waves._sample's blocks replaced.
+waves.profile_interpolator replaced, the one-pass sampling of a dense
+shot that blocks replaced, and that block loop, waves._sample, which
+sampled every profile whole before profiles._Sampler read samples by
+index.
 """
 
 from dataclasses import replace
@@ -30,7 +32,7 @@ from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq
 
 import freebound as fb
-from freebound import thresholds, waves
+from freebound import profiles, thresholds, waves
 from freebound.classify import MARGIN, vanishing_certificate
 from freebound.eigen import _transformed_s1
 from freebound.errors import (FreeboundError, InvariantViolation, NoCriticalLength,
@@ -525,20 +527,9 @@ def reference_shoot(g, n, y0, events, budget, max_step, *, backward, dense):
     return sol
 
 
-def reference_ivp_sample(shot, tau_end, n_samples, reverse):
-    """The samples of a reference shot, through solve_ivp's OdeSolution."""
-    if n_samples is None:
-        n_samples = int(np.clip(np.ceil(tau_end / 2e-4) + 1, 2001, 500001))
-    tau = np.linspace(0.0, tau_end, n_samples)
-    y = shot.steps.sol(tau)
-    if reverse:
-        return tau[::-1], y[0, ::-1].copy(), y[1, ::-1].copy()
-    return tau, y[0].copy(), y[1].copy()
-
-
 def use_reference_kernel(monkeypatch):
-    """Route every wave profile of the library through reference_shoot and
-    reference_ivp_sample for the rest of a test."""
+    """Route every shot of the library through reference_shoot for the rest
+    of a test; a dense shot's steps are its OdeSolution's interpolants."""
     def shoot(g, n, y0, events, budget, max_step, *, backward, dense):
         ivp_events = []
         for fn, direction, terminal in events:
@@ -551,10 +542,78 @@ def use_reference_kernel(monkeypatch):
         return waves._Shot(
             t_events=[list(te) for te in sol.t_events],
             y_events=[[list(y) for y in ye] for ye in sol.y_events],
-            t=float(sol.t[-1]), y=list(sol.y[:, -1]), steps=sol)
+            t=float(sol.t[-1]), y=list(sol.y[:, -1]),
+            steps=ode_solution_steps(sol.sol) if dense else None)
 
     monkeypatch.setattr(waves, "_shoot", shoot)
-    monkeypatch.setattr(waves, "_sample", reference_ivp_sample)
+
+
+def ode_solution_steps(sol):
+    """An OdeSolution's interpolants as the (t_old, h, y_old, F) steps of a
+    dense waves._Shot."""
+    return [(float(ip.t_old), float(ip.h), list(map(float, ip.y_old)),
+             [list(map(float, row)) for row in ip.F])
+            for ip in sol.interpolants]
+
+
+def reference_block_sample(shot, tau_end, n_samples, reverse):
+    """waves._sample, which every dense profile was sampled with, whole,
+    on its making: (tau, q, q') at n_samples uniform points (default:
+    about 2e-4 apart, 2001 to 500001) of a dense shot on [0, tau_end],
+    reverse in descending tau.  The steps' interpolants are evaluated
+    _SAMPLE_BLOCK samples at a time, both components together, straight
+    into q and q' (a reversed block into its mirrored slots)."""
+    if n_samples is None:
+        n_samples = int(np.clip(np.ceil(tau_end / 2e-4) + 1, 2001, 500001))
+    tau = np.linspace(0.0, tau_end, n_samples)
+    t_old = np.array([s[0] for s in shot.steps])
+    h = np.array([s[1] for s in shot.steps])
+    F = np.array([s[3] for s in shot.steps])[:, :, :2]
+    coef = np.empty((F.shape[1] + 1, 2, len(F)))
+    coef[:-1] = F[:, ::-1].transpose(1, 2, 0)
+    coef[-1] = np.array([s[2][:2] for s in shot.steps]).T
+    out = np.empty((2, n_samples))
+    for lo in range(0, n_samples, profiles._SAMPLE_BLOCK):
+        hi = min(lo + profiles._SAMPLE_BLOCK, n_samples)
+        block = tau[lo:hi]
+        seg = np.searchsorted(t_old[1:], block, side="left")
+        x = (block - t_old[seg]) / h[seg]
+        x_pair = (x, 1 - x)
+        v = out[:, n_samples - hi:n_samples - lo][:, ::-1] if reverse else out[:, lo:hi]
+        v.fill(0.0)
+        for i in range(len(coef) - 1):
+            v += coef[i].take(seg, axis=1)
+            v *= x_pair[i % 2]
+        v += coef[-1].take(seg, axis=1)
+    return (tau[::-1] if reverse else tau), out[0], out[1]
+
+
+def record_samplers(monkeypatch):
+    """A list that gets, for every sampler a shooting function of waves
+    makes for the rest of a test, its arguments (shot, tau_end, reverse,
+    z_of, pin_q, pin_qp)."""
+    made = []
+    sampler = waves._Sampler
+
+    def record(shot, tau_end, reverse, z_of, pin_q=(), pin_qp=(), n_samples=None):
+        made.append((shot, tau_end, reverse, z_of, pin_q, pin_qp))
+        return sampler(shot, tau_end, reverse, z_of, pin_q, pin_qp, n_samples)
+
+    monkeypatch.setattr(waves, "_Sampler", record)
+    return made
+
+
+def reference_profile_arrays(shot, tau_end, reverse, z_of, pin_q, pin_qp):
+    """A profile's (z, q, q') as its shooting function made them whole:
+    reference_block_sample's samples, z = z_of(tau), and q or q' set to
+    0.0 at the indices pin_q, pin_qp."""
+    tau, q, qp = reference_block_sample(shot, tau_end, None, reverse)
+    z = z_of(tau)
+    for k in pin_q:
+        q[k] = 0.0
+    for k in pin_qp:
+        qp[k] = 0.0
+    return z, q, qp
 
 
 def reference_sample(shot, tau_end, n_samples, reverse):

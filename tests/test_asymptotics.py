@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import freebound as fb
+from freebound import asymptotics
 from freebound.stefan import Trajectory
 
 
@@ -64,6 +65,24 @@ def test_profile_error_requires_stationary_profile_when_a_positive(
     with pytest.raises(ValueError, match="stationary"):
         fb.profile_error((10.0, x, np.ones_like(x)), spec, 0.8, 0.0, None,
                          speed_05_2.profile)
+
+
+def test_profile_error_refuses_a_missing_vtilde_before_any_evaluation(
+        monkeypatch, logistic_n):
+    made = []
+
+    def evaluator(profile):
+        made.append(profile)
+        raise AssertionError("an evaluator was made")
+
+    monkeypatch.setattr(asymptotics, "profile_interpolator", evaluator)
+    spec = fb.ProblemSpec(beta=0.5, mu=2.0, a=1.0, b=0.0, h0=4.0,
+                          nonlinearity=logistic_n, nx=100, tmax=1.0)
+    x = np.linspace(0.0, 10.0, 50)
+    qt = fb.shoot_semi_wave(0.7, 0.5, logistic_n)
+    with pytest.raises(ValueError, match="a > 0 requires the stationary profile vtilde"):
+        fb.profile_error((10.0, x, np.ones_like(x)), spec, 0.8, 0.0, None, qt)
+    assert made == [] and qt._arrays is None
 
 
 def test_composite_convergence_dirichlet(spreading_run, speed_05_2, logistic_n):

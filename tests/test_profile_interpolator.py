@@ -4,15 +4,18 @@ sample (tests/oracles.reference_profile_interpolator), compared by bytes.
 The evaluator reads only the knots around each query's segment, so these
 tests query every kind of point: knots and their float neighbours,
 midpoints, both ends, points beyond them, and one value at a time as well
-as many at once.
+as many at once.  On a shooting function's profile it reads those knots
+from the profile's sampler, whose samples are never computed whole; the
+values are the bytes of the evaluator on the whole arrays, and a sampler
+is refused with the messages its arrays would be refused with.
 """
 
 import numpy as np
 import pytest
 
 import freebound as fb
-from freebound import asymptotics
-from oracles import reference_profile_interpolator
+from freebound import asymptotics, profiles
+from oracles import record_samplers, reference_profile_interpolator
 from test_shooting_kernel import PROFILES
 
 
@@ -60,6 +63,114 @@ def test_profiles_match_pchip_bytes(logistic_n, inputs, name):
     for one in z[::1499]:
         assert_same(prof, one)
         assert_same(prof, [one])
+
+
+def whole(prof):
+    """prof as a profile made from its arrays."""
+    return fb.WaveProfile(kind=prof.kind, z=prof.z, q=prof.q, qp=prof.qp,
+                          speed=prof.speed, slope0=prof.slope0,
+                          endpoint=prof.endpoint, dslope0=prof.dslope0)
+
+
+@pytest.mark.parametrize("name", PROFILES)
+def test_unsampled_profiles_match_their_arrays_and_pchip_bytes(logistic_n, inputs,
+                                                               name):
+    prof = PROFILES[name](logistic_n, inputs)
+    new = fb.profile_interpolator(prof)
+    assert prof._arrays is None
+    z = prof.z
+    arrays = fb.profile_interpolator(whole(prof))
+    old = reference_profile_interpolator(prof)
+    mid = 0.5 * (z[:-1] + z[1:])
+    span = z[-1] - z[0]
+    every = np.concatenate([
+        z, np.nextafter(z, np.inf), np.nextafter(z, -np.inf), mid,
+        [z[0] - 1.0, z[-1] + 1.0, z[0] - 0.1 * span, z[-1] + 1e9, -1e9, 1e-300,
+         -1e-300, 0.0, -0.0, np.inf, -np.inf, np.nan]])
+    for lo in range(0, len(every), 200003):
+        chunk = every[lo:lo + 200003]
+        a, b, c = new(chunk), arrays(chunk), old(chunk)
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+        assert np.array_equal(prof._sampler.search(np.clip(chunk, z[0], z[-1])),
+                              np.searchsorted(z, np.clip(chunk, z[0], z[-1]),
+                                              side="right"))
+        assert np.array_equal(prof._sampler.search(chunk),
+                              np.searchsorted(z, chunk, side="right"))
+    for one in (z[0], z[-1], mid[len(mid) // 2], np.nan, np.inf, [], np.empty((0, 2))):
+        a, b = new(one), old(one)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_profile_error_leaves_both_profiles_unsampled(monkeypatch, logistic_n,
+                                                       speed_05_2):
+    beta, mu = 0.5, 2.0
+    spec = fb.ProblemSpec(beta=beta, mu=mu, a=1.0, b=0.0, h0=4.0,
+                          nonlinearity=logistic_n, nx=100, tmax=0.1)
+    x = np.linspace(0.0, 4.0, 101)
+    snapshot = (0.1, x, np.exp(-x))
+    vt = fb.stationary_increasing(beta, 1.0, 0.0, logistic_n)
+    qt = fb.shoot_semi_wave(speed_05_2.c_tilde, beta, logistic_n)
+    wholes = []
+    arrays = profiles._Sampler.arrays
+    monkeypatch.setattr(profiles._Sampler, "arrays",
+                        lambda self: wholes.append(self) or arrays(self))
+    error = fb.profile_error(snapshot, spec, speed_05_2.c_tilde, 2.0, vt, qt)
+    assert vt._arrays is None and qt._arrays is None and not wholes
+    assert error == fb.profile_error(snapshot, spec, speed_05_2.c_tilde, 2.0,
+                                     whole(vt), whole(qt))
+
+
+def doctored(prof, made, **change):
+    """prof made again from the arguments of the last sampler made, with
+    change applied to them (shot, tau_end, reverse, z_of, pin_q, pin_qp,
+    n_samples)."""
+    args = dict(zip(("shot", "tau_end", "reverse", "z_of", "pin_q", "pin_qp"),
+                    made[-1]))
+    args.update(change)
+    return profiles.WaveProfile._sampled(
+        prof.kind, profiles._Sampler(**args), speed=prof.speed, slope0=prof.slope0,
+        endpoint=prof.endpoint, dslope0=prof.dslope0)
+
+
+def nan_at(shot, k):
+    """shot with the first interpolant coefficient of q at step k set to NaN."""
+    steps = list(shot.steps)
+    t_old, h, y_old, F = steps[k]
+    steps[k] = (t_old, h, y_old, [[np.nan] + list(F[0][1:])] + list(F[1:]))
+    return shot._replace(steps=steps)
+
+
+@pytest.mark.parametrize("defect", ["nan read", "nan unread", "zero tau_end",
+                                    "step below an ulp"])
+def test_doctored_shots_refused_as_their_arrays(monkeypatch, logistic_n, defect):
+    # a NaN coefficient on a step that samples read, or a grid whose step is
+    # zero or below the ulp of z, refuses the sampler with the message its
+    # arrays get; a NaN on a step that no sample reads refuses neither
+    made = record_samplers(monkeypatch)
+    prof = PROFILES["stationary-robin"](logistic_n, {})
+    shot = made[-1][0]
+    assert shot.steps[2][0] < 0.5 * made[-1][1]     # 3 samples skip step 1
+    change = {"nan read": {"shot": nan_at(shot, len(shot.steps) // 2)},
+              "nan unread": {"shot": nan_at(shot, 1), "n_samples": 3},
+              "zero tau_end": {"tau_end": 0.0},
+              "step below an ulp": {"tau_end": 1e-300}}[defect]
+    bad = doctored(prof, made, **change)
+    query = np.linspace(-5.0, 20.0, 101)
+
+    def outcome(p):
+        try:
+            evaluate = fb.profile_interpolator(p)
+        except ValueError as exc:
+            return str(exc)
+        return evaluate(query).tobytes()
+
+    new = outcome(bad)
+    assert bad._arrays is None
+    assert new == outcome(whole(bad))
+    refusals = {"nan read": "profile samples must be finite",
+                "zero tau_end": "profile z must be strictly increasing",
+                "step below an ulp": "profile z must be strictly increasing"}
+    assert new == refusals[defect] if defect in refusals else isinstance(new, bytes)
 
 
 # two knots (the linear case), three, and more; Moler's end slope

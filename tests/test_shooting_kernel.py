@@ -1,8 +1,10 @@
 """The Python-float DOP853 shooting kernel: its generated step and dense
 functions against the generic stage loop (oracles.reference_rk_step), bit
 for bit; agreement with the solve_ivp kernel it replaced
-(oracles.reference_shoot); its tableau; and the lazily sampled semi-wave
-profile of spreading_speed."""
+(oracles.reference_shoot); its tableau; the sampler that gives every
+profile's samples, whole or by index, against the block loop it replaced
+(oracles.reference_block_sample); and the lazily shot semi-wave profile
+of spreading_speed."""
 
 import hashlib
 from math import nan, sqrt
@@ -12,11 +14,14 @@ import pytest
 from scipy.integrate import DOP853
 
 import freebound as fb
-from freebound import waves
+from freebound import profiles, waves
 
 from oracles import (
     REFERENCE_FIELDS,
+    ode_solution_steps,
+    record_samplers,
     reference_dense,
+    reference_profile_arrays,
     reference_rk_step,
     reference_sample,
     reference_shoot,
@@ -150,11 +155,10 @@ def test_interpolants_evaluate_like_ode_solution(n):
     crossing.terminal, crossing.direction = True, -1.0
     sol = reference_shoot(0.5, n, waves._saddle_launch(0.5, -1.0), [crossing],
                           100.0, 0.1, backward=True, dense=True)
-    steps = [(float(ip.t_old), float(ip.h), list(map(float, ip.y_old)),
-              [list(map(float, row)) for row in ip.F])
-             for ip in sol.sol.interpolants]
+    steps = ode_solution_steps(sol.sol)
     shot = waves._Shot([], [], sol.t[-1], [], steps)
-    tau, q, qp = waves._sample(shot, float(sol.t_events[0][0]), None, False)
+    tau, q, qp = profiles._Sampler(shot, float(sol.t_events[0][0]), False,
+                                   identity).arrays()
     expected = sol.sol(tau)
     assert np.array_equal(q, expected[0]) and np.array_equal(qp, expected[1])
     for k in range(0, len(steps), 50):
@@ -162,7 +166,11 @@ def test_interpolants_evaluate_like_ode_solution(n):
         assert np.array_equal(waves._interpolate(steps[k], t), sol.sol(t))
 
 
-BLOCK = waves._SAMPLE_BLOCK
+BLOCK = profiles._SAMPLE_BLOCK
+
+
+def identity(tau):
+    return tau
 
 
 @pytest.fixture(scope="module")
@@ -194,10 +202,46 @@ def dense_shots(n):
                                        None, 500001])
 def test_blocks_sample_like_one_pass(dense_shots, n_samples, reverse):
     for shot, tau_end in dense_shots.values():
-        new = waves._sample(shot, tau_end, n_samples, reverse)
+        new = profiles._Sampler(shot, tau_end, reverse, identity,
+                                n_samples=n_samples).arrays()
         old = reference_sample(shot, tau_end, n_samples, reverse)
         for a, b in zip(new, old):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("n_samples", [2, 3, BLOCK + 1, 2001, 110587, 122921, None])
+def test_samples_by_index_are_the_whole_samples(dense_shots, n_samples, reverse):
+    # tau_k = k * step but for the last, tau_end, element for element as
+    # np.linspace makes the grid; each sample read by index has the bits
+    # of the whole read, pins included
+    for shot, tau_end in dense_shots.values():
+        sampler = profiles._Sampler(shot, tau_end, reverse, lambda tau: 2.5 - tau,
+                                    pin_q=(0, -1), pin_qp=(-1,), n_samples=n_samples)
+        z, q, _ = sampler.arrays()
+        k = np.arange(sampler.size)
+        tau = np.linspace(0.0, tau_end, sampler.size)
+        assert sampler._tau_at(k).tobytes() == (tau[::-1] if reverse else tau).tobytes()
+        assert sampler.z_at(k).tobytes() == z.tobytes()
+        assert sampler.q_at(k).tobytes() == q.tobytes()
+        assert q[0] == q[-1] == 0.0
+        mixed = np.random.default_rng(sampler.size).permutation(k)[:5000]
+        assert sampler.q_at(mixed).tobytes() == q[mixed].tobytes()
+
+
+@pytest.mark.parametrize("name", list(PROFILES))
+def test_profiles_sample_like_the_block_loop(monkeypatch, logistic_n, name):
+    # every profile's z, q, q', read after an evaluator was made, are the
+    # bits of the block loop every profile was sampled with on its making
+    inputs = {"ctilde": fb.spreading_speed(0.5, 1.0, logistic_n).c_tilde,
+              "beta_star": fb.critical_advection(1.0, logistic_n)}
+    made = record_samplers(monkeypatch)
+    prof = PROFILES[name](logistic_n, inputs)
+    fb.profile_interpolator(prof)(0.5)
+    assert prof._arrays is None and len(made) == 1
+    for a, b in zip((prof.z, prof.q, prof.qp), reference_profile_arrays(*made[0])):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert prof.z is prof.z
 
 
 # ------------------------------------------------------ agreement: errors
@@ -378,24 +422,27 @@ def test_shots_call_no_builtin_sum(monkeypatch):
 # ----------------------------------------------------------- lazy profile
 
 def test_spreading_speed_samples_its_profile_on_first_read(n, monkeypatch):
-    samples, budgets = [], []
-    sample, shoot = waves._sample, waves.shoot_semi_wave
+    wholes, budgets = [], []
+    arrays, shoot = profiles._Sampler.arrays, waves.shoot_semi_wave
 
-    def counted_sample(*args, **kwargs):
-        samples.append(args)
-        return sample(*args, **kwargs)
+    def counted_arrays(self):
+        wholes.append(self)
+        return arrays(self)
 
     def recorded_shoot(*args, **kwargs):
         budgets.append(kwargs["z_budget"])
         return shoot(*args, **kwargs)
 
-    monkeypatch.setattr(waves, "_sample", counted_sample)
+    monkeypatch.setattr(profiles._Sampler, "arrays", counted_arrays)
     monkeypatch.setattr(waves, "shoot_semi_wave", recorded_shoot)
     res = fb.spreading_speed(0.5, 2.0, n)
-    assert len(samples) == 0
     profile = res.profile
-    assert len(samples) == 1
-    assert res.profile is profile and len(samples) == 1
+    assert res.profile is profile
+    fb.profile_interpolator(profile)(np.linspace(-1.0, 30.0, 101))
+    assert len(wholes) == 0
+    z = profile.z
+    assert len(wholes) == 1
+    assert profile.z is z and len(profile.q) == len(z) and len(wholes) == 1
 
     eager = shoot(res.c_tilde, 0.5, n, z_budget=budgets[-1])
     for name in ("z", "q", "qp"):

@@ -244,6 +244,16 @@ def test_finite_wave_basic(n):
     assert np.all(w.q[1:] > 0.0)
 
 
+def test_finite_wave_solves_its_own_ctilde(n):
+    # without ctilde, finite_wave asks spreading_speed for it
+    default = fb.finite_wave(0.3, 0.5, 1.0, n)
+    given = fb.finite_wave(0.3, 0.5, 1.0, n,
+                           ctilde=fb.spreading_speed(0.5, 1.0, n).c_tilde)
+    for name in ("z", "q", "qp"):
+        assert getattr(default, name).tobytes() == getattr(given, name).tobytes()
+    assert (default.slope0, default.endpoint) == (given.slope0, given.endpoint)
+
+
 def test_finite_wave_length_blows_up_toward_ctilde(n):
     res = fb.spreading_speed(0.0, 1.0, n)
     zs = [fb.finite_wave(f * res.c_tilde, 0.0, 1.0, n, ctilde=res.c_tilde).endpoint
