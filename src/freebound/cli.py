@@ -8,7 +8,8 @@ object does not exist), 2 numerical failure or malformed input.
 
 The classification hints l_star and c_tilde: sweep and classify --config
 go through _verdict, which solves c_tilde only for a run that reaches rule
-3 (beta >= c0 and rules 1-2 silent), the one rule that reads it.
+3 (beta >= c0 and rules 1-2 silent), the one rule that reads it; the
+JSON of classify --config gains a hint_errors field when a hint fails.
 simulate solves both, because summary.json reports both (a hint that
 fails reads null, and its error goes into an added hint_errors field);
 classify without --config passes those two to classify.classify, which
@@ -253,14 +254,17 @@ def _load_run(trajectory_path, snapshot_dir):
 
 def _cmd_classify(args):
     traj, summary = _load_run(args.trajectory, Path(args.trajectory).parent)
+    hint_errors = {}
     if args.config is None:
         # the hints simulate solved for the run's spec
         verdict = classify(traj, traj.spec, lstar=summary.get("l_star"),
                            ctilde=summary.get("c_tilde"))
     else:
-        verdict = _verdict(traj, spec_from_config(load_config(args.config)), {})
-    _emit(args, {"verdict": verdict.verdict, "evidence": verdict.evidence},
-          f"verdict = {verdict.verdict}")
+        verdict = _verdict(traj, spec_from_config(load_config(args.config)), hint_errors)
+    payload = {"verdict": verdict.verdict, "evidence": verdict.evidence}
+    if hint_errors:
+        payload["hint_errors"] = hint_errors
+    _emit(args, payload, f"verdict = {verdict.verdict}")
     return 0
 
 
@@ -426,13 +430,15 @@ def _cmd_sweep(args):
     betas = _parse_grid(args.betas, "--betas")
     mus = _parse_grid(args.mus, "--mus")
     lambdas = _parse_grid(args.lambdas, "--lambdas")
+    # refused before any cell's config is built
+    count = len(betas) * len(mus) * len(lambdas)
+    if count > MAX_CELLS:
+        raise ConfigError(f"sweep grid holds {count} cells, limit is {MAX_CELLS}")
     cells = []
     for cell in itertools.product(betas, mus, lambdas):
         cfg = dict(base)
         cfg.update((k, v) for k, v in zip(("beta", "mu", "lambda"), cell) if v is not None)
         cells.append(cfg)
-    if len(cells) > MAX_CELLS:
-        raise ConfigError(f"sweep grid holds {len(cells)} cells, limit is {MAX_CELLS}")
 
     results = {}
     failures = []

@@ -184,20 +184,24 @@ class _Sampler:
         1.5 ulps apart (each k * step is rounded by half an ulp, and
         tau_end differs from (n - 1) * step by under one), and rounding z
         narrows that gap by at most one ulp more.  Where either test fails,
-        the samples are computed and checked as arrays, so the verdict is
-        always the one the checks on arrays give.
+        the samples are computed once and checked as arrays (_refusal), so
+        the verdict is always the one the checks on arrays give.
         """
         ends = self.z_at(np.array([0, self.size - 1]))
-        bounded = np.all(np.abs(self.coef).sum(axis=0) < 1e300)
-        if not (bounded and np.all(np.isfinite(ends))):
-            z, q, _ = self.arrays()
-            if not (np.all(np.isfinite(z)) and np.all(np.isfinite(q))):
-                return "profile samples must be finite"
-        if not self.step > 4.0 * np.spacing(max(np.abs(ends).max(), self.tau_end)):
-            z = self.arrays()[0]
-            if np.any(z[1:] <= z[:-1]):
-                return "profile z must be strictly increasing"
-        return None
+        if (np.all(np.abs(self.coef).sum(axis=0) < 1e300) and np.all(np.isfinite(ends))
+                and self.step > 4.0 * np.spacing(max(np.abs(ends).max(), self.tau_end))):
+            return None
+        z, q, _ = self.arrays()
+        return _refusal(z, q)
+
+
+def _refusal(z, q):
+    """profile_interpolator's message for the samples z, q, or None."""
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(q))):
+        return "profile samples must be finite"
+    if np.any(z[1:] <= z[:-1]):
+        return "profile z must be strictly increasing"
+    return None
 
 
 def _pchip_end(h0, h1, m0, m1):
@@ -265,20 +269,17 @@ def profile_interpolator(profile: WaveProfile):
         if z_all.ndim != 1 or len(z_all) < 2 or q_all.shape != z_all.shape:
             raise ValueError("a profile needs at least 2 samples of z and q "
                              "of one length")
-        if not (np.all(np.isfinite(z_all)) and np.all(np.isfinite(q_all))):
-            raise ValueError("profile samples must be finite")
-        if np.any(z_all[1:] <= z_all[:-1]):
-            raise ValueError("profile z must be strictly increasing")
+        refusal = _refusal(z_all, q_all)
         size, z_at, q_at = len(z_all), z_all.take, q_all.take
 
         def search(zc):
             return np.searchsorted(z_all, zc, side="right")
     else:
         refusal = sampler.refusal()
-        if refusal is not None:
-            raise ValueError(refusal)
         size, z_at, q_at, search = (sampler.size, sampler.z_at, sampler.q_at,
                                     sampler.search)
+    if refusal is not None:
+        raise ValueError(refusal)
     lo, hi = z_at(np.array([0, size - 1]))
     q_lo, q_hi = q_at(np.array([0, size - 1]))
     last = size - 2

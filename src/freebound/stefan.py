@@ -77,17 +77,17 @@ per ensemble and seated at its row with one copy).  So every check and
 clamp is a kernel's, and each member's trajectory is bit-identical to
 simulate(spec).
 
-A member that fails leaves with its own error, the one simulate(spec)
-raises, at the nominal step where it fails; the rest step on.  Its
-kernel's failure is caught in _lockstep's loop over the members, which
-goes on to the next, and its ceiling's in its recorder; a member whose
-kernel failed is not recorded in that step.  From the next nominal step
-the engine is picked again by the number of members still stepping, from
-their current states: two or more step on a new _lockstep, one on its
-kernel as simulate steps it, and nothing restarts from t = 0.  Only the
-eta levels of the members still stepping are stepped: a departed member's
-eta can be infinite, which _eta_step would split into 1e4 substeps a
-step.  Until a member fails, the step loop keeps no per-member list.
+Every member's run ends in one table, ends[k] = (its last recorded
+nominal step, its error or None), written where the end happens: by its
+recorder at tmax, when stop holds or when the ceiling check fails, and by
+fail when its kernel raises, in a lone run or in _lockstep's loop over
+the members, which goes on to the next; that member is not recorded in
+that step, and its error is simulate(spec)'s.  The step loop breaks in
+the step where a member ends; the rest go on from their states there, on
+an engine picked again by their number, and nothing restarts from t = 0.
+Only the eta levels of the members still stepping are stepped: a departed
+member's eta can be infinite, which _eta_step would split into 1e4
+substeps a step.
 
 The two substep bodies stay because each wins on a workload the benchmark
 runs: threshold-mu and front-800 step one member, sweep-16 two ensembles
@@ -450,12 +450,12 @@ def simulate_many(specs: Sequence[ProblemSpec]) -> list[Trajectory | NumericalEr
 def _run(specs, snapshot_times=(), stop=None) -> list:
     """The one run driver: every spec stepped to tmax, each member
     recorded, checked against its ceiling and snapshotted as simulate
-    says.  Returns each member's Trajectory, or the error that ended its
-    run: a member that fails leaves at that nominal step and the rest step
-    on.  The engine is picked by the number of members still stepping, at
-    the start and after each departure: a lone member on its kernel, two
-    or more on _lockstep.  stop is simulate's and comes only with a lone
-    spec."""
+    says.  Each member's end goes into the table ends, as (last recorded
+    step, error or None), in the step where it happens, and the step loop
+    breaks there; the members still stepping pick their engine again by
+    their number: one on its kernel, two or more on _lockstep.  Returns
+    ends[k]'s error or member k's Trajectory up to that step.  stop is
+    simulate's and comes only with a lone spec."""
     requested = [float(t) for t in snapshot_times]
     if not all(0.0 <= t < math.inf for t in requested):
         raise ValueError(f"snapshot times must be finite and >= 0, got {requested!r}")
@@ -471,9 +471,9 @@ def _run(specs, snapshot_times=(), stop=None) -> list:
     nominal = s0.dt
     n_steps = int(np.ceil(s0.tmax / nominal))
     try:
-        # t, h, h', sup u and eta: row k of each is member k's, a column a
-        # nominal step
-        records = [np.empty((K, n_steps + 1)) for _ in range(5)]
+        # t, h, h', sup u and eta, one block: row k of each is member k's, a
+        # column a nominal step
+        records = np.empty((5, K, n_steps + 1))
     except (MemoryError, ValueError) as exc:  # ValueError: past numpy's index range
         raise ConfigError(
             f"tmax / dt = {s0.tmax!r} / {nominal!r} gives {n_steps} steps, whose "
@@ -486,13 +486,12 @@ def _run(specs, snapshot_times=(), stop=None) -> list:
     # each member's eta where its engine starts; eta depends only on eta(0)
     eta_at = records[4][:, 0].tolist()
     snapshots = [[] for _ in specs]
-    failed = {}  # member: the error that ends its run, in the step it fails
-    errors = {}  # member: that error, for every member that has left
+    ends = {}  # member: (its last recorded nominal step, its error or None)
 
     def recorder(k):
-        """record(i, t, h, hp, sup, eta, w) -> done: member k's nominal step
-        i, done when it is the last, by stop or at tmax, or when k fails
-        its ceiling check, which ends its run."""
+        """record(i, t, h, hp, sup, eta, w) -> ended: member k's nominal step
+        i, which ends k's run at tmax, when stop holds, or when k fails its
+        ceiling check."""
         times, hs, hps, sups, etas = (series[k] for series in records)
         xi, snaps = specs[k].xi, snapshots[k]
         pending = sorted(requested)
@@ -501,7 +500,7 @@ def _run(specs, snapshot_times=(), stop=None) -> list:
             nonlocal pending
             times[i], hs[i], hps[i], sups[i], etas[i] = t, h, hp, sup, eta
             if sup > eta + CEILING_SLACK:
-                failed[k] = InvariantViolation(
+                ends[k] = i, InvariantViolation(
                     f"sup u = {sup:.8g} exceeds eta = {eta:.8g} at t = {t:.6g}")
                 return True
             done = (stop is not None and stop(FrontState(t=t, h=h, w=w.copy(), hprime=hp))
@@ -511,23 +510,25 @@ def _run(specs, snapshot_times=(), stop=None) -> list:
             if done or pending and t >= pending[0] - 1e-12:
                 snaps.append((t, xi * h, w.copy()))
                 pending = [s for s in pending if t < s - 1e-12]
+            if done:
+                ends[k] = i, None
             return done
 
         return record
 
     def fail(p, exc):
         """The kernel of the group's member p failed in nominal step i: the
-        member leaves, unrecorded in that step, with simulate's error."""
-        failed[group[p]] = error = type(exc)(
-            f"{exc} (while stepping to t = {i * nominal:.6g})")
+        member ends, unrecorded in that step, with simulate's error."""
+        error = type(exc)(f"{exc} (while stepping to t = {i * nominal:.6g})")
         error.__cause__ = exc
+        ends[group[p]] = i - 1, error
 
     recorders = [recorder(k) for k in range(K)]
     f = s0.nonlinearity
     group = list(range(K))  # the members still stepping
     settled = False  # every level is a fixed point of the RK4 step: it stays put
     i = 0
-    while True:
+    while group:
         # the engine by member count, from the group's current states: a
         # lone member's state is Python floats and its w, an ensemble's
         # vectors and its rows, and eta one level or one per distinct value
@@ -548,10 +549,10 @@ def _run(specs, snapshot_times=(), stop=None) -> list:
             def record(i, t, h, hp, sup, levels, rows):
                 columns = zip(group, t.tolist(), h.tolist(), hp.tolist(), sup.tolist(),
                               level_of, rows)
-                if failed:  # a member whose kernel failed leaves unrecorded
-                    columns = [c for c in columns if c[0] not in failed]
                 for k, tk, hk, hpk, supk, level, w in columns:
-                    recorders[k](i, tk, hk, hpk, supk, levels[level], w)
+                    if k not in ends:  # a member whose kernel failed is not recorded
+                        recorders[k](i, tk, hk, hpk, supk, levels[level], w)
+                return not ends.keys().isdisjoint(group)  # a member ended here
 
             def step_eta(levels):
                 return [_eta_step(f, e, nominal) for e in levels]
@@ -566,23 +567,17 @@ def _run(specs, snapshot_times=(), stop=None) -> list:
                 stepped = step_eta(eta)
                 settled = stepped == eta
                 eta = stepped
-            if record(i, t, h, hp, sup, eta, w) or failed:
+            if record(i, t, h, hp, sup, eta, w):
                 break
-        if not failed:  # every member ran to its end
-            break
         # the others step on from their states at step i
         for p, k in enumerate(group):
-            if k not in failed:
+            if k not in ends:
                 states[k] = FrontState(t=t.item(p), h=h.item(p), w=w[p], hprime=hp.item(p))
                 eta_at[k] = eta[level_of[p]]
-        errors.update(failed)
-        failed.clear()
-        group = [k for k in group if k not in errors]
-        if not group or i == n_steps:
-            break
-    return [errors.get(k) or Trajectory(*(series[k, :i + 1] for series in records),
-                                        snapshots=snapshots[k], spec=s)
-            for k, s in enumerate(specs)]
+        group = [k for k in group if k not in ends]
+    return [error or Trajectory(*(series[k, :last + 1] for series in records),
+                                snapshots=snapshots[k], spec=specs[k])
+            for k, (last, error) in sorted(ends.items())]
 
 
 def _stacked_bands(K, n):

@@ -361,6 +361,22 @@ def test_sweep_grid_limit(tmp_path):
     assert rc == 2
 
 
+def test_sweep_grid_is_refused_before_its_cells_are_built(tmp_path, monkeypatch, capsys):
+    # two 10,000-value axes make 10^8 cells: refused on the axis lengths,
+    # before itertools.product yields a cell
+    def no_grid(*axes):
+        raise AssertionError("the grid's cells were built")
+
+    monkeypatch.setattr(cli.itertools, "product", no_grid)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(BASE_CFG)
+    rc = main(["sweep", "--config", str(cfg), "--betas", "0:1:10000",
+               "--mus", "0.5:1:10000", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: sweep grid holds 100000000 cells, limit is 10000\n")
+
+
 def test_sweep_mu_column_flip(tmp_path, capsys):
     # below the critical length the mu column flips Vanishing -> Spreading
     cfg = tmp_path / "s.cfg"
@@ -972,6 +988,28 @@ def test_classify_reads_the_run_hints_without_solving_them(run_dir, monkeypatch,
     monkeypatch.setattr(cli, "spreading_speed", _l_star_fails)
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_classify_config_records_the_hints_it_dropped(run_dir, tmp_path, monkeypatch,
+                                                      capsys):
+    # l_star's solve fails: the run is classified without it, and the JSON
+    # says why in an added hint_errors field, which is absent otherwise
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG)
+    argv = ["classify", "--trajectory", str(run_dir / "trajectory.csv"),
+            "--config", str(cfg), "--json"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "hint_errors" not in json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(cli, "critical_length", _l_star_fails)
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["hint_errors"] == {
+        "l_star": {"type": "NumericalError", "message": "l_star: stubbed failure"}}
+    assert payload["evidence"]["lstar"] is None
+    # the text output names the verdict alone
+    assert main(argv[:-1]) == 0
+    assert capsys.readouterr().out == f"verdict = {payload['verdict']}\n"
 
 
 def test_threshold_json_says_why_each_run_stopped(tmp_path, capsys):

@@ -173,6 +173,26 @@ def test_doctored_shots_refused_as_their_arrays(monkeypatch, logistic_n, defect)
     assert new == refusals[defect] if defect in refusals else isinstance(new, bytes)
 
 
+def test_a_sampler_that_neither_proof_covers_is_computed_once(monkeypatch, logistic_n):
+    # a NaN on a step that no sample reads fails the finiteness proof, and a
+    # step below an ulp of z the ordering proof: the samples are computed
+    # once, and the sampler is refused as its arrays are
+    made = record_samplers(monkeypatch)
+    prof = PROFILES["stationary-robin"](logistic_n, {})
+    shot = made[-1][0]
+    bad = doctored(prof, made, shot=nan_at(shot, 1), n_samples=3, tau_end=1e-300)
+    wholes = []
+    arrays = profiles._Sampler.arrays
+    monkeypatch.setattr(profiles._Sampler, "arrays",
+                        lambda self: wholes.append(self) or arrays(self))
+    with pytest.raises(ValueError) as new:
+        fb.profile_interpolator(bad)
+    assert len(wholes) == 1
+    with pytest.raises(ValueError) as old:
+        fb.profile_interpolator(whole(bad))
+    assert str(new.value) == str(old.value) == "profile z must be strictly increasing"
+
+
 # two knots (the linear case), three, and more; Moler's end slope
 # d = ((2 h0 + h1) m0 - h0 m1) / (h0 + h1) is set to 0 when its sign differs
 # from m0's ([0, 1, 6]) and to 3 m0 when the secants change sign and

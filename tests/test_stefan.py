@@ -570,6 +570,30 @@ def test_a_lone_survivor_steps_on_its_kernel(n, monkeypatch):
         assert _assert_outcomes_are_simulate(outcomes, specs) == failing
 
 
+@pytest.mark.parametrize("failure", ["peclet", "ceiling"])
+def test_a_member_that_leaves_in_the_last_step_ends_with_the_rest(n, monkeypatch,
+                                                                  failure):
+    # tmax cut to the nominal step in which member 1 fails (the target its
+    # kernel was stepping to, or the time at which its ceiling check
+    # failed): it leaves in the step in which the other three end at tmax,
+    # and no engine is built after it
+    specs = (_peclet_specs(n, (0.5, 4.0, 1.0, 2.0)) if failure == "peclet"
+             else _ceiling_specs(n))
+    with pytest.raises(fb.errors.FreeboundError) as alone:
+        fb.simulate(specs[1])
+    tmax = float(re.findall(r"t = ([-+.e0-9]+)", str(alone.value))[-1])
+    last = int(np.ceil(tmax / specs[0].dt))
+    assert last == round(tmax / specs[0].dt)
+    specs = [replace(s, tmax=tmax) for s in specs]
+    built = _engines(monkeypatch)
+    outcomes = simulate_many(specs)
+    monkeypatch.undo()
+    assert built == [("lockstep", 4, [0.0] * 4)]
+    assert _assert_outcomes_are_simulate(outcomes, specs) == [1]
+    assert str(outcomes[1]) == str(alone.value)
+    assert all(len(o.times) == last + 1 for k, o in enumerate(outcomes) if k != 1)
+
+
 def test_sweep_cells_step_as_they_step_alone():
     # the 16 seed-0 cells of the sweep-16 benchmark, cut to tmax = 2: the
     # CFL limit leaves some members behind after every joint substep, some
