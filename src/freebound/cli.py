@@ -30,6 +30,9 @@ ensemble of one is simulate.  A cell whose spec is refused stays out of
 the ensemble, and a member that fails leaves it with its own error while
 the rest step on, so each cell runs once and every row and sidecar entry
 reads as a cell-by-cell sweep writes it, in cell order.
+
+threshold runs up to --workers bisection values at once (else the CPU
+count; see thresholds), and prints the same JSON for any --workers.
 """
 
 from __future__ import annotations
@@ -268,13 +271,21 @@ def _cmd_classify(args):
     return 0
 
 
+def _check_workers(args):
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+
+
 def _cmd_threshold(args):
+    _check_workers(args)
     spec = spec_from_config(load_config(args.config))
     if args.param == "mu":
-        res = mu_threshold(spec, (args.lo, args.hi), args.tol)
+        res = mu_threshold(spec, (args.lo, args.hi), args.tol,
+                           workers=args.workers)
     else:
         psi = default_initial_profile(spec.h0, spec.a, spec.b)
-        res = lambda_threshold(spec, psi, (args.lo, args.hi), args.tol)
+        res = lambda_threshold(spec, psi, (args.lo, args.hi), args.tol,
+                               workers=args.workers)
     print(json.dumps(asdict(res), sort_keys=True))
     return 0
 
@@ -424,8 +435,7 @@ def _sweep_chunks(items, workers):
 
 
 def _cmd_sweep(args):
-    if args.workers is not None and args.workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+    _check_workers(args)
     base = load_config(args.config)
     betas = _parse_grid(args.betas, "--betas")
     mus = _parse_grid(args.mus, "--mus")
@@ -545,6 +555,7 @@ def build_parser():
     p.add_argument("--tol", type=float, required=True)
     p.add_argument("--lo", type=float, default=0.1)
     p.add_argument("--hi", type=float, default=10.0)
+    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=_cmd_threshold)
 
     p = add_parser("asymptotics", help="speed fit and profile errors")

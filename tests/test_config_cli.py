@@ -1032,3 +1032,36 @@ def test_threshold_json_says_why_each_run_stopped(tmp_path, capsys):
         else:
             assert rule == "vanishing-certificate" and slack >= 0.05
         assert 0.0 < t_stop < 50.0
+
+
+# h0 = 1.6 below l_star = 3.24, so threshold simulates
+THRESHOLD_CFG = "beta = 0.5\nmu = 1\nh0 = 1.6\nnx = 100\ndt = 0.002\ntmax = 50\n"
+
+
+@pytest.mark.parametrize("param", ["mu", "lambda"])
+def test_threshold_json_is_the_same_for_any_workers(tmp_path, capsys, param):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(THRESHOLD_CFG)
+    argv = ["threshold", "--param", param, "--config", str(cfg), "--tol", "0.5",
+            "--lo", "0.5", "--hi", "4"]
+    outs = []
+    for workers in ("1", "2", "3"):
+        assert main([*argv, "--workers", workers]) == 0
+        outs.append(capsys.readouterr().out)
+    assert json.loads(outs[0])["note"] == "bracketed"
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_threshold_refuses_workers_below_one_before_any_solve(
+        tmp_path, monkeypatch, capsys, value):
+    from freebound import thresholds
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(THRESHOLD_CFG)
+    monkeypatch.setattr(thresholds, "spreading_speed", _no_solve)
+    monkeypatch.setattr(thresholds, "simulate", _no_solve)
+    assert main(["threshold", "--param", "mu", "--config", str(cfg),
+                 "--tol", "0.5", f"--workers={value}"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --workers must be at least 1, got {value}"]

@@ -5,10 +5,11 @@ scipy.optimize._zeros and no other scipy module, and the commands that
 need no Stefan run (eigen, semiwave, wave, and classify and asymptotics of
 a saved run) load nothing more; neither they nor evaluating a profile load
 numpy.ma.  The first Stefan kernel loads LAPACK's extension
-scipy.linalg._flapack; sweep loads it in the parent before its pool
-forks, so that the workers inherit it.  Each extension loaded alone gives
-the bits its scipy package gives, and a later import of the package
-reuses it."""
+scipy.linalg._flapack; sweep and a threshold on more than one worker
+load it in the parent before their pools fork, so that the workers
+inherit it.  Neither importing the package nor a threshold on one worker
+loads multiprocessing.  Each extension loaded alone gives the bits its
+scipy package gives, and a later import of the package reuses it."""
 
 import os
 import subprocess
@@ -81,6 +82,42 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert freebound.cli.main(["sweep", "--config", sys.argv[1], "--betas", "0.5,1",
                                "--workers", "2", "--out", sys.argv[2]]) == 0
 assert scipy_modules() == ["scipy.linalg._flapack"], f"sweep's parent loaded {scipy_modules()}"
+print("ok")
+"""
+
+# no multiprocessing on import, nor for a threshold on one worker
+NO_MULTIPROCESSING = """
+import sys
+import freebound as fb
+
+assert "multiprocessing" not in sys.modules, "importing freebound loaded multiprocessing"
+n = fb.logistic()
+lstar = fb.critical_length(0.5, 1.0, 0.0, n.fp0)
+spec = fb.ProblemSpec(beta=0.5, mu=1.0, a=1.0, b=0.0, h0=0.5 * lstar,
+                      nonlinearity=n, nx=50, dt=0.01)
+assert fb.mu_threshold(spec, (0.5, 4.0), 2.0, workers=1).note == "bracketed"
+assert "multiprocessing" not in sys.modules, "one worker loaded multiprocessing"
+print("ok")
+"""
+
+# a fresh parent binds LAPACK before a threshold's pool forks; argv: a
+# threshold config
+THRESHOLD = """
+import contextlib, io, os, sys
+import freebound.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules()
+bound = []
+os.register_at_fork(before=lambda: bound.append("scipy.linalg._flapack" in sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert freebound.cli.main(["threshold", "--param", "mu", "--config", sys.argv[1],
+                               "--tol", "0.5", "--workers", "2"]) == 0
+assert bound == [True, True], f"LAPACK bound at each fork: {bound}"
+assert scipy_modules() == ["scipy.linalg._flapack", "scipy.optimize._zeros"], \
+    f"threshold's parent loaded {scipy_modules()}"
 print("ok")
 """
 
@@ -179,6 +216,16 @@ def test_sweep_binds_lapack_before_its_pool_forks(tmp_path):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("beta = 0.5\nmu = 2\nh0 = 4.2\nnx = 50\ntmax = 1\n")
     _fresh(SWEEP, cfg, tmp_path / "sweep.csv")
+
+
+def test_multiprocessing_is_loaded_only_for_a_pool():
+    _fresh(NO_MULTIPROCESSING)
+
+
+def test_threshold_binds_lapack_before_its_pool_forks(tmp_path):
+    cfg = tmp_path / "thr.cfg"
+    cfg.write_text("beta = 0.5\nmu = 1\nh0 = 1.6\nnx = 100\ndt = 0.002\ntmax = 50\n")
+    _fresh(THRESHOLD, cfg)
 
 
 def test_runs_give_the_same_bits_whether_scipy_linalg_is_imported_or_not():

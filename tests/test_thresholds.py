@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import time
 import warnings
 from dataclasses import replace
 
@@ -53,7 +56,8 @@ def lambda_res(lambda_config):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(thresholds, "simulate", counted)
-        res = fb.lambda_threshold(spec, psi, (0.05, 4.0), 0.5)
+        # one worker: the count sees only calls made in this process
+        res = fb.lambda_threshold(spec, psi, (0.05, 4.0), 0.5, workers=1)
     return res, len(calls)
 
 
@@ -252,7 +256,7 @@ def test_bisect_ends_below_the_spacing_of_doubles(template, monkeypatch):
         return "Spreading" if value >= 1.3 else "Vanishing"
 
     monkeypatch.setattr(thresholds, "_classified_run", counted)
-    res = fb.mu_threshold(template, (0.5, 4.0), 1e-300)
+    res = fb.mu_threshold(template, (0.5, 4.0), 1e-300, workers=1)
     assert len(calls) == res.runs <= 2 + 64
     lo, hi = res.bracket
     verdicts = dict(res.history)
@@ -352,3 +356,149 @@ def test_threshold_inputs_refused_before_any_solve(template, monkeypatch,
         fb.mu_threshold(template, value_range, tol)
     with pytest.raises(ValueError):
         fb.lambda_threshold(template, psi, value_range, tol)
+
+
+# -- several workers: the one-worker result, and no worker left behind ------
+
+def _no_worker_left():
+    assert multiprocessing.active_children() == []
+
+
+def test_default_workers_give_the_one_worker_mu_result(template, mu_res):
+    # mu_res ran at the default worker count
+    one = fb.mu_threshold(template, (0.5, 4.0), 0.5, workers=1)
+    _no_worker_left()
+    assert mu_res == one
+
+
+def test_default_workers_give_the_one_worker_lambda_result(lambda_config,
+                                                           lambda_res):
+    # lambda_res ran on one worker
+    spec, psi, _ = lambda_config
+    res = fb.lambda_threshold(spec, psi, (0.05, 4.0), 0.5)
+    _no_worker_left()
+    assert res == lambda_res[0]
+
+
+def test_default_workers_give_the_one_worker_criterion_7_result(template):
+    res = fb.mu_threshold(template, (0.5, 4.0), 1e-2)
+    _no_worker_left()
+    assert res == fb.mu_threshold(template, (0.5, 4.0), 1e-2, workers=1)
+
+
+def _undetermined(value):
+    return fb.errors.NumericalError(
+        f"classification still Undetermined at parameter {value:g}")
+
+
+def _scripted(monkeypatch, log, verdict):
+    """Replace _classified_run by verdict(value), a verdict or an exception
+    to raise, after 0.05 s, so that two workers run values side by side.
+    Every call appends its value to the file log, from whichever process
+    makes it."""
+
+    def run(make_spec, value, lstar, tmax, candidates, stops):
+        with open(log, "a") as fh:
+            fh.write(f"{value!r}\n")
+        time.sleep(0.05)
+        stops.append((value, "horizon", tmax, None))
+        outcome = verdict(value)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(thresholds, "_classified_run", run)
+
+    def ran():
+        values = [float(v) for v in log.read_text().split()]
+        log.write_text("")
+        return values
+
+    return ran
+
+
+def _flip_at(mu):
+    return lambda value: "Spreading" if value >= mu else "Vanishing"
+
+
+def test_runs_off_the_path_are_wasted(template, monkeypatch, tmp_path):
+    # every midpoint vanishes, so each guess that a running one spreads
+    # sends the second worker off the path
+    ran = _scripted(monkeypatch, tmp_path / "log", _flip_at(3.9))
+    one = fb.mu_threshold(template, (0.5, 4.0), 0.5, workers=1)
+    assert ran() == [v for v, _ in one.history]
+    two = fb.mu_threshold(template, (0.5, 4.0), 0.5, workers=2)
+    _no_worker_left()
+    assert two == one
+    assert set(ran()) > set(v for v, _ in one.history)
+
+
+def test_an_error_off_the_path_is_not_raised(template, monkeypatch, tmp_path):
+    # 1.375 is run while 2.25 is pending, guessed Spreading; 2.25 vanishes
+    flip = _flip_at(3.9)
+    ran = _scripted(monkeypatch, tmp_path / "log",
+                    lambda v: _undetermined(v) if v == 1.375 else flip(v))
+    one = fb.mu_threshold(template, (0.5, 4.0), 0.5, workers=1)
+    assert 1.375 not in ran()
+    two = fb.mu_threshold(template, (0.5, 4.0), 0.5, workers=2)
+    _no_worker_left()
+    assert two == one
+    assert 1.375 in ran()
+
+
+@pytest.mark.parametrize("verdicts, error, message", [
+    # lo's error, then hi's, then NoBracket, then each midpoint's
+    ({}, fb.errors.NoBracket,
+     "endpoints classify as (Vanishing, Vanishing); need (Vanishing, Spreading)"),
+    ({0.5: "Spreading", 4.0: _undetermined(4.0)}, fb.errors.NumericalError,
+     "classification still Undetermined at parameter 4"),
+    ({0.5: _undetermined(0.5), 4.0: _undetermined(4.0)},
+     fb.errors.NumericalError, "classification still Undetermined at parameter 0.5"),
+    # the second midpoint, run while the first is pending
+    ({4.0: "Spreading", 2.25: "Spreading", 1.375: _undetermined(1.375),
+      0.9375: _undetermined(0.9375)}, fb.errors.NumericalError,
+     "classification still Undetermined at parameter 1.375"),
+])
+def test_errors_are_raised_in_one_workers_order(template, monkeypatch, tmp_path,
+                                                verdicts, error, message):
+    _scripted(monkeypatch, tmp_path / "log",
+              lambda v: verdicts.get(v, "Vanishing"))
+    for workers in (1, 2):
+        with pytest.raises(error) as raised:
+            fb.mu_threshold(template, (0.5, 4.0), 0.5, workers=workers)
+        _no_worker_left()
+        assert str(raised.value) == message
+
+
+def test_lambda_probe_that_vanishes_outranks_the_error_of_lo(
+        lambda_config, monkeypatch, tmp_path):
+    # the second worker runs lo beside the probe of hi, and lo fails
+    spec, psi, _ = lambda_config
+    ran = _scripted(monkeypatch, tmp_path / "log",
+                    lambda v: _undetermined(v) if v == 0.05 else "Vanishing")
+    one = fb.lambda_threshold(spec, psi, (0.05, 4.0), 0.5, workers=1)
+    assert ran() == [4.0]
+    two = fb.lambda_threshold(spec, psi, (0.05, 4.0), 0.5, workers=2)
+    _no_worker_left()
+    assert two == one
+    assert one.note == "possibly-lambda-star-infinite"
+    assert one.history == ((4.0, "Vanishing"),) and one.runs == 1
+    assert sorted(ran()) == [0.05, 4.0]
+
+
+def test_workers_below_one_are_refused(template):
+    psi = fb.default_initial_profile(template.h0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+        fb.mu_threshold(template, (0.5, 4.0), 0.5, workers=0)
+    with pytest.raises(ValueError, match="workers must be at least 1, got -1"):
+        fb.lambda_threshold(template, psi, (0.5, 4.0), 0.5, workers=-1)
+
+
+def test_a_worker_that_dies_is_an_error_not_a_wait(template, monkeypatch):
+    def dies(make_spec, value, lstar, tmax, candidates, stops):
+        os._exit(3)
+
+    monkeypatch.setattr(thresholds, "_classified_run", dies)
+    with pytest.raises(fb.errors.NumericalError, match="ended without a verdict"):
+        fb.mu_threshold(template, (0.5, 4.0), 0.5, workers=2)
+    _no_worker_left()
