@@ -52,7 +52,7 @@ import numpy as np
 from . import __version__
 from ._scipy import extension
 from .asymptotics import fit_speed, profile_error
-from .classify import classify
+from .classify import classify, decayed_and_stalled
 from .config import ConfigError, load_config, nonlinearity_from_config, spec_from_config
 from .eigen import EigenProblem, critical_length, critical_length_no_advection, principal_eigenvalue
 from .errors import DomainError, FreeboundError, NumericalError, _require_finite
@@ -370,17 +370,17 @@ def _c_tilde(spec, errors):
 
 
 def _verdict(traj, spec, errors):
-    """classify's verdict with c_tilde solved only when rule 3 is reached:
-    rules 1-2 never read it.  A hint that fails leaves the run classified
-    without it, and its error goes into errors under its name.
+    """classify's verdict, from one classify call, with c_tilde solved only
+    when rule 3 is reached: rules 1-2 never read it.  For beta >= c0 there
+    is no l_star, so rule 1 cannot fire, and rule 3 is reached exactly when
+    rule 2 fails on the final state.  A hint that fails leaves the run
+    classified without it, and its error goes into errors under its name.
     """
-    lstar = _l_star(spec, errors)
-    verdict = classify(traj, spec, lstar=lstar)
-    if spec.beta >= spec.nonlinearity.c0 and verdict.evidence["rule"] == "no-rule-fired":
+    lstar, ctilde = _l_star(spec, errors), None
+    if spec.beta >= spec.nonlinearity.c0 and not decayed_and_stalled(
+            float(traj.supu[-1]), float(traj.hprime[-1]), float(traj.h[-1]), lstar):
         ctilde = _c_tilde(spec, errors)
-        if ctilde is not None:
-            verdict = classify(traj, spec, lstar=lstar, ctilde=ctilde)
-    return verdict
+    return classify(traj, spec, lstar=lstar, ctilde=ctilde)
 
 
 def _sweep_result(index, cfg, traj):

@@ -79,13 +79,15 @@ class _Sampler:
     (descending tau when reverse, which is ascending z for a backward
     shot), and q or q' pinned to 0.0 at the z indices pin_q, pin_qp.
 
-    The steps' interpolants are laid out once per shot as one
-    (coefficient, component, step) array, coef[i, j] being the i-th term
-    Horner adds for q (j = 0) or q' (j = 1): the coefficients from the
-    top one down, then y_old.  _fill evaluates any taus with the
-    operations of waves._interpolate in its order, both components
-    together, each Horner term one take of a contiguous (component, step)
-    slab: bit for bit what scipy's OdeSolution gives on the same steps.
+    The shot's interpolants come as the arrays (t_old, h, y_old, F) of
+    waves._Shot, with the step index last, and are laid out once, in one
+    concatenation, as a (coefficient, component, step) array, coef[i, j]
+    being the i-th term Horner adds for q (j = 0) or q' (j = 1): the
+    coefficients from the top one down, then y_old.  _fill evaluates any
+    taus with the operations of waves._interpolate in its order, both
+    components together, each Horner term one take of a contiguous
+    (component, step) slab: bit for bit what scipy's OdeSolution gives on
+    the same steps.
 
     arrays() computes every sample, _SAMPLE_BLOCK at a time, straight into
     q and q' (a reversed block into its mirrored slots), so no temporary
@@ -107,12 +109,8 @@ class _Sampler:
         self.z_of = z_of
         self.pin_q = [k % n_samples for k in pin_q]
         self.pin_qp = [k % n_samples for k in pin_qp]
-        self.t_old = np.array([s[0] for s in shot.steps])
-        self.h = np.array([s[1] for s in shot.steps])
-        F = np.array([s[3] for s in shot.steps])[:, :, :2]
-        self.coef = np.empty((F.shape[1] + 1, 2, len(F)))
-        self.coef[:-1] = F[:, ::-1].transpose(1, 2, 0)
-        self.coef[-1] = np.array([s[2][:2] for s in shot.steps]).T
+        self.t_old, self.h, y_old, F = shot.steps
+        self.coef = np.concatenate((F[::-1, :2], y_old[None, :2]))
 
     def _fill(self, tau, v):
         """(q, q') at the taus into v, shape (2, len(tau))."""

@@ -4,7 +4,7 @@ For |beta| < c0 and a front starting below the critical length, the
 long-time verdict flips monotonically in the Stefan coefficient mu (and,
 with u0 = lambda*psi, in the amplitude lambda): comparison of solutions
 makes the verdict map monotone, so the threshold is bracketed by
-bisection on repeated simulate + classify.  The threshold point itself is
+bisection on repeated runs of simulate.  The threshold point itself is
 unobservable at finite precision; results are brackets, never points.
 
 Each run stops at the first of two certificates, checked by one stop
@@ -27,10 +27,13 @@ hook in simulate:
   full-horizon bisection.
 
 A run neither certificate ends is read at tmax on its way to 2*tmax: the
-hook stops it there when classify's rule 2 holds, and classify decides
-at the stop or at 2*tmax.  The eigen data of the certificate depend on
-neither mu nor lambda, so each threshold call computes them once, for a
-fixed grid of lengths in (h0, l_star).  A stopped run skips the per-step
+hook stops it there when classify's rule 2 holds, and reads rule 2 again
+at 2*tmax.  The rule that stopped a run gives its verdict, the one
+classify would give on its trajectory: rule 1 Spreading, the certificate
+or rule 2 Vanishing; a run that reaches 2*tmax with rule 2 failing, which
+classify calls Undetermined, raises NumericalError.  The eigen data of
+the certificate depend on neither mu nor lambda, so each threshold call
+computes them once, for a fixed grid of lengths in (h0, l_star).  A stopped run skips the per-step
 invariant checks (h' > 0, clamp floor, ceiling) the full run would have
 met after the stop.
 
@@ -82,8 +85,8 @@ from typing import Callable
 import numpy as np
 
 from ._scipy import extension
-from .classify import (MARGIN, classify, decayed_and_stalled,
-                       vanishing_candidates, vanishing_certificate)
+from .classify import (MARGIN, decayed_and_stalled, vanishing_candidates,
+                       vanishing_certificate)
 from .eigen import critical_length
 from .errors import NoBracket, NumericalError
 from .stefan import ProblemSpec, simulate
@@ -132,17 +135,19 @@ def _classified_run(make_spec: Callable[[float], ProblemSpec], value: float,
                     lstar: float, tmax: float, candidates: tuple,
                     stops: list) -> str:
     """Verdict at one parameter value from one run to 2*tmax, whose stop
-    hook appends a stops entry at each certificate or horizon it meets."""
+    hook appends a stops entry at each certificate or horizon it meets and
+    stops the run with the verdict of the rule that fired."""
     spec = replace(make_spec(value), tmax=2.0 * tmax)
     # the step counts at which runs to tmax and to 2*tmax end
     horizons = (math.ceil(tmax / spec.dt), math.ceil(spec.tmax / spec.dt))
-    steps, next_check = 0, CHECK_EVERY
+    steps, next_check, verdict = 0, CHECK_EVERY, None
 
     def stop(st):
-        nonlocal steps, next_check
+        nonlocal steps, next_check, verdict
         steps, t = steps + 1, float(st.t)
         if st.h >= lstar + MARGIN:
             stops.append((value, "front-beyond-critical-length", t, None))
+            verdict = "Spreading"
             return True
         if t >= next_check - 1e-9:
             next_check += CHECK_EVERY
@@ -150,18 +155,16 @@ def _classified_run(make_spec: Callable[[float], ProblemSpec], value: float,
                                              lstar, candidates)
             if slack >= MARGIN:
                 stops.append((value, "vanishing-certificate", t, slack))
+                verdict = "Vanishing"
                 return True
         if steps in horizons:
             stops.append((value, "horizon", t, None))
-            return decayed_and_stalled(float(np.max(st.w)), st.hprime, st.h,
-                                       lstar)
-        return False
+            if decayed_and_stalled(float(np.max(st.w)), st.hprime, st.h, lstar):
+                verdict = "Vanishing"
+        return verdict is not None
 
-    traj = simulate(spec, stop=stop)
-    if stops[-1][1] == "vanishing-certificate":
-        return "Vanishing"
-    verdict = classify(traj, spec, lstar=lstar).verdict
-    if verdict == "Undetermined":
+    simulate(spec, stop=stop)
+    if verdict is None:
         raise NumericalError(
             f"classification still Undetermined at parameter {value:g} "
             f"after doubling tmax to {spec.tmax:g}")

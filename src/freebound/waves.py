@@ -28,9 +28,13 @@ coefficient adds nothing and is left out), which is what the builtin
 sum of the generic stage loop computed on 3.11 (tests/oracles.py keeps
 that loop as reference_rk_step; the generated code is bit-identical to
 it), and no shot calls the builtin sum, whose float result 3.12 changed.
-A step's interpolant (three extra stages) is computed only where an event
-fires, or at every step of a dense shot, whose samples a sampler of
-profiles.py computes from them.
+A step's interpolant (three extra stages) is computed at once only where
+an event fires, for its root.  A dense shot packs each step's t, y and
+stages into one float64 record and computes every step's interpolant
+before it returns, in one call of the same dense function on float64
+arrays with the step index last, float(f(q)) read as f(q): the same
+operations in the same order, so the same bits.  A sampler of
+profiles.py computes the shot's samples from them.
 
 A profile picks the drift, launch, direction and events:
 
@@ -75,6 +79,7 @@ import weakref
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from math import inf, nan, nextafter, sqrt
+from struct import Struct
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -227,7 +232,10 @@ _EVENT_TOL = 4.0 * np.finfo(float).eps
 class _Shot(NamedTuple):
     """Outcome of one _shoot: the roots (tau) and states of each event in
     the order met, where the shot ended (a terminal root or the budget),
-    and with dense=True the interpolant (t_old, h, y_old, F) of every step."""
+    and with dense=True the interpolants of every step as four float64
+    arrays (t_old, h, y_old, F), the step index last: t_old and h of shape
+    (steps,), y_old (components, steps) and F (7, components, steps), F[:,
+    :, k] being step k's coefficients as _interpolate reads them."""
     t_events: list
     y_events: list
     t: float
@@ -269,15 +277,19 @@ def _kernel_source(names, exprs) -> str:
     fy = rhs(y): (y_new, f_new, s5, s3, K), s5 and s3 the sums of squared
     scaled 5th- and 3rd-order error estimates, K every stage component-major
     (K[13*j + s] is stage s of y[j]).  dense(K, h, y_old, y) is the step's
-    interpolant coefficients F.  Every sum runs in the order of scipy's
-    stage loop, so each value is the one that loop gives on 3.11.
+    interpolant coefficients F.  Its stages read f's values through num,
+    float by default: with num=np.asarray, which returns an array as it
+    is, dense takes float64 arrays holding every step's K, h, y_old and y
+    with the step index last, and returns each step's F in the same place.
+    Every sum runs in the order of scipy's stage loop, so each value is the
+    one that loop gives on 3.11.
     """
     J = range(len(names))
 
     def tup(items):
         return "(" + "".join(f"{v}, " for v in items) + ")"
 
-    def stages(rows, first):
+    def stages(rows, first, exprs=exprs):
         lines = []
         for s, row in enumerate(rows, start=first):
             lines += [f"{x} = y{j} + ({_combination(row, j)}) * h"
@@ -305,7 +317,7 @@ def _kernel_source(names, exprs) -> str:
 
     dense = [f"{K} = K", f"{tup(f'y{j}' for j in J)} = y_old",
              f"{tup(f'yn{j}' for j in J)} = y"]
-    dense += stages(_A_EXTRA, _F_NEW + 1)
+    dense += stages(_A_EXTRA, _F_NEW + 1, [e.replace("float(", "num(") for e in exprs])
     dense += [f"dy{j} = yn{j} - y{j}" for j in J]
     F = [tup(f"dy{j}" for j in J),
          tup(f"h * k0_{j} - dy{j}" for j in J),
@@ -321,7 +333,7 @@ def _kernel_source(names, exprs) -> str:
             f"        {tup(names)} = y\n"
             f"        return [{', '.join(exprs)}]\n"
             f"    def step(y, fy, h):\n{body(step)}"
-            f"    def dense(K, h, y_old, y):\n{body(dense)}"
+            f"    def dense(K, h, y_old, y, num=float):\n{body(dense)}"
             f"    return rhs, step, dense\n")
 
 
@@ -391,7 +403,8 @@ def _shoot(g, n, y0, events, budget, max_step, *, backward, dense) -> _Shot:
     g_old = [fn(y) for fn, _, _ in events]
     t_events = [[] for _ in events]
     y_events = [[] for _ in events]
-    steps = [] if dense else None
+    # a dense shot's record of each step: the t and y it reached, its stages
+    record, taken = Struct(f"{1 + (_F_NEW + 2) * len(y)}d").pack, bytearray()
     while t < budget:
         min_step = 10.0 * abs(nextafter(t, inf) - t)
         h_abs = min(max(h_abs, min_step), max_step)
@@ -424,10 +437,8 @@ def _shoot(g, n, y0, events, budget, max_step, *, backward, dense) -> _Shot:
 
         t_old, y_old = t, y
         t, y, fy = t_new, y_new, f_new
-        step = None
         if dense:
-            step = (t_old, h, y_old, coefficients(K, h, y_old, y))
-            steps.append(step)
+            taken += record(t, *y, *K)
         if not events:
             continue
         g_new = [fn(y) for fn, _, _ in events]
@@ -436,8 +447,7 @@ def _shoot(g, n, y0, events, budget, max_step, *, backward, dense) -> _Shot:
         g_old = g_new
         if not hits:
             continue
-        if step is None:
-            step = (t_old, h, y_old, coefficients(K, h, y_old, y))
+        step = (t_old, h, y_old, coefficients(K, h, y_old, y))
         found = [(brentq(lambda s, fn=events[i][0]: fn(_interpolate(step, s)),
                          t_old, t, xtol=_EVENT_TOL, rtol=_EVENT_TOL), i)
                  for i in hits]
@@ -450,10 +460,28 @@ def _shoot(g, n, y0, events, budget, max_step, *, backward, dense) -> _Shot:
         for root, i in found:
             t_events[i].append(root)
             y_events[i].append(_interpolate(step, root))
-        if stop:
-            t = found[-1][0]
-            return _Shot(t_events, y_events, t, _interpolate(step, t), steps)
-    return _Shot(t_events, y_events, t, y, steps)
+        if stop:    # at the last root found, the terminal one
+            t, y = root, y_events[i][-1]
+            break
+    return _Shot(t_events, y_events, t, y,
+                  _steps(coefficients, y0, taken) if dense else None)
+
+
+def _steps(coefficients, y0, taken) -> tuple:
+    """A dense shot's interpolants (t_old, h, y_old, F) as _Shot holds
+    them, from its start (0, y0) and taken, the float64 record of every
+    step (the t and y it reached, then its stages K): h is t - t_old, as
+    the step computed it, and F comes from one call of the field's dense
+    function on arrays, in which an overflow gives inf or NaN as it does
+    in Python floats."""
+    d = len(y0)
+    rows = np.frombuffer(taken).reshape(-1, 1 + (_F_NEW + 2) * d).T
+    t = np.concatenate(([0.0], rows[0]))
+    y = np.concatenate((np.array(y0, dtype=float)[:, None], rows[1:1 + d]), axis=1)
+    h = t[1:] - t[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = coefficients(rows[1 + d:], h, y[:, :-1], y[:, 1:], np.asarray)
+    return t[:-1], h, y[:, :-1], np.array(F)
 
 
 def shoot_semi_wave(c: float, beta: float, n: Nonlinearity, *,
@@ -734,16 +762,14 @@ def tadpole_wave(beta: float, mu: float, n: Nonlinearity, *,
                   max_step, backward=True, dense=True)
     if shot.t_events[1]:
         raise NumericalError("tadpole shot escaped the hump region")
-    if shot.t_events[0]:
-        tau_end = shot.t_events[0][0]
-    elif shot.y[0] < 1e-4:
-        tau_end = shot.t
-    else:
+    # the shot ends at the tail cut's root, or at its budget (a hump below
+    # the cut, for beta just above c0)
+    if not shot.y[0] < 1e-4:
         raise NumericalError(
             f"tadpole tail not below 1e-4 within z-budget {budget:g}")
 
     return WaveProfile._sampled(
-        "tadpole", _Sampler(shot, tau_end, True, lambda tau: -tau, pin_q=(-1,)),
+        "tadpole", _Sampler(shot, shot.t, True, lambda tau: -tau, pin_q=(-1,)),
         speed=beta - n.c0, slope0=-(beta - n.c0) / mu)
 
 

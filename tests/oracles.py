@@ -549,11 +549,12 @@ def use_reference_kernel(monkeypatch):
 
 
 def ode_solution_steps(sol):
-    """An OdeSolution's interpolants as the (t_old, h, y_old, F) steps of a
-    dense waves._Shot."""
-    return [(float(ip.t_old), float(ip.h), list(map(float, ip.y_old)),
-             [list(map(float, row)) for row in ip.F])
-            for ip in sol.interpolants]
+    """An OdeSolution's interpolants as the (t_old, h, y_old, F) arrays of
+    a dense waves._Shot, the step index last."""
+    ips = sol.interpolants
+    return (np.array([ip.t_old for ip in ips]), np.array([ip.h for ip in ips]),
+            np.array([ip.y_old for ip in ips]).T,
+            np.array([ip.F for ip in ips]).transpose(1, 2, 0))
 
 
 def reference_block_sample(shot, tau_end, n_samples, reverse):
@@ -566,12 +567,10 @@ def reference_block_sample(shot, tau_end, n_samples, reverse):
     if n_samples is None:
         n_samples = int(np.clip(np.ceil(tau_end / 2e-4) + 1, 2001, 500001))
     tau = np.linspace(0.0, tau_end, n_samples)
-    t_old = np.array([s[0] for s in shot.steps])
-    h = np.array([s[1] for s in shot.steps])
-    F = np.array([s[3] for s in shot.steps])[:, :, :2]
-    coef = np.empty((F.shape[1] + 1, 2, len(F)))
-    coef[:-1] = F[:, ::-1].transpose(1, 2, 0)
-    coef[-1] = np.array([s[2][:2] for s in shot.steps]).T
+    t_old, h, y_old, F = shot.steps
+    coef = np.empty((len(F) + 1, 2, len(h)))
+    coef[:-1] = F[::-1, :2]
+    coef[-1] = y_old[:2]
     out = np.empty((2, n_samples))
     for lo in range(0, n_samples, profiles._SAMPLE_BLOCK):
         hi = min(lo + profiles._SAMPLE_BLOCK, n_samples)
@@ -622,19 +621,17 @@ def reference_sample(shot, tau_end, n_samples, reverse):
     if n_samples is None:
         n_samples = int(np.clip(np.ceil(tau_end / 2e-4) + 1, 2001, 500001))
     tau = np.linspace(0.0, tau_end, n_samples)
-    t_old = np.array([s[0] for s in shot.steps])
-    h = np.array([s[1] for s in shot.steps])
+    t_old, h, y_old, F = shot.steps
     seg = np.searchsorted(t_old[1:], tau, side="left")
     x = (tau - t_old[seg]) / h[seg]
     x_pair = (x, 1 - x)
     out = []
     for j in (0, 1):
-        F = np.array([[Fk[j] for Fk in s[3]] for s in shot.steps])
         v = np.zeros_like(x)
-        for i in range(F.shape[1]):
-            v += F[seg, -1 - i]
+        for i in range(len(F)):
+            v += F[-1 - i, j][seg]
             v *= x_pair[i % 2]
-        v += np.array([s[2][j] for s in shot.steps])[seg]
+        v += y_old[j][seg]
         out.append(v[::-1].copy() if reverse else v)
     return (tau[::-1] if reverse else tau), out[0], out[1]
 
@@ -699,17 +696,28 @@ def reference_dense(rhs, K, h, y_old, y):
 
 
 def reference_kernel(field):
-    """waves._kernel with the reference field, step and dense functions."""
+    """waves._kernel with the reference field, step and dense functions.
+    Like a generated dense function, dense with num=np.asarray takes
+    float64 arrays holding every step's K, h, y_old and y, the step index
+    last; it runs reference_dense on each step in Python floats and stacks
+    the F's the same way."""
     def make(f, fprime, g):
         rhs = REFERENCE_FIELDS[field](f, fprime, g)
-        return (rhs, lambda y, fy, h: reference_rk_step(rhs, y, fy, h),
-                lambda K, h, y_old, y: reference_dense(rhs, K, h, y_old, y))
+
+        def dense(K, h, y_old, y, num=float):
+            if num is float:
+                return reference_dense(rhs, K, h, y_old, y)
+            steps = zip(K.T.tolist(), h.tolist(), y_old.T.tolist(), y.T.tolist())
+            return np.array([reference_dense(rhs, *step) for step in steps]
+                            ).transpose(1, 2, 0)
+
+        return rhs, lambda y, fy, h: reference_rk_step(rhs, y, fy, h), dense
     return make
 
 
 def use_reference_step(monkeypatch):
-    """Make every shot of waves._shoot with reference_rk_step and
-    reference_dense for the rest of a test."""
+    """Make every shot of waves._shoot with reference_rk_step, and its
+    interpolants with reference_dense, for the rest of a test."""
     monkeypatch.setattr(waves, "_kernel", reference_kernel)
 
 

@@ -424,14 +424,20 @@ beta = 0
 
 
 def test_sweep_solves_c_tilde_only_when_rule_3_reads_it(monkeypatch):
-    calls = []
-    real = cli.spreading_speed
+    # and classifies each cell once, with c_tilde where rule 3 reads it
+    calls, classified = [], []
+    real, classify = cli.spreading_speed, cli.classify
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
+    def counted_classify(*args, **kwargs):
+        classified.append(kwargs.get("ctilde"))
+        return classify(*args, **kwargs)
+
     monkeypatch.setattr(cli, "spreading_speed", counting)
+    monkeypatch.setattr(cli, "classify", counted_classify)
     base = parse_config("mu = 1.0\na = 1\nb = 0\nnx = 200\ndt = 2e-3\n"
                         "nonlinearity = logistic\n")
     cells = [  # (beta, lambda, h0, tmax), eager rule, lazy c_tilde solves
@@ -445,9 +451,11 @@ def test_sweep_solves_c_tilde_only_when_rule_3_reads_it(monkeypatch):
         cfg = dict(base, beta=beta, h0=h0, tmax=tmax)
         cfg["lambda"] = lam
         calls.clear()
+        classified.clear()
         (index, row, reason), = cli._sweep_chunk([(7, cfg)])
         assert (index, reason) == (7, None)
         assert len(calls) == solves
+        assert len(classified) == 1 and (classified[0] is not None) == (solves == 1)
         spec = spec_from_config(cfg)
         eager, _, _ = reference_classification_hint(fb.simulate(spec), spec, {})
         assert eager.evidence["rule"] == rule

@@ -134,10 +134,10 @@ def doctored(prof, made, **change):
 
 def nan_at(shot, k):
     """shot with the first interpolant coefficient of q at step k set to NaN."""
-    steps = list(shot.steps)
-    t_old, h, y_old, F = steps[k]
-    steps[k] = (t_old, h, y_old, [[np.nan] + list(F[0][1:])] + list(F[1:]))
-    return shot._replace(steps=steps)
+    t_old, h, y_old, F = shot.steps
+    F = F.copy()
+    F[0, 0, k] = np.nan
+    return shot._replace(steps=(t_old, h, y_old, F))
 
 
 @pytest.mark.parametrize("defect", ["nan read", "nan unread", "zero tau_end",
@@ -149,8 +149,9 @@ def test_doctored_shots_refused_as_their_arrays(monkeypatch, logistic_n, defect)
     made = record_samplers(monkeypatch)
     prof = PROFILES["stationary-robin"](logistic_n, {})
     shot = made[-1][0]
-    assert shot.steps[2][0] < 0.5 * made[-1][1]     # 3 samples skip step 1
-    change = {"nan read": {"shot": nan_at(shot, len(shot.steps) // 2)},
+    t_old = shot.steps[0]
+    assert t_old[2] < 0.5 * made[-1][1]     # 3 samples skip step 1
+    change = {"nan read": {"shot": nan_at(shot, len(t_old) // 2)},
               "nan unread": {"shot": nan_at(shot, 1), "n_samples": 3},
               "zero tau_end": {"tau_end": 0.0},
               "step below an ulp": {"tau_end": 1e-300}}[defect]

@@ -161,9 +161,11 @@ def test_interpolants_evaluate_like_ode_solution(n):
                                    identity).arrays()
     expected = sol.sol(tau)
     assert np.array_equal(q, expected[0]) and np.array_equal(qp, expected[1])
-    for k in range(0, len(steps), 50):
-        t = steps[k][0] + 0.3 * steps[k][1]
-        assert np.array_equal(waves._interpolate(steps[k], t), sol.sol(t))
+    t_old, h, y_old, F = steps
+    for k in range(0, len(h), 50):
+        t = t_old[k] + 0.3 * h[k]
+        step = (t_old[k], h[k], y_old[:, k], F[:, :, k])
+        assert np.array_equal(waves._interpolate(step, t), sol.sol(t))
 
 
 BLOCK = profiles._SAMPLE_BLOCK
@@ -345,6 +347,45 @@ def test_generated_step_and_dense_match_the_stage_loop_bitwise(field, term):
             F_ref = reference_dense(ref_rhs, old[4], h, y, old[0])
             assert [hexes(row) for row in F] == [hexes(row) for row in F_ref]
     assert paths["0/0"] > 0 and paths["NaN"] > 0
+
+
+@pytest.mark.parametrize("term", TERMS)
+@pytest.mark.parametrize("field", sorted(waves._FIELDS))
+def test_all_steps_dense_matches_the_step_by_step_dense_bitwise(field, term):
+    # a dense shot computes every step's interpolant in one call of the
+    # generated dense on float64 arrays, the step index last, under
+    # waves._steps' errstate: each step's coefficients are the bits of the
+    # same dense on that step's Python floats, and of the stage loop's
+    # where the step test above compares those, with no RuntimeWarning
+    # raised into an error
+    n = TERMS[term]()
+    size = len(waves._FIELDS[field][0])
+    rng = np.random.default_rng([sorted(waves._FIELDS).index(field),
+                                 list(TERMS).index(term), 1])
+    compared = 0
+    for lo, hi in MAGNITUDES.values():
+        for _ in range(4):
+            g = float(rng.uniform(-3.0, 3.0))
+            rhs, step, dense = waves._kernel(field)(n.f, n.fprime, g)
+            ref_rhs = REFERENCE_FIELDS[field](n.f, n.fprime, g)
+            steps = []
+            for _ in range(15):
+                y = [float(v) for v in
+                     rng.uniform(-1.5, 1.5, size) * 10.0 ** rng.uniform(lo, hi)]
+                h = float(10.0 ** rng.uniform(-4.0, 0.0))
+                y_new, _, s5, s3, K = step(y, rhs(y), h)
+                steps.append((K, h, y, y_new, error_norm(s5, s3, h, size)))
+            K, h, y_old, y_new = (np.array(column).T for column in list(zip(*steps))[:4])
+            with np.errstate(over="ignore", invalid="ignore"):
+                F = dense(K, h, y_old, y_new, np.asarray)
+            for k, (K_k, h_k, y_k, y_new_k, err) in enumerate(steps):
+                rows = [hexes(component[k] for component in row) for row in F]
+                assert rows == [hexes(row) for row in dense(K_k, h_k, y_k, y_new_k)]
+                if err != "NaN":
+                    ref = reference_dense(ref_rhs, K_k, h_k, y_k, y_new_k)
+                    assert rows == [hexes(row) for row in ref]
+                    compared += 1
+    assert compared > 0
 
 
 @pytest.mark.parametrize("field", sorted(waves._FIELDS))

@@ -292,6 +292,11 @@ def test_right_wave_requires_minimal_speed(n):
         fb.traveling_wave(-1.0, "left", n)
 
 
+def test_traveling_wave_refuses_an_unknown_direction(n):
+    with pytest.raises(ValueError, match="^direction must be 'left' or 'right'$"):
+        fb.traveling_wave(1.5 * n.c0, "up", n)
+
+
 def test_right_wave_exponential_tail(n):
     w = fb.traveling_wave(n.c0, "right", n)
     assert np.all(np.diff(w.q) > 0.0)
@@ -324,6 +329,23 @@ def test_tadpole_exists_in_band(n, beta_star_1):
     sgn = np.sign(w.qp[np.abs(w.qp) > 1e-10])
     assert np.count_nonzero(np.diff(sgn)) == 1
     assert w.speed == pytest.approx(beta - n.c0)
+
+
+def test_tadpole_below_the_tail_cut_ends_at_the_budget(n, beta_star_1):
+    # just above c0 the hump stays below the tail cut 5e-7, so no cut is
+    # met and the shot runs to its budget, its tail far below 1e-4
+    w = fb.tadpole_wave(n.c0 + 1e-6, 1.0, n, beta_star=beta_star_1)
+    assert w.z[0] == -waves._default_budget(n) and w.z[-1] == 0.0
+    assert 0.0 < w.q.max() < 5e-7 and w.q[0] < 1e-40 and w.q[-1] == 0.0
+    assert np.count_nonzero(np.diff(np.sign(w.qp[np.abs(w.qp) > 1e-30]))) == 1
+
+
+def test_profile_repr_names_its_scalars_and_samples_nothing(n, beta_star_1):
+    beta = 0.5 * (n.c0 + beta_star_1)
+    w = fb.tadpole_wave(beta, 1.0, n, beta_star=beta_star_1)
+    assert repr(w) == (f"WaveProfile(kind='tadpole', speed={beta - n.c0!r}, "
+                       f"slope0={-(beta - n.c0)!r}, endpoint=None, dslope0=None)")
+    assert w._arrays is None
 
 
 def test_tadpole_only_inside_band(n, beta_star_1):
